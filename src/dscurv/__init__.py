@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 from .errors import (AdmissibilityError, ConfigError, ContinuationError,
                      InternalConsistencyError, NewtonError, SpacelikeError)
 from .geometry import (InducedGeometry, induced_geometry, induced_metric,
-                       second_fundamental_form, shape_eigenvalues,
-                       symmetrized_shape, tilt_and_height)
+                       shape_eigenvalues, symmetrized_shape, tilt_and_height)
 from .grid import SphereGrid, build_grid, covariant_gradient, covariant_hessian
 from .monitor import (BoundReport, IdentityResiduals, check_bounds,
                       identity_residuals, induced_christoffel,
@@ -22,8 +21,7 @@ from .prescription import (AuditBox, BarrierScan, ConstantPrescription,
                            HomotopyPrescription, Prescription, PsiEval,
                            ReferencePrescription, SpaceTiltPower,
                            StructuralAudit, TiltConcave, TiltPower,
-                           audit_structural, homotopy_eval, make_prescription,
-                           scan_barriers)
+                           audit_structural, make_prescription, scan_barriers)
 from .solver import (ContinuationSolver, HomotopyState, NewtonResult,
                      SolverConfig, StepRecord, combined_barriers,
                      ellipticity_margin, initial_constant, run_homotopy,

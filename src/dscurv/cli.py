@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ContinuationError, NewtonError
+from .errors import (ConfigError, ContinuationError, InternalConsistencyError,
+                     NewtonError)
 from .geometry import induced_geometry
 from .grid import build_grid
 from .monitor import identity_residuals
@@ -333,7 +334,7 @@ def run(config, quiet=False):
     solver = ContinuationSolver(grid, target, solver_config, barriers=barriers)
     try:
         state = solver.run()
-    except (ContinuationError, NewtonError) as exc:
+    except (ContinuationError, NewtonError, InternalConsistencyError) as exc:
         summary["continuation"] = {"failed": True, "message": str(exc)}
         partial = getattr(exc, "state", None)
         if partial is not None:

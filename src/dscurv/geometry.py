@@ -108,11 +108,6 @@ def tilt_and_height(u, grid):
     return tau, np.sinh(u)
 
 
-def second_fundamental_form(u, grid):
-    """A_ij = tau/cosh(u) * (Hess_ij u - 2 tanh(u) u_i u_j + sinh cosh sigma_ij)."""
-    return induced_geometry_unchecked(u, grid).A
-
-
 def _cholesky_factors(g, dim):
     if dim == 1:
         g00 = g[..., 0, 0]
@@ -172,11 +167,11 @@ def _sym_eigenvalues(M):
     return np.stack([mean - disc, mean + disc], axis=-1)
 
 
-def shape_eigenvalues(A, g, g_inv=None):
+def shape_eigenvalues(A, g):
     """Principal curvatures per node, sorted ascending.
 
-    g_inv is accepted for interface symmetry but the computation goes
-    through the Cholesky factor of g, which guarantees real output.
+    The computation goes through the Cholesky factor of g, which
+    guarantees real output.
     """
     return _sym_eigenvalues(symmetrized_shape(A, g))
 

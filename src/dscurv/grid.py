@@ -14,10 +14,11 @@ refinement.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class SphereGrid:
-    """Nodes, round metric, Christoffel symbols, and stencil structure.
+    """Nodes, round metric, Christoffel symbols, and difference operators.
 
     Fields on the grid are plain ndarrays of shape ``grid.shape``
     ((n_theta,) on S^1, (n_lat, n_lon) on S^2).  Covector/tensor fields
@@ -76,7 +77,7 @@ class SphereGrid:
         else:
             raise ValueError(f"unsupported sphere dimension {dim!r}")
         self.node_count = int(np.prod(self.shape))
-        self._stencil_table = None
+        self._operators = None
 
     # -- coordinates ---------------------------------------------------
 
@@ -147,35 +148,51 @@ class SphereGrid:
         hess[..., 1, 1] = d2theta
         return hess
 
-    # -- stencil structure (for sparse Jacobians) -----------------------
+    # -- the same stencils as sparse matrices --------------------------
 
-    def stencil_table(self):
-        """For each flat node index, the sorted flat indices of nodes its
-        finite-difference stencil reads (including pole/periodic images)."""
-        if self._stencil_table is not None:
-            return self._stencil_table
-        table = []
+    def _neighbours(self, dj, di):
+        """Flat index of the node at offset (dj, di) in (phi, theta) from
+        every node, reading across a pole from the antipodal ring."""
         if self.dim == 1:
-            n = self.n_theta
-            for i in range(n):
-                table.append(sorted({(i - 1) % n, i, (i + 1) % n}))
-        else:
-            nlat, nlon = self.n_lat, self.n_lon
-            half = nlon // 2
-            for j in range(nlat):
-                for i in range(nlon):
-                    nodes = set()
-                    for dj in (-1, 0, 1):
-                        for di in (-1, 0, 1):
-                            jj, ii = j + dj, (i + di) % nlon
-                            if jj < 0:
-                                jj, ii = 0, (ii + half) % nlon
-                            elif jj >= nlat:
-                                jj, ii = nlat - 1, (ii + half) % nlon
-                            nodes.add(jj * nlon + ii)
-                    table.append(sorted(nodes))
-        self._stencil_table = table
-        return table
+            return (np.arange(self.n_theta) + di) % self.n_theta
+        j, i = np.indices(self.shape)
+        j, i = j + dj, i + di
+        across = (j < 0) | (j >= self.n_lat)
+        i = np.where(across, i + self.n_lon // 2, i) % self.n_lon
+        j = np.clip(j, 0, self.n_lat - 1)
+        return (j * self.n_lon + i).ravel()
+
+    def _stencil_matrix(self, weights):
+        n = self.node_count
+        rows = np.tile(np.arange(n), len(weights))
+        cols = np.concatenate([self._neighbours(*off) for off in weights])
+        data = np.repeat(np.array(list(weights.values())), n)
+        return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+    def difference_operators(self):
+        """The centered differences of partial_gradient and partial_hessian
+        (scalar parity) as sparse matrices acting on flattened fields.
+
+        Returns ``(grads, hessians)``: ``grads[i]`` maps f to d_i f and
+        ``hessians[i, j]`` (i <= j) maps f to d_ij f.  Built on first use
+        and shared afterwards.
+        """
+        if self._operators is not None:
+            return self._operators
+        stencil = self._stencil_matrix
+        axes = ([((1, 0), self.dphi)] if self.dim == 2 else []) + [
+            ((0, 1), self.dtheta)]
+        grads = tuple(stencil({e: 0.5 / h, (-e[0], -e[1]): -0.5 / h})
+                      for e, h in axes)
+        hessians = {(i, i): stencil({e: h ** -2, (0, 0): -2.0 * h ** -2,
+                                     (-e[0], -e[1]): h ** -2})
+                    for i, (e, h) in enumerate(axes)}
+        if self.dim == 2:
+            c = 0.25 / (self.dphi * self.dtheta)
+            hessians[0, 1] = stencil({(1, 1): c, (1, -1): -c,
+                                      (-1, 1): -c, (-1, -1): c})
+        self._operators = (grads, hessians)
+        return self._operators
 
 
 def build_grid(dim, resolution):

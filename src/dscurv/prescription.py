@@ -253,11 +253,6 @@ class HomotopyPrescription:
         )
 
 
-def homotopy_eval(h, r, xi, tau, u=None):
-    """Evaluate a HomotopyPrescription; kept as a free-function alias."""
-    return h.evaluate(r, xi, tau, u=u)
-
-
 # -- sampling lattices -------------------------------------------------
 
 def sphere_lattice(dim, n_xi):

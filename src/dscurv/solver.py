@@ -11,15 +11,14 @@ lam cosh^p(lam) = 1, which solves the equation exactly: the slice has
 all principal curvatures tanh(lam) and tilt cosh(lam), so the reference
 value is cosh^p(lam) * lam * tanh(lam) = tanh(lam).
 
-The Jacobian is the exact derivative of the *discrete* residual,
-assembled by central differencing over the stencil footprint.  Columns
-whose footprints do not overlap are perturbed together (greedy graph
-coloring), so one assembly costs about two residual evaluations per
-color regardless of grid size; the sparse matrix is then factorized
-directly.  Each Newton trial step must be spacelike, node-wise
-admissible, and reduce the residual sup-norm, otherwise the step is
-backtracked; each accepted homotopy step must additionally pass the a
-priori bound monitors, otherwise the step size is halved.  Everything
+The Jacobian is the exact derivative of the *discrete* residual: Phi at
+a node depends on u only through u and its centered first and second
+partials there, so the chain rule with closed-form 2x2 coefficients
+times the grid's sparse difference operators gives the matrix, which
+is then factorized directly.  Each Newton trial step must be spacelike,
+node-wise admissible, and reduce the residual sup-norm, otherwise the
+step is backtracked; each accepted homotopy step must additionally pass
+the a priori bound monitors, otherwise the step size is halved.  Everything
 on the solve path is deterministic: same config, grid, and prescription
 reproduce bit-identical traces.
 """
@@ -32,16 +31,19 @@ import scipy.sparse.linalg as spla
 
 from .errors import (AdmissibilityError, ContinuationError,
                      InternalConsistencyError, NewtonError, SpacelikeError)
-from .geometry import induced_geometry_unchecked, _cholesky_factors
+from .geometry import induced_geometry_unchecked
 from .monitor import check_bounds
 from .prescription import HomotopyPrescription, ReferencePrescription, scan_barriers
-from .symmetric import (elementary_symmetric_all, normalized_root,
-                        normalized_root_gradient)
+from .symmetric import normalized_root
 
 # Fixed covector directions for the ellipticity diagnostic (deterministic
 # stand-ins for random draws; the solve path must not consume RNG state).
 _ELLIPTICITY_COVECTORS = ((1.0, 0.0), (0.0, 1.0), (0.8, 0.6),
                           (-0.6, 0.8), (0.36, -0.933))
+
+# The in-run Jacobian check runs on the first accepted step and then on
+# every JACOBIAN_CHECK_INTERVAL-th.
+JACOBIAN_CHECK_INTERVAL = 10
 
 
 @dataclass
@@ -61,12 +63,25 @@ class SolverConfig:
     fast_iters: int = 4
     c_tau: float = 50.0
     c_a: float = 50.0
-    fd_step: float = 2e-7
-    jacobian_check_every: int = 10
 
     def __post_init__(self):
         if self.tol_newton <= 0.0:
             raise ValueError("tol_newton must be positive")
+        if self.max_newton < 1:
+            raise ValueError("max_newton must be >= 1")
+        if not (0.0 < self.backtrack_factor < 1.0
+                and 0.0 < self.backtrack_min < 1.0):
+            raise ValueError("need 0 < backtrack_factor < 1 and "
+                             "0 < backtrack_min < 1")
+        if self.grow_factor < 1.0:
+            raise ValueError("grow_factor must be >= 1")
+        if self.fast_iters < 0:
+            raise ValueError("fast_iters must be >= 0")
+        # tau >= cosh(u) >= 1, so a cap at or below 1 rejects every state
+        if self.c_tau <= 1.0:
+            raise ValueError("c_tau must exceed 1")
+        if self.c_a <= 0.0:
+            raise ValueError("c_a must be positive")
         if not 0.0 < self.dt_min <= self.dt_init <= self.dt_max <= 1.0:
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max <= 1")
         if self.k < 1:
@@ -152,52 +167,26 @@ def zeroth_coefficient_at_start(p):
     return float(c)
 
 
-def _eig_vectors_2x2(M, eigs):
-    """Orthonormal eigenvectors for symmetric 2x2 fields, paired with the
-    ascending eigenvalues; robust when the off-diagonal entry vanishes."""
-    a, b, c = M[..., 0, 0], M[..., 0, 1], M[..., 1, 1]
-    hi = eigs[..., 1]
-    v0 = np.stack([b, hi - a], axis=-1)
-    v1 = np.stack([hi - c, b], axis=-1)
-    pick = np.abs(hi - a) >= np.abs(hi - c)
-    v = np.where(pick[..., None], v0, v1)
-    norm = np.linalg.norm(v, axis=-1)
-    degenerate = norm < 1e-300
-    v = np.where(degenerate[..., None], np.stack(
-        [np.ones_like(a), np.zeros_like(a)], axis=-1), v)
-    v /= np.linalg.norm(v, axis=-1)[..., None]
-    w_hi = v
-    w_lo = np.stack([-v[..., 1], v[..., 0]], axis=-1)
-    return w_lo, w_hi
-
-
 def curvature_derivative_matrix(geom, k):
-    """dF/dA_ij per node: the second-order coefficient of the linearized
-    operator (up to the positive factor tau/cosh(u)).  Positive definite
-    exactly where the eigenvalues sit inside Gamma_k."""
-    eigs = geom.shape_eigs
-    grad = normalized_root_gradient(eigs, k)
-    dim = eigs.shape[-1]
-    if dim == 1:
-        (l00,) = _cholesky_factors(geom.g, 1)
-        return (grad[..., 0] / l00 ** 2)[..., None, None]
-    l00, l10, l11 = _cholesky_factors(geom.g, 2)
-    w_lo, w_hi = _eig_vectors_2x2(geom.shape_sym, eigs)
-    P = (grad[..., 0, None, None] * w_lo[..., :, None] * w_lo[..., None, :]
-         + grad[..., 1, None, None] * w_hi[..., :, None] * w_hi[..., None, :])
-    i00 = 1.0 / l00
-    i10 = -l10 / (l00 * l11)
-    i11 = 1.0 / l11
-    inv_l = np.zeros_like(P)
-    inv_l[..., 0, 0] = i00
-    inv_l[..., 1, 0] = i10
-    inv_l[..., 1, 1] = i11
-    return np.einsum("...ki,...kl,...lj->...ij", inv_l, P, inv_l)
+    """Newton tensor F = df/dA per node, in closed form: g^-1/n for k = 1
+    and (S1 g^-1 - g^-1 A g^-1)/(2f) for k = 2 (where n = 2).  It is the
+    second-order coefficient of the linearized operator up to the positive
+    factor tau/cosh(u), and positive definite on Gamma_k; for k = 2 it
+    raises AdmissibilityError outside the cone."""
+    g_inv = geom.g_inv
+    if k == 1:
+        return g_inv / geom.grid.dim
+    f = normalized_root(geom.shape_eigs, k)[..., None, None]
+    s1 = _contract(g_inv, geom.A)[..., None, None]
+    return (s1 * g_inv - g_inv @ geom.A @ g_inv) / (2.0 * f)
 
 
-def ellipticity_margin(geom, k):
-    """Smallest contraction of dF/dA with the fixed covector set."""
-    fij = curvature_derivative_matrix(geom, k)
+def _contract(X, Y):
+    """X:Y = X_ij Y_ij per node."""
+    return np.einsum("...ij,...ij->...", X, Y)
+
+
+def _covector_margin(fij):
     dim = fij.shape[-1]
     worst = np.inf
     for zeta in _ELLIPTICITY_COVECTORS[: 1 if dim == 1 else None]:
@@ -205,6 +194,11 @@ def ellipticity_margin(geom, k):
         q = np.einsum("i,...ij,j->...", z, fij, z)
         worst = min(worst, float(q.min()))
     return worst
+
+
+def ellipticity_margin(geom, k):
+    """Smallest contraction of dF/dA with the fixed covector set."""
+    return _covector_margin(curvature_derivative_matrix(geom, k))
 
 
 class ContinuationSolver:
@@ -225,7 +219,6 @@ class ContinuationSolver:
         self.homotopy = HomotopyPrescription(target, self.config.p, 0.0)
         self.barriers = barriers
         self.coords = grid.coords()
-        self._coloring = None
         # fail fast if the start linearization is unusable
         self.start_radius = initial_constant(self.config.p)
         self.start_coefficient = zeroth_coefficient_at_start(self.config.p)
@@ -242,12 +235,7 @@ class ContinuationSolver:
 
     def residual_with_geometry(self, u, t):
         geom = self._geometry(u)
-        k = self.config.k
-        sig = elementary_symmetric_all(geom.shape_eigs, k)[..., 1:]
-        member = np.all(sig > 0.0, axis=-1)
-        if not member.all():
-            raise AdmissibilityError(np.flatnonzero(~member.ravel()).tolist())
-        f = normalized_root(geom.shape_eigs, k)
+        f = normalized_root(geom.shape_eigs, self.config.k)
         ev = self.homotopy.at(t).evaluate(geom.u, self.coords, geom.tau)
         return f - ev.psi, geom
 
@@ -259,91 +247,68 @@ class ContinuationSolver:
 
     # -- sparse Jacobian --------------------------------------------------
 
-    def _build_coloring(self):
-        table = self.grid.stencil_table()
-        n = self.grid.node_count
-        rows_of = [[] for _ in range(n)]
-        for m, cols in enumerate(table):
-            for q in cols:
-                rows_of[q].append(m)
-        colors = np.full(n, -1, dtype=int)
-        for q in range(n):
-            taken = set()
-            for m in rows_of[q]:
-                for q2 in table[m]:
-                    if colors[q2] >= 0:
-                        taken.add(colors[q2])
-            color = 0
-            while color in taken:
-                color += 1
-            colors[q] = color
-        groups = []
-        for color in range(colors.max() + 1):
-            cols = np.flatnonzero(colors == color)
-            rows_cat = np.concatenate([rows_of[q] for q in cols])
-            counts = np.array([len(rows_of[q]) for q in cols])
-            col_rep = np.repeat(cols, counts)
-            groups.append((cols, rows_cat, col_rep, counts))
-        self._coloring = groups
-        self._fd_scale = self._column_fd_scales(rows_of)
-        return groups
+    def jacobian(self, u, t):
+        """Exact Jacobian of the discrete residual at (u, t), as CSR.
 
-    def _column_fd_scales(self, rows_of):
-        """Per-column multiplier for the FD step.
+        Phi at a node depends on u only through u, p = D_i u and
+        H = D_ij u at that node, so J = diag(a_u) + sum_i diag(a_p_i) D_i
+        + sum_{i<=j} diag(a_H_ij) D_ij with the grid's difference
+        operators D and chain-rule coefficients in closed form.  With
+        c = cosh u, s = sinh u, q = sigma^-1 p, m = c^2 - p.q,
+        tau = c^2/sqrt(m) and K = H - Gamma^k p_k - 2 tanh(u) p p^T
+        + s c sigma (so A = tau/c K), F = df/dA and G = df/dg = -F A g^-1
+        (f depends on A and g only through g^-1 A):
 
-        Rows near the poles carry stencil weights ~ sigma^{theta,theta} /
-        dtheta^2, far above the interior scale; the optimal central-
-        difference step for a column shrinks like that weight to the
-        power -2/3 (truncation grows with the weight cubed, roundoff
-        with the weight).  Everything here is deterministic grid data.
+            a_H = tau/c F
+            a_p = c/m^1.5 (F:K) q - tau/c (F:Gamma + 4 tanh(u) F p)
+                  - 2 G p - psi_tau c^2/m^1.5 q
+            a_u = (s/sqrt(m) - c^2 s/m^1.5) (F:K) - psi_r
+                  + tau/c F:(-2 sech^2(u) p p^T + (c^2 + s^2) sigma)
+                  + 2 c s G:sigma - psi_tau (2 c s/sqrt(m) - c^3 s/m^1.5)
+
+        Also runs the ellipticity diagnostic: F must contract positively
+        with covectors at every admissible node, otherwise the geometry
+        pipeline is broken and an InternalConsistencyError is raised.
         """
         grid = self.grid
-        if grid.dim == 1:
-            return np.ones(grid.node_count)
-        w_node = (1.0 / grid.dphi ** 2
-                  + grid.sigma_inv[..., 1, 1] / grid.dtheta ** 2).ravel()
-        w_base = 1.0 / grid.dphi ** 2 + 1.0 / grid.dtheta ** 2
-        omega = np.ones(grid.node_count)
-        for q, rows in enumerate(rows_of):
-            omega[q] = max(1.0, max(w_node[m] for m in rows) / w_base)
-        return omega ** (-2.0 / 3.0)
-
-    def jacobian(self, u, t):
-        """Exact Jacobian of the discrete residual at (u, t), column-wise
-        central differences grouped by stencil coloring; returns CSR.
-
-        Also runs the ellipticity diagnostic: the second-order
-        coefficient block must contract positively with covectors at
-        every admissible node, otherwise the geometry pipeline is
-        broken and an InternalConsistencyError is raised.
-        """
-        u = self.grid.check_field(u)
         geom = self._geometry(u)
-        margin = ellipticity_margin(geom, self.config.k)
+        F = curvature_derivative_matrix(geom, self.config.k)
+        margin = _covector_margin(F)
         if margin <= 0.0:
             raise InternalConsistencyError(
                 f"non-elliptic second-order block (margin {margin:.3e}) "
                 "at an admissible node")
-        groups = self._coloring or self._build_coloring()
-        n = self.grid.node_count
-        base = u.ravel()
-        eps_all = self.config.fd_step * (1.0 + np.abs(base)) * self._fd_scale
-        rows_idx, cols_idx, data = [], [], []
-        for cols, rows_cat, col_rep, counts in groups:
-            step = np.zeros(n)
-            step[cols] = eps_all[cols]
-            r_plus = self.residual((base + step).reshape(self.grid.shape), t).ravel()
-            r_minus = self.residual((base - step).reshape(self.grid.shape), t).ravel()
-            diff = r_plus - r_minus
-            eps_rep = np.repeat(eps_all[cols], counts)
-            rows_idx.append(rows_cat)
-            cols_idx.append(col_rep)
-            data.append(diff[rows_cat] / (2.0 * eps_rep))
-        matrix = sp.coo_matrix(
-            (np.concatenate(data),
-             (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-            shape=(n, n))
-        return matrix.tocsr()
+        ev = self.homotopy.at(t).evaluate(geom.u, self.coords, geom.tau)
+        p, sigma = geom.du, grid.sigma
+        c, s, th = np.cosh(geom.u), np.sinh(geom.u), np.tanh(geom.u)
+        q = np.einsum("...ij,...j->...i", grid.sigma_inv, p)
+        m = c ** 2 - geom.grad_norm2
+        rm, m32 = np.sqrt(m), m ** 1.5
+        ratio = c / rm                                   # tau / c
+        FK = _contract(F, geom.A) / ratio
+        F_gamma = np.einsum("...ij,...kij->...k", F, grid.christoffel)
+        Fp = np.einsum("...ij,...j->...i", F, p)
+        G = -F @ geom.A @ geom.g_inv
+        Gp = np.einsum("...ij,...j->...i", G, p)
+        dK = ((-2.0 / c ** 2)[..., None, None] * p[..., :, None] * p[..., None, :]
+              + (c ** 2 + s ** 2)[..., None, None] * sigma)
+        a_p = ((c * FK - ev.psi_tau * c ** 2)[..., None] / m32[..., None] * q
+               - ratio[..., None] * (F_gamma + 4.0 * th[..., None] * Fp)
+               - 2.0 * Gp)
+        a_u = ((s / rm - c ** 2 * s / m32) * FK
+               + ratio * _contract(F, dK)
+               + 2.0 * c * s * _contract(G, sigma)
+               - ev.psi_r
+               - ev.psi_tau * (2.0 * c * s / rm - c ** 3 * s / m32))
+        a_H = ratio[..., None, None] * F
+        grads, hessians = grid.difference_operators()
+        jac = sp.diags(a_u.ravel())
+        for i, D in enumerate(grads):
+            jac = jac + sp.diags(a_p[..., i].ravel()) @ D
+        for (i, j), D in hessians.items():
+            coef = a_H[..., i, j] if i == j else a_H[..., i, j] + a_H[..., j, i]
+            jac = jac + sp.diags(coef.ravel()) @ D
+        return jac.tocsr()
 
     def directional_derivative_check(self, u, t, v=None, eps=1e-6, tol=1e-5):
         """Compare the assembled Jacobian against a directional difference
@@ -453,8 +418,7 @@ class ContinuationSolver:
                 min_u=float(u.min()), max_u=float(u.max()),
                 max_tau=float(geom.tau.max()), max_abs_A=float(geom.abs_A.max()))
             accepted += 1
-            if cfg.jacobian_check_every > 0 and (
-                    accepted == 1 or accepted % cfg.jacobian_check_every == 0):
+            if accepted == 1 or accepted % JACOBIAN_CHECK_INTERVAL == 0:
                 self.directional_derivative_check(u, t)
             return monitor, record
 
@@ -470,8 +434,12 @@ class ContinuationSolver:
         last = result
 
         dt = cfg.dt_init
-        while t < t_final - 1e-14:
-            t_next = min(t + dt, t_final)
+        while t < t_final:
+            t_next = t + dt
+            # a remainder shorter than dt_min joins this step, so the run
+            # ends exactly at t_final despite rounding in the sum
+            if t_final - t_next < cfg.dt_min:
+                t_next = t_final
             try:
                 trial = self.newton_solve(u, t_next)
                 trial_monitor, record = accept(trial.u, t_next, trial)

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from dscurv import ConfigError, ContinuationSolver, SolverConfig, build_grid
+from dscurv import (ConfigError, ContinuationSolver, InternalConsistencyError,
+                    SolverConfig, build_grid)
 from dscurv import cli
 from dscurv.prescription import make_prescription
 
@@ -182,6 +183,20 @@ def test_continuation_failure_exit_code(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["continuation"]["failed"] is True
     assert (out / "trace.csv").exists()
+
+
+def test_internal_consistency_failure_exit_code(tmp_path, monkeypatch):
+    def broken_check(self, u, t):
+        raise InternalConsistencyError("Jacobian directional check failed")
+
+    monkeypatch.setattr(ContinuationSolver, "directional_derivative_check",
+                        broken_check)
+    out = tmp_path / "inconsistent"
+    path = write_config(tmp_path, BASE + f"out = {out}\n")
+    assert cli.main(["--config", path, "--quiet"]) == cli.EXIT_CONTINUATION
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["continuation"]["failed"] is True
+    assert "Jacobian directional check failed" in summary["continuation"]["message"]
 
 
 def test_config_error_exit_code(tmp_path):

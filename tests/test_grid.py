@@ -135,3 +135,20 @@ def test_laplace_beltrami_eigenvalue_oracle(s2_32x64):
         coarse = lap_err(s2_32x64, f, l)
         fine = lap_err(s2_32x64.refine(), f, l)
         assert 3.4 <= _ratio(coarse, fine) <= 4.6
+
+
+def test_difference_operators_match_array_stencils(s1_64, s2_16x32, rng):
+    # a random field puts weight on every node, the pole rings included
+    for g in (s1_64, s2_16x32):
+        f = rng.standard_normal(g.shape)
+        grads, hessians = g.difference_operators()
+        assert sorted(hessians) == [(i, j) for i in range(g.dim)
+                                    for j in range(i, g.dim)]
+        want = g.partial_gradient(f)
+        for i, D in enumerate(grads):
+            got = (D @ f.ravel()).reshape(g.shape)
+            assert np.max(np.abs(got - want[..., i])) <= 1e-12 * np.max(np.abs(want))
+        want = g.partial_hessian(f)
+        for (i, j), D in hessians.items():
+            got = (D @ f.ravel()).reshape(g.shape)
+            assert np.max(np.abs(got - want[..., i, j])) <= 1e-12 * np.max(np.abs(want))

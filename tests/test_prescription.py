@@ -5,7 +5,7 @@ import pytest
 
 from dscurv import (AuditBox, ConstantPrescription, HomotopyPrescription,
                     ReferencePrescription, SpaceTiltPower, TiltConcave,
-                    TiltPower, audit_structural, homotopy_eval, make_prescription,
+                    TiltPower, audit_structural, make_prescription,
                     scan_barriers)
 
 R_STAR = np.log(1.0 + np.sqrt(2.0))   # root of 0.5 cosh^2(r) = 1
@@ -179,7 +179,7 @@ def test_homotopy_rejects_nonpositive_graph():
     target = SpaceTiltPower(a0=0.5, a1=0.0, p=2.0)
     h = HomotopyPrescription(target, 2.0, 0.5)
     with pytest.raises(ValueError):
-        homotopy_eval(h, np.array([0.5, -0.1]), (np.zeros(2),), np.ones(2))
+        h.evaluate(np.array([0.5, -0.1]), (np.zeros(2),), np.ones(2))
     with pytest.raises(ValueError):
         HomotopyPrescription(target, 2.0, 1.5)
 

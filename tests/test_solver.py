@@ -101,14 +101,25 @@ def test_jacobian_matches_dense_differencing():
     assert np.max(np.abs(jac - dense)) / np.max(np.abs(dense)) < 1e-6
 
 
-def test_jacobian_sparsity_matches_stencil(s1_64):
-    solver = _solver(s1_64, 1)
-    u = np.full(s1_64.shape, solver.start_radius)
-    jac = solver.jacobian(u, 0.0).tocsr()
-    table = s1_64.stencil_table()
-    for m in range(s1_64.node_count):
+def test_jacobian_sparsity_matches_stencil(s2_16x32):
+    grid = s2_16x32
+    solver = _solver(grid, 2)
+    phi, theta = grid.coords()
+    u = solver.start_radius + 0.02 * np.cos(phi) + 0.01 * np.sin(phi) * np.cos(theta)
+    jac = solver.jacobian(u, 0.5).tocsr()
+    nlat, nlon = grid.shape
+    for m in range(grid.node_count):
+        j, i = divmod(m, nlon)
+        allowed = set()
+        for dj in (-1, 0, 1):
+            for di in (-1, 0, 1):
+                jj, ii = j + dj, (i + di) % nlon
+                if not 0 <= jj < nlat:
+                    # across a pole: the same ring, half a turn away
+                    jj, ii = j, (ii + nlon // 2) % nlon
+                allowed.add(jj * nlon + ii)
         cols = jac.indices[jac.indptr[m]:jac.indptr[m + 1]]
-        assert set(cols) <= set(table[m])
+        assert set(cols) <= allowed
 
 
 def test_jacobian_linearity_and_directional_check(s2_16x32):
@@ -235,9 +246,37 @@ def test_run_homotopy_requires_barriers(s1_64):
         run_homotopy(psi, s1_64, SolverConfig(k=1, p=2.0))
 
 
+def test_run_homotopy_ends_exactly_at_t_final():
+    # ten steps of 0.1 add up to 0.9999999999999999 in floating point
+    state = run_homotopy(SpaceTiltPower(0.5, 0.0, 2.0), build_grid(1, 64),
+                         SolverConfig(k=1, p=2.0, dt_init=0.1, dt_max=0.1))
+    assert state.t == 1.0
+
+
+def test_solution_converges_at_second_order():
+    # non-constant target: compare the area-weighted mean, min and max of
+    # u over three refinements
+    target = SpaceTiltPower(0.5, 0.1, 2.0)
+    stats = []
+    for res in ((16, 32), (32, 64), (64, 128)):
+        grid = build_grid(2, res)
+        u = run_homotopy(target, grid, SolverConfig(k=2, p=2.0)).u
+        weights = np.sin(grid.coords()[0])
+        stats.append(np.array([np.sum(weights * u) / np.sum(weights),
+                               u.min(), u.max()]))
+    ratios = (stats[0] - stats[1]) / (stats[1] - stats[2])
+    assert np.all((ratios >= 3.4) & (ratios <= 4.6)), ratios
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol_newton=0.0)
+    for bad in ({"backtrack_factor": 1.5}, {"backtrack_factor": 0.0},
+                {"backtrack_min": 0.0}, {"backtrack_min": 1.0},
+                {"grow_factor": 0.5}, {"max_newton": 0}, {"fast_iters": -1},
+                {"c_a": 0.0}, {"c_tau": -1.0}, {"c_tau": 1.0}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
     with pytest.raises(ValueError):
         SolverConfig(dt_min=0.5, dt_init=0.1)
     with pytest.raises(ValueError):
