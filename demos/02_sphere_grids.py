@@ -1,12 +1,12 @@
 """Finite-difference operators on the sphere and their convergence.
 
 Builds S^1 and S^2 grids, shows the pole-free staggering, and tabulates
-the second-order convergence of the covariant gradient and Hessian.
+the second-order convergence of the gradient and the covariant Hessian.
 """
 
 import numpy as np
 
-from dscurv import build_grid, covariant_gradient, covariant_hessian
+from dscurv import build_grid, covariant_hessian
 
 g1 = build_grid(1, 64)
 g2 = build_grid(2, (32, 64))
@@ -37,6 +37,6 @@ print(f"{'nodes':>6} {'grad error':>12} {'hess error':>12}")
 for n in (64, 128, 256):
     g = build_grid(1, n)
     u = np.cos(g.theta)
-    eg = np.max(np.abs(covariant_gradient(u, g)[:, 0] + np.sin(g.theta)))
+    eg = np.max(np.abs(g.partial_gradient(u)[:, 0] + np.sin(g.theta)))
     eh = np.max(np.abs(covariant_hessian(u, g)[:, 0, 0] + np.cos(g.theta)))
     print(f"{n:>6} {eg:12.3e} {eh:12.3e}")

@@ -13,7 +13,7 @@ from .errors import (AdmissibilityError, ConfigError, ContinuationError,
                      InternalConsistencyError, NewtonError, SpacelikeError)
 from .geometry import (InducedGeometry, induced_geometry, induced_metric,
                        shape_eigenvalues, symmetrized_shape, tilt_and_height)
-from .grid import SphereGrid, build_grid, covariant_gradient, covariant_hessian
+from .grid import SphereGrid, build_grid, covariant_hessian
 from .monitor import (BoundReport, IdentityResiduals, check_bounds,
                       identity_residuals, induced_christoffel,
                       maclaurin_monitor, surface_hessian)

@@ -15,6 +15,7 @@ refinement.
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 
 class SphereGrid:
@@ -78,6 +79,7 @@ class SphereGrid:
             raise ValueError(f"unsupported sphere dimension {dim!r}")
         self.node_count = int(np.prod(self.shape))
         self._operators = None
+        self._pattern = None
 
     # -- coordinates ---------------------------------------------------
 
@@ -194,16 +196,107 @@ class SphereGrid:
         self._operators = (grads, hessians)
         return self._operators
 
+    def stencil_pattern(self):
+        """StencilPattern of the identity followed by difference_operators()
+        (``grads`` in order, then ``hessians`` in key order): the pattern
+        and ordering of every Jacobian on this grid.  Built on first use
+        and shared afterwards."""
+        if self._pattern is None:
+            grads, hessians = self.difference_operators()
+            self._pattern = StencilPattern(
+                [sp.identity(self.node_count, format="csr"), *grads,
+                 *hessians.values()])
+        return self._pattern
+
+
+class StencilPattern:
+    """One sparsity pattern for every combination sum_m diag(c_m) L_m of
+    a fixed list of n x n operators, with one fill-reducing ordering.
+
+    The pattern is the union of the operators' patterns, and every
+    operator entry has a precomputed position in it, so assembling a
+    combination is one scatter of the coefficients and all assembled
+    matrices share ``indptr`` and ``indices`` (entries that cancel stay
+    as stored zeros).  ``order`` is a multiple-minimum-degree ordering
+    of the pattern's A^T + A, computed once: ``ordered`` permutes an
+    assembled matrix symmetrically into it, ready for a factorization
+    that adds no column ordering of its own.
+    """
+
+    def __init__(self, operators):
+        n = operators[0].shape[0]
+        rows, cols, weights, terms = [], [], [], []
+        for m, op in enumerate(operators):
+            coo = op.tocoo()
+            rows.append(coo.row)
+            cols.append(coo.col)
+            weights.append(coo.data)
+            terms.append(m * n + coo.row)
+        keys = np.concatenate(rows).astype(np.int64) * n + np.concatenate(cols)
+        unique = np.sort(keys)
+        unique = unique[np.concatenate(([True], unique[1:] != unique[:-1]))]
+        self.shape = (n, n)
+        self.indices = (unique % n).astype(np.int32)
+        self.indptr = np.searchsorted(unique, n * np.arange(n + 1)).astype(np.int32)
+        # per operator entry: where it lands, which coefficient scales it
+        self._positions = np.searchsorted(unique, keys).astype(np.int32)
+        self._terms = np.concatenate(terms).astype(np.int32)
+        self._weights = np.concatenate(weights)
+
+        self.order = _minimum_degree_order(self.indptr, self.indices, n)
+        # the pattern in ordered CSC: entry e is data[take[e]] of the CSR
+        rank = np.empty(n, dtype=np.int64)
+        rank[self.order] = np.arange(n)
+        new_rows = rank[unique // n]
+        new_cols = rank[self.indices]
+        take = np.lexsort((new_rows, new_cols))
+        self._take = take.astype(np.int32)
+        self._ordered_indices = new_rows[take].astype(np.int32)
+        self._ordered_indptr = np.searchsorted(
+            new_cols[take], np.arange(n + 1)).astype(np.int32)
+
+    def assemble(self, coefs):
+        """CSR matrix sum_m diag(coefs[m]) L_m on the fixed pattern, from
+        one coefficient field (any shape, n values) per operator."""
+        values = np.concatenate([np.ravel(c) for c in coefs])
+        data = np.bincount(self._positions,
+                           weights=values[self._terms] * self._weights,
+                           minlength=self.indices.size)
+        # copies: scipy may sort or prune a matrix's index arrays in place
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                             shape=self.shape)
+
+    def ordered(self, mat):
+        """P mat P^T as CSC, row and column a of it being ``order[a]`` of
+        mat, for a CSR ``mat`` returned by assemble()."""
+        return sp.csc_matrix((mat.data[self._take],
+                              self._ordered_indices.copy(),
+                              self._ordered_indptr.copy()), shape=self.shape)
+
+
+def _minimum_degree_order(indptr, indices, n):
+    """Multiple-minimum-degree ordering of A^T + A for a CSR pattern with
+    a full diagonal, as the list of old indices in elimination order.
+
+    SciPy reaches SuperLU's orderings only through a factorization.  The
+    cheapest one is an incomplete factorization that drops every entry
+    it may, of a matrix on the pattern whose diagonal dominates every
+    column, so no pivot leaves the diagonal; its column permutation is
+    the MMD ordering postordered by SuperLU, of which order is the
+    inverse.  The factor is dropped on return.
+    """
+    data = np.ones(indices.size)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    data[indices == rows] = float(indices.size)
+    surrogate = sp.csr_matrix((data, indices, indptr), shape=(n, n)).tocsc()
+    perm_c = spla.spilu(surrogate, drop_tol=np.inf, fill_factor=1.0,
+                        permc_spec="MMD_AT_PLUS_A").perm_c
+    return np.argsort(perm_c).astype(np.int32)
+
 
 def build_grid(dim, resolution):
     """Construct a SphereGrid; thin wrapper kept as the public entry point."""
     return SphereGrid(dim, resolution)
-
-
-def covariant_gradient(u, grid):
-    """Round-metric covariant gradient components u_i (index lowering is
-    the identity on partials; raising is a separate contraction)."""
-    return grid.partial_gradient(u)
 
 
 def covariant_hessian(u, grid):

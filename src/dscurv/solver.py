@@ -14,19 +14,24 @@ value is cosh^p(lam) * lam * tanh(lam) = tanh(lam).
 The Jacobian is the exact derivative of the *discrete* residual: Phi at
 a node depends on u only through u and its centered first and second
 partials there, so the chain rule with closed-form 2x2 coefficients
-times the grid's sparse difference operators gives the matrix, which
-is then factorized directly.  Each Newton trial step must be spacelike,
-node-wise admissible, and reduce the residual sup-norm, otherwise the
-step is backtracked; each accepted homotopy step must additionally pass
-the a priori bound monitors, otherwise the step size is halved.  Everything
-on the solve path is deterministic: same config, grid, and prescription
-reproduce bit-identical traces.
+times the grid's sparse difference operators gives the matrix.  The
+grid builds the union pattern of those operators and a multiple-
+minimum-degree ordering of it once (SphereGrid.stencil_pattern); every
+Jacobian is one scatter of the coefficients onto that fixed pattern,
+and Newton factors it permuted into the ordering, so SuperLU adds no
+column ordering of its own and keeps its threshold partial pivoting.
+
+Each Newton trial step must be spacelike, node-wise admissible, and
+reduce the residual sup-norm, otherwise the step is backtracked; each
+accepted homotopy step must additionally pass the a priori bound
+monitors, otherwise the step size is halved.  Everything on the solve
+path is deterministic: same config, grid, and prescription reproduce
+bit-identical traces.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (AdmissibilityError, ContinuationError,
@@ -96,6 +101,7 @@ class NewtonResult:
     iterations: int
     residual_norm: float
     history: list
+    geometry: object        # induced geometry of u
 
 
 @dataclass
@@ -247,8 +253,10 @@ class ContinuationSolver:
 
     # -- sparse Jacobian --------------------------------------------------
 
-    def jacobian(self, u, t):
-        """Exact Jacobian of the discrete residual at (u, t), as CSR.
+    def jacobian(self, u, t, geom=None):
+        """Exact Jacobian of the discrete residual at (u, t), as CSR on the
+        grid's fixed stencil pattern; ``geom`` is u's induced geometry
+        when the caller already has it.
 
         Phi at a node depends on u only through u, p = D_i u and
         H = D_ij u at that node, so J = diag(a_u) + sum_i diag(a_p_i) D_i
@@ -271,7 +279,8 @@ class ContinuationSolver:
         pipeline is broken and an InternalConsistencyError is raised.
         """
         grid = self.grid
-        geom = self._geometry(u)
+        if geom is None:
+            geom = self._geometry(u)
         F = curvature_derivative_matrix(geom, self.config.k)
         margin = _covector_margin(F)
         if margin <= 0.0:
@@ -301,14 +310,11 @@ class ContinuationSolver:
                - ev.psi_r
                - ev.psi_tau * (2.0 * c * s / rm - c ** 3 * s / m32))
         a_H = ratio[..., None, None] * F
-        grads, hessians = grid.difference_operators()
-        jac = sp.diags(a_u.ravel())
-        for i, D in enumerate(grads):
-            jac = jac + sp.diags(a_p[..., i].ravel()) @ D
-        for (i, j), D in hessians.items():
-            coef = a_H[..., i, j] if i == j else a_H[..., i, j] + a_H[..., j, i]
-            jac = jac + sp.diags(coef.ravel()) @ D
-        return jac.tocsr()
+        _, hessians = grid.difference_operators()
+        coefs = [a_u, *np.moveaxis(a_p, -1, 0)] + [
+            a_H[..., i, j] if i == j else a_H[..., i, j] + a_H[..., j, i]
+            for i, j in hessians]
+        return grid.stencil_pattern().assemble(coefs)
 
     def directional_derivative_check(self, u, t, v=None, eps=1e-6, tol=1e-5):
         """Compare the assembled Jacobian against a directional difference
@@ -350,22 +356,25 @@ class ContinuationSolver:
         cfg = self.config
         u = self.grid.check_field(u0).copy()
         try:
-            res = self.residual(u, t)
+            res, geom = self.residual_with_geometry(u, t)
         except (SpacelikeError, AdmissibilityError) as exc:
             raise NewtonError(f"initial iterate infeasible: {exc}") from exc
         rnorm = float(np.max(np.abs(res)))
         history = [rnorm]
+        pattern = self.grid.stencil_pattern()
         for iteration in range(1, cfg.max_newton + 1):
             if rnorm <= cfg.tol_newton:
-                return NewtonResult(u, iteration - 1, rnorm, history)
-            jac = self.jacobian(u, t)
-            delta = spla.splu(jac.tocsc()).solve(-res.ravel())
+                return NewtonResult(u, iteration - 1, rnorm, history, geom)
+            jac = pattern.ordered(self.jacobian(u, t, geom))
+            delta = np.empty(self.grid.node_count)
+            delta[pattern.order] = spla.splu(jac, permc_spec="NATURAL").solve(
+                -res.ravel()[pattern.order])
             delta = delta.reshape(self.grid.shape)
             alpha = 1.0
             while True:
                 trial = u + alpha * delta
                 try:
-                    trial_res = self.residual(trial, t)
+                    trial_res, trial_geom = self.residual_with_geometry(trial, t)
                     trial_norm = float(np.max(np.abs(trial_res)))
                 except (SpacelikeError, AdmissibilityError):
                     trial_norm = None
@@ -376,29 +385,24 @@ class ContinuationSolver:
                     raise NewtonError("line search stalled below minimal step",
                                       best_u=u, residual_norm=rnorm,
                                       iterations=iteration - 1)
-            u, res, rnorm = trial, trial_res, trial_norm
+            u, res, geom, rnorm = trial, trial_res, trial_geom, trial_norm
             history.append(rnorm)
         if rnorm <= cfg.tol_newton:
-            return NewtonResult(u, cfg.max_newton, rnorm, history)
+            return NewtonResult(u, cfg.max_newton, rnorm, history, geom)
         raise NewtonError(f"no convergence in {cfg.max_newton} iterations",
                           best_u=u, residual_norm=rnorm,
                           iterations=cfg.max_newton)
 
     # -- homotopy ---------------------------------------------------------
 
-    def _monitor(self, u, geom=None):
-        if geom is None:
-            geom = self._geometry(u)
-        return check_bounds(geom, u, self.barriers, self.config.c_tau,
-                            self.config.c_a, self.config.k)
-
     def run(self, t_final=1.0, u0=None):
         """Follow the homotopy from the exact start at t = 0 to t_final.
 
         Steps adapt: halve on Newton or monitor failure (down to dt_min,
-        then ContinuationError carrying the trace), grow on fast
-        convergence up to dt_max.  Every accepted state satisfies the
-        residual tolerance and all bound monitors.
+        then ContinuationError carrying the trace and naming the cause
+        of the last rejected step), grow on fast convergence up to
+        dt_max.  Every accepted state satisfies the residual tolerance
+        and all bound monitors.
         """
         cfg = self.config
         if self.barriers is None:
@@ -408,10 +412,13 @@ class ContinuationSolver:
         history = []
         accepted = 0
 
-        def accept(u, t, result):
+        def attempt(u_start, t):
+            # the Newton result, with its geometry, lives only in here
             nonlocal accepted
-            res, geom = self.residual_with_geometry(u, t)
-            monitor = self._monitor(u, geom)
+            result = self.newton_solve(u_start, t)
+            u, geom = result.u, result.geometry
+            monitor = check_bounds(geom, u, self.barriers, cfg.c_tau,
+                                   cfg.c_a, cfg.k)
             record = StepRecord(
                 t=t, iters=result.iterations,
                 residual=result.residual_norm,
@@ -420,18 +427,20 @@ class ContinuationSolver:
             accepted += 1
             if accepted == 1 or accepted % JACOBIAN_CHECK_INTERVAL == 0:
                 self.directional_derivative_check(u, t)
-            return monitor, record
+            return u, monitor, record
 
-        result = self.newton_solve(u0, 0.0)
-        monitor, record = accept(result.u, 0.0, result)
+        def state(u, t, monitor, history):
+            return HomotopyState(u, t, history[-1].residual, history[-1].iters,
+                                 monitor, history)
+
+        u, monitor, record = attempt(u0, 0.0)
         if not monitor.all_ok:
             raise ContinuationError(
-                "bound monitors failed at the homotopy start",
-                state=HomotopyState(result.u, 0.0, result.residual_norm,
-                                    result.iterations, monitor, [record]))
+                "bound monitors failed at the homotopy start: "
+                + _monitor_failures(monitor),
+                state=state(u, 0.0, monitor, [record]))
         history.append(record)
-        u, t = result.u, 0.0
-        last = result
+        t = 0.0
 
         dt = cfg.dt_init
         while t < t_final:
@@ -441,26 +450,35 @@ class ContinuationSolver:
             if t_final - t_next < cfg.dt_min:
                 t_next = t_final
             try:
-                trial = self.newton_solve(u, t_next)
-                trial_monitor, record = accept(trial.u, t_next, trial)
-                failed = not trial_monitor.all_ok
-            except NewtonError:
-                failed = True
-            if failed:
+                trial_u, trial_monitor, record = attempt(u, t_next)
+            except NewtonError as exc:
+                cause = f"Newton failed: {exc}"
+                if exc.residual_norm is not None:
+                    cause += f" (residual {exc.residual_norm:.3e})"
+            else:
+                cause = (None if trial_monitor.all_ok else "bound monitors "
+                         "failed: " + _monitor_failures(trial_monitor))
+            if cause is not None:
                 dt *= 0.5
                 if dt < cfg.dt_min:
                     raise ContinuationError(
                         f"stalled at t = {t:.6f}: step size fell below "
-                        f"dt_min = {cfg.dt_min}",
-                        state=HomotopyState(u, t, last.residual_norm,
-                                            last.iterations, monitor, history))
+                        f"dt_min = {cfg.dt_min}; the last step, to "
+                        f"t = {t_next:.6f}, was rejected: {cause}",
+                        state=state(u, t, monitor, history))
                 continue
-            u, t, last, monitor = trial.u, t_next, trial, trial_monitor
+            u, t, monitor = trial_u, t_next, trial_monitor
             history.append(record)
-            if trial.iterations <= cfg.fast_iters:
+            if record.iters <= cfg.fast_iters:
                 dt = min(dt * cfg.grow_factor, cfg.dt_max)
-        return HomotopyState(u, t, last.residual_norm, last.iterations,
-                             monitor, history)
+        return state(u, t, monitor, history)
+
+
+def _monitor_failures(monitor):
+    """The failed monitor flags, each with its first five node ids."""
+    return "; ".join(
+        f"{flag} at {len(nodes)} node(s) {nodes[:5]}"
+        for flag, nodes in monitor.node_violations.items() if nodes)
 
 
 def combined_barriers(target, p, r_range, resolution=400, dim=2, n_xi=24):

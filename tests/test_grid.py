@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dscurv import build_grid, covariant_gradient, covariant_hessian
+from dscurv import build_grid, covariant_hessian
 
 
 def test_s1_construction(s1_64):
@@ -43,14 +43,14 @@ def test_build_grid_validation():
 def test_constant_field_derivatives_vanish(s1_64, s2_32x64):
     for g in (s1_64, s2_32x64):
         u = np.full(g.shape, 1.234)
-        assert np.all(covariant_gradient(u, g) == 0.0)
+        assert np.all(g.partial_gradient(u) == 0.0)
         assert np.all(covariant_hessian(u, g) == 0.0)
 
 
 def test_s1_cosine_derivatives(s1_64):
     g = s1_64
     u = np.cos(g.theta)
-    du = covariant_gradient(u, g)
+    du = g.partial_gradient(u)
     hess = covariant_hessian(u, g)
     assert np.max(np.abs(du[:, 0] + np.sin(g.theta))) < 2e-3
     assert np.max(np.abs(hess[:, 0, 0] + np.cos(g.theta))) < 1e-3
@@ -59,7 +59,7 @@ def test_s1_cosine_derivatives(s1_64):
 def test_s2_zonal_gradient(s2_32x64):
     g = s2_32x64
     phi, _ = g.coords()
-    du = covariant_gradient(np.cos(phi), g)
+    du = g.partial_gradient(np.cos(phi))
     assert np.max(np.abs(du[..., 0] + np.sin(phi))) < 2e-3
     assert np.max(np.abs(du[..., 1])) == 0.0
 
@@ -73,9 +73,9 @@ def test_hessian_symmetry_exact(s2_32x64, rng):
 def test_linearity(s2_16x32, rng):
     g = s2_16x32
     u, v = rng.normal(size=(2,) + g.shape)
-    for op in (covariant_gradient, covariant_hessian):
-        combo = op(2.5 * u - 1.5 * v, g)
-        parts = 2.5 * op(u, g) - 1.5 * op(v, g)
+    for op in (g.partial_gradient, lambda f: covariant_hessian(f, g)):
+        combo = op(2.5 * u - 1.5 * v)
+        parts = 2.5 * op(u) - 1.5 * op(v)
         assert np.allclose(combo, parts, atol=1e-12)
 
 
@@ -88,7 +88,7 @@ def test_s1_operator_convergence_order():
     for n in (64, 128):
         g = build_grid(1, n)
         u = np.cos(g.theta)
-        e_grad = np.max(np.abs(covariant_gradient(u, g)[:, 0] + np.sin(g.theta)))
+        e_grad = np.max(np.abs(g.partial_gradient(u)[:, 0] + np.sin(g.theta)))
         e_hess = np.max(np.abs(covariant_hessian(u, g)[:, 0, 0] + np.cos(g.theta)))
         errs.append((e_grad, e_hess))
     for i in range(2):
@@ -102,7 +102,7 @@ def test_s2_component_convergence_order(s2_32x64):
         f = np.sin(phi) * np.cos(phi) * np.cos(theta)
         dphi = (np.cos(phi) ** 2 - np.sin(phi) ** 2) * np.cos(theta)
         dtheta = -np.sin(phi) * np.cos(phi) * np.sin(theta)
-        grad = covariant_gradient(f, g)
+        grad = g.partial_gradient(f)
         hess = covariant_hessian(f, g)
         h_pp = -4 * np.sin(phi) * np.cos(phi) * np.cos(theta)
         h_pt = (-(np.cos(phi) ** 2 - np.sin(phi) ** 2) * np.sin(theta)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse.linalg as spla
 
+import dscurv.grid
 from dscurv import (AdmissibilityError, ContinuationError, ContinuationSolver,
                     NewtonError, SolverConfig, SpaceTiltPower, SpacelikeError,
                     build_grid, combined_barriers, ellipticity_margin,
@@ -122,6 +124,68 @@ def test_jacobian_sparsity_matches_stencil(s2_16x32):
         assert set(cols) <= allowed
 
 
+def _nonzonal_state(grid, solver):
+    phi, theta = grid.coords()
+    return (solver.start_radius + 0.02 * np.cos(phi)
+            + 0.01 * np.sin(phi) * np.cos(theta))
+
+
+def test_jacobian_pattern_is_fixed(s2_16x32):
+    # cancelling entries stay stored, so constant, zonal and non-zonal
+    # states give one pattern: the grid's
+    grid = s2_16x32
+    solver = _solver(grid, 2)
+    phi, _ = grid.coords()
+    pattern = grid.stencil_pattern()
+    for u in (np.full(grid.shape, solver.start_radius),
+              solver.start_radius + 0.02 * np.cos(phi),
+              _nonzonal_state(grid, solver)):
+        jac = solver.jacobian(u, 0.5)
+        assert np.array_equal(jac.indptr, pattern.indptr)
+        assert np.array_equal(jac.indices, pattern.indices)
+
+
+def test_solvers_on_one_grid_share_one_ordering(monkeypatch):
+    calls = []
+    order = dscurv.grid._minimum_degree_order
+
+    def counted(*args):
+        calls.append(args)
+        return order(*args)
+
+    monkeypatch.setattr(dscurv.grid, "_minimum_degree_order", counted)
+    grid = build_grid(2, (16, 32))
+    solvers = [_solver(grid, 2), _solver(grid, 2)]
+    for solver in solvers:
+        result = solver.newton_solve(_nonzonal_state(grid, solver), 0.0)
+        assert result.residual_norm <= 1e-10
+    assert len(calls) == 1
+
+
+def test_ordered_factor_matches_natural_solve(s2_16x32):
+    grid = s2_16x32
+    solver = _solver(grid, 2)
+    jac = solver.jacobian(_nonzonal_state(grid, solver), 0.5)
+    pattern = grid.stencil_pattern()
+    order = pattern.order
+    ordered = pattern.ordered(jac)
+    assert np.array_equal(ordered.toarray(), jac.toarray()[np.ix_(order, order)])
+    b = np.cos(np.arange(grid.node_count))
+    lu = spla.splu(ordered, permc_spec="NATURAL")
+    x = np.empty(grid.node_count)
+    x[order] = lu.solve(b[order])
+    want = spla.spsolve(jac.tocsc(), b)
+    assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+    # the once-per-grid ordering fills no more than SuperLU's own
+    # minimum-degree ordering of this matrix, and less than no ordering
+    # or its default one
+    fill = {spec: spla.splu(jac.tocsc(), permc_spec=spec)
+            for spec in ("MMD_AT_PLUS_A", "NATURAL", "COLAMD")}
+    fill = {spec: f.L.nnz + f.U.nnz for spec, f in fill.items()}
+    assert lu.L.nnz + lu.U.nnz <= fill["MMD_AT_PLUS_A"]
+    assert lu.L.nnz + lu.U.nnz < min(fill["NATURAL"], fill["COLAMD"])
+
+
 def test_jacobian_linearity_and_directional_check(s2_16x32):
     solver = _solver(s2_16x32, 2)
     phi, theta = s2_16x32.coords()
@@ -221,6 +285,18 @@ def test_run_homotopy_deterministic(s1_64):
     assert a.step_history == b.step_history
 
 
+def test_run_homotopy_deterministic_s2():
+    # the first run builds the grid's pattern and ordering, the second
+    # reuses them
+    grid = build_grid(2, (16, 32))
+    target = SpaceTiltPower(0.5, 0.1, 2.0)
+    cfg = SolverConfig(k=2, p=2.0)
+    a = run_homotopy(target, grid, cfg)
+    b = run_homotopy(target, grid, cfg)
+    assert np.array_equal(a.u, b.u)
+    assert a.step_history == b.step_history
+
+
 def test_run_homotopy_preserves_constants(s2_16x32):
     # rotationally invariant target: the solution stays constant to the
     # solver tolerance
@@ -238,6 +314,19 @@ def test_run_homotopy_stall_reports_trace(s1_64):
     assert state is not None
     assert state.t < 1.0
     assert len(state.step_history) >= 1
+
+
+def test_run_homotopy_stall_names_cause(s1_64):
+    newton = _solver(s1_64, 1, max_newton=1)
+    with pytest.raises(ContinuationError, match=r"Newton failed: no "
+                       r"convergence in 1 iterations \(residual \d"):
+        newton.run()
+    # the solution path leaves the barrier interval below R_STAR
+    monitor = ContinuationSolver(s1_64, MODEL, SolverConfig(k=1, p=2.0),
+                                 barriers=(0.55, 0.7))
+    with pytest.raises(ContinuationError, match=r"monitors failed: "
+                       r"c0 at 64 node\(s\) \[0, 1, 2, 3, 4\]$"):
+        monitor.run()
 
 
 def test_run_homotopy_requires_barriers(s1_64):
