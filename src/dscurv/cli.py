@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config error, 3 structural-audit failure,
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -214,12 +215,26 @@ def _write_fields_csv(path, grid, geom, residual):
 
 def _write_trace_csv(path, history):
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("t,newton_iters,residual,min_u,max_u,max_tau,max_abs_A\n")
+        handle.write("t,newton_iters,residual,min_u,max_u,max_tau,max_abs_A,"
+                     "level\n")
         for rec in history:
             handle.write(",".join([
                 _fmt(rec.t), str(rec.iters), _fmt(rec.residual),
                 _fmt(rec.min_u), _fmt(rec.max_u),
-                _fmt(rec.max_tau), _fmt(rec.max_abs_A)]) + "\n")
+                _fmt(rec.max_tau), _fmt(rec.max_abs_A), str(rec.level)]) + "\n")
+
+
+def _level_summaries(levels):
+    """The run's levels as dicts; from the third level on, mean_u_ratio is
+    the observed Richardson ratio (Q_4h - Q_2h)/(Q_2h - Q_h) of the mean
+    of u, which is about 4 for a second-order solution."""
+    rows = [dict(dataclasses.asdict(level), mean_u_ratio=None)
+            for level in levels]
+    for coarse, mid, fine in zip(rows, rows[1:], rows[2:]):
+        step = mid["mean_u"] - fine["mean_u"]
+        if step != 0.0:
+            fine["mean_u_ratio"] = (coarse["mean_u"] - mid["mean_u"]) / step
+    return rows
 
 
 def _json_default(obj):
@@ -345,7 +360,7 @@ def run(config, quiet=False):
             print(f"continuation failed: {exc}")
         return EXIT_CONTINUATION
 
-    residual, geom = solver.residual_with_geometry(state.u, state.t)
+    residual, geom, _ = solver.residual_with_geometry(state.u, state.t)
     _write_fields_csv(os.path.join(outdir, "fields.csv"), grid, geom, residual)
     _write_trace_csv(os.path.join(outdir, "trace.csv"), state.step_history)
     summary["continuation"] = {
@@ -357,6 +372,8 @@ def run(config, quiet=False):
         "min_u": float(state.u.min()),
         "max_u": float(state.u.max()),
     }
+    summary["levels"] = _level_summaries(state.levels)
+    summary["fallback"] = state.fallback
     summary["monitor"] = state.monitor.to_dict()
     _write_summary(outdir, summary)
     if not quiet:

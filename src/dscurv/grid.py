@@ -17,6 +17,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+# coarsened() stops before a direction would fall below this many nodes
+COARSEST_NODES = 16
+
 
 class SphereGrid:
     """Nodes, round metric, Christoffel symbols, and difference operators.
@@ -100,6 +103,50 @@ class SphereGrid:
         if self.dim == 1:
             return SphereGrid(1, 2 * self.n_theta)
         return SphereGrid(2, (2 * self.n_lat, 2 * self.n_lon))
+
+    def coarsened(self):
+        """The grids whose refine() chain ends at this one, finest first.
+
+        The spacing doubles while every direction halves exactly to at
+        least COARSEST_NODES nodes and, on S^2, n_lon stays even for the
+        pole closure: 48x96 gives [24x48], S^1 128 gives [64, 32, 16].
+        """
+        chain, shape = [], self.shape
+        while all(n % 2 == 0 and n // 2 >= COARSEST_NODES for n in shape) and (
+                self.dim == 1 or shape[1] % 4 == 0):
+            shape = tuple(n // 2 for n in shape)
+            chain.append(SphereGrid(self.dim, shape[0] if self.dim == 1 else shape))
+        return chain
+
+    def prolong(self, f):
+        """Bilinear interpolation of a scalar field onto refine(), second
+        order for smooth f.
+
+        A fine ring lies a quarter of the coarse ring spacing from its
+        nearest coarse ring, so it takes weight 3/4 from that ring and 1/4
+        from the next one on its side; beyond a pole that is the
+        antipodal ghost ring.  In theta, even fine nodes are coarse nodes
+        and odd ones take the average of their two neighbours.
+        """
+        f = self.check_field(f)
+        if self.dim == 2:
+            pad = self._pad_phi(f, 1.0)
+            rings = np.empty((2 * self.n_lat, self.n_lon))
+            rings[0::2] = 0.75 * f + 0.25 * pad[:-2]
+            rings[1::2] = 0.75 * f + 0.25 * pad[2:]
+            f = rings
+        fine = np.empty(f.shape[:-1] + (2 * f.shape[-1],))
+        fine[..., 0::2] = f
+        fine[..., 1::2] = 0.5 * (f + np.roll(f, -1, axis=-1))
+        return fine
+
+    def mean(self, f):
+        """Area-weighted mean of f (weight sin(phi) on S^2)."""
+        f = self.check_field(f)
+        if self.dim == 1:
+            return float(f.mean())
+        weights = np.broadcast_to(np.sin(self.phi)[:, None], self.shape)
+        return float(np.sum(weights * f) / np.sum(weights))
 
     def check_field(self, f):
         f = np.asarray(f, dtype=float)

@@ -24,7 +24,18 @@ column ordering of its own and keeps its threshold partial pivoting.
 Each Newton trial step must be spacelike, node-wise admissible, and
 reduce the residual sup-norm, otherwise the step is backtracked; each
 accepted homotopy step must additionally pass the a priori bound
-monitors, otherwise the step size is halved.  Everything on the solve
+monitors, otherwise the step size is halved.  The residual hands its
+geometry and prescription values to the Jacobian at the same iterate,
+so each Newton iterate evaluates them once.
+
+A solve is a nested iteration over the grid's refinement chain
+(SphereGrid.coarsened): the homotopy runs on the coarsest grid only,
+and each finer grid starts Newton at the final t from the prolonged
+solution of the grid below (SphereGrid.prolong), then checks the bound
+monitors and the Jacobian.  The prolonged start is second-order close
+to the fine solution, so a level takes a couple of Newton iterations.
+If the coarse homotopy or a level fails, the solve falls back to the
+homotopy on the target grid and records why.  Everything on the solve
 path is deterministic: same config, grid, and prescription reproduce
 bit-identical traces.
 """
@@ -113,6 +124,21 @@ class StepRecord:
     max_u: float
     max_tau: float
     max_abs_A: float
+    level: int = 0          # index of the step's grid in HomotopyState.levels
+
+
+@dataclass
+class LevelRecord:
+    """One grid of a run: the homotopy on the coarsest grid, or Newton at
+    t_final from the prolonged solution of the level below."""
+
+    resolution: str         # "n" on S^1, "n_latxn_lon" on S^2
+    steps: int              # accepted states on this grid
+    newton_iters: int
+    residual: float
+    min_u: float
+    max_u: float
+    mean_u: float           # area-weighted
 
 
 @dataclass
@@ -125,6 +151,8 @@ class HomotopyState:
     newton_iters: int
     monitor: object
     step_history: list = field(default_factory=list)
+    levels: list = field(default_factory=list)      # LevelRecord, coarsest first
+    fallback: str = None    # why the nested iteration was abandoned, if it was
 
 
 def initial_constant(p):
@@ -208,7 +236,8 @@ def ellipticity_margin(geom, k):
 
 
 class ContinuationSolver:
-    """Driver for Newton solves and homotopy continuation on one grid.
+    """Driver for Newton solves and homotopy continuation on one grid,
+    whose run() also solves on the grid's coarsenings.
 
     Immutable problem data (grid, target prescription, config) are bound
     at construction; per-call state lives on the stack, so instances can
@@ -240,23 +269,26 @@ class ContinuationSolver:
         return induced_geometry_unchecked(u, self.grid)
 
     def residual_with_geometry(self, u, t):
+        """Phi(u, t) with the two evaluations it rests on, which the
+        Jacobian at (u, t) reuses: ``(residual, geometry, psi)``, psi
+        being the prescription's PsiEval."""
         geom = self._geometry(u)
         f = normalized_root(geom.shape_eigs, self.config.k)
-        ev = self.homotopy.at(t).evaluate(geom.u, self.coords, geom.tau)
-        return f - ev.psi, geom
+        psi = self.homotopy.at(t).evaluate(geom.u, self.coords, geom.tau)
+        return f - psi.psi, geom, psi
 
     def residual(self, u, t):
         """Node-wise Phi(u, t); raises SpacelikeError / AdmissibilityError
         with node ids on infeasible input (consumed by the line search)."""
-        res, _ = self.residual_with_geometry(u, t)
-        return res
+        return self.residual_with_geometry(u, t)[0]
 
     # -- sparse Jacobian --------------------------------------------------
 
-    def jacobian(self, u, t, geom=None):
+    def jacobian(self, u, t, geom=None, psi=None):
         """Exact Jacobian of the discrete residual at (u, t), as CSR on the
-        grid's fixed stencil pattern; ``geom`` is u's induced geometry
-        when the caller already has it.
+        grid's fixed stencil pattern; ``geom`` and ``psi`` are u's induced
+        geometry and the prescription's PsiEval at (u, t) when the caller
+        already has them (residual_with_geometry returns both).
 
         Phi at a node depends on u only through u, p = D_i u and
         H = D_ij u at that node, so J = diag(a_u) + sum_i diag(a_p_i) D_i
@@ -287,7 +319,8 @@ class ContinuationSolver:
             raise InternalConsistencyError(
                 f"non-elliptic second-order block (margin {margin:.3e}) "
                 "at an admissible node")
-        ev = self.homotopy.at(t).evaluate(geom.u, self.coords, geom.tau)
+        if psi is None:
+            psi = self.homotopy.at(t).evaluate(geom.u, self.coords, geom.tau)
         p, sigma = geom.du, grid.sigma
         c, s, th = np.cosh(geom.u), np.sinh(geom.u), np.tanh(geom.u)
         q = np.einsum("...ij,...j->...i", grid.sigma_inv, p)
@@ -301,14 +334,14 @@ class ContinuationSolver:
         Gp = np.einsum("...ij,...j->...i", G, p)
         dK = ((-2.0 / c ** 2)[..., None, None] * p[..., :, None] * p[..., None, :]
               + (c ** 2 + s ** 2)[..., None, None] * sigma)
-        a_p = ((c * FK - ev.psi_tau * c ** 2)[..., None] / m32[..., None] * q
+        a_p = ((c * FK - psi.psi_tau * c ** 2)[..., None] / m32[..., None] * q
                - ratio[..., None] * (F_gamma + 4.0 * th[..., None] * Fp)
                - 2.0 * Gp)
         a_u = ((s / rm - c ** 2 * s / m32) * FK
                + ratio * _contract(F, dK)
                + 2.0 * c * s * _contract(G, sigma)
-               - ev.psi_r
-               - ev.psi_tau * (2.0 * c * s / rm - c ** 3 * s / m32))
+               - psi.psi_r
+               - psi.psi_tau * (2.0 * c * s / rm - c ** 3 * s / m32))
         a_H = ratio[..., None, None] * F
         _, hessians = grid.difference_operators()
         coefs = [a_u, *np.moveaxis(a_p, -1, 0)] + [
@@ -356,7 +389,7 @@ class ContinuationSolver:
         cfg = self.config
         u = self.grid.check_field(u0).copy()
         try:
-            res, geom = self.residual_with_geometry(u, t)
+            res, geom, psi = self.residual_with_geometry(u, t)
         except (SpacelikeError, AdmissibilityError) as exc:
             raise NewtonError(f"initial iterate infeasible: {exc}") from exc
         rnorm = float(np.max(np.abs(res)))
@@ -365,7 +398,7 @@ class ContinuationSolver:
         for iteration in range(1, cfg.max_newton + 1):
             if rnorm <= cfg.tol_newton:
                 return NewtonResult(u, iteration - 1, rnorm, history, geom)
-            jac = pattern.ordered(self.jacobian(u, t, geom))
+            jac = pattern.ordered(self.jacobian(u, t, geom, psi))
             delta = np.empty(self.grid.node_count)
             delta[pattern.order] = spla.splu(jac, permc_spec="NATURAL").solve(
                 -res.ravel()[pattern.order])
@@ -374,7 +407,8 @@ class ContinuationSolver:
             while True:
                 trial = u + alpha * delta
                 try:
-                    trial_res, trial_geom = self.residual_with_geometry(trial, t)
+                    trial_res, trial_geom, trial_psi = self.residual_with_geometry(
+                        trial, t)
                     trial_norm = float(np.max(np.abs(trial_res)))
                 except (SpacelikeError, AdmissibilityError):
                     trial_norm = None
@@ -385,7 +419,8 @@ class ContinuationSolver:
                     raise NewtonError("line search stalled below minimal step",
                                       best_u=u, residual_norm=rnorm,
                                       iterations=iteration - 1)
-            u, res, geom, rnorm = trial, trial_res, trial_geom, trial_norm
+            u, res, geom, psi, rnorm = (trial, trial_res, trial_geom,
+                                        trial_psi, trial_norm)
             history.append(rnorm)
         if rnorm <= cfg.tol_newton:
             return NewtonResult(u, cfg.max_newton, rnorm, history, geom)
@@ -395,8 +430,69 @@ class ContinuationSolver:
 
     # -- homotopy ---------------------------------------------------------
 
-    def run(self, t_final=1.0, u0=None):
-        """Follow the homotopy from the exact start at t = 0 to t_final.
+    def run(self, t_final=1.0):
+        """Solve at t_final by nested iteration over the grid chain.
+
+        The homotopy runs on the coarsest grid of grid.coarsened() only.
+        Each finer grid, up to this one, is one more level: Newton at
+        t_final from the prolonged solution of the level below, then the
+        bound monitors and the Jacobian directional check on its result.
+        If the coarse homotopy or a level fails (a NewtonError, a
+        ContinuationError or a failed monitor), the run falls back to the
+        homotopy on this grid and names the cause in ``fallback``.  With
+        t_final = 0, where the start is exact on every grid, or with no
+        coarser grid, the homotopy runs on this grid directly.
+        """
+        if self.barriers is None:
+            raise ValueError("barriers must be set before running the homotopy")
+        coarser = self.grid.coarsened()
+        if t_final == 0.0 or not coarser:
+            return self._homotopy(t_final)
+        # coarsest first; a level's grid, with its cached operators, is
+        # released once the next level has its start
+        level, solver = 0, ContinuationSolver(coarser.pop(), self.target,
+                                              self.config, self.barriers)
+        try:
+            state = solver._homotopy(t_final)
+            while solver is not self:
+                level += 1
+                start = solver.grid.prolong(state.u)
+                solver = self if not coarser else ContinuationSolver(
+                    coarser.pop(), self.target, self.config, self.barriers)
+                u, monitor, record = solver._attempt(start, t_final, level)
+                if not monitor.all_ok:
+                    raise ContinuationError("bound monitors failed: "
+                                            + _monitor_failures(monitor))
+                solver.directional_derivative_check(u, t_final)
+                state = HomotopyState(
+                    u, t_final, record.residual, record.iters, monitor,
+                    state.step_history + [record],
+                    state.levels + [_level_record(solver.grid, [record], u)])
+            return state
+        except (NewtonError, ContinuationError) as exc:
+            cause = f"level {level} ({_resolution(solver.grid)}) failed: {exc}"
+        state = self._homotopy(t_final)
+        state.fallback = cause
+        return state
+
+    def _attempt(self, u_start, t, level=0):
+        """Newton from u_start at fixed t, then the bound monitors on its
+        result: ``(u, monitor, record)``.  The Newton result, with its
+        geometry, lives only in here."""
+        cfg = self.config
+        result = self.newton_solve(u_start, t)
+        u, geom = result.u, result.geometry
+        monitor = check_bounds(geom, u, self.barriers, cfg.c_tau, cfg.c_a, cfg.k)
+        record = StepRecord(
+            t=t, iters=result.iterations, residual=result.residual_norm,
+            min_u=float(u.min()), max_u=float(u.max()),
+            max_tau=float(geom.tau.max()), max_abs_A=float(geom.abs_A.max()),
+            level=level)
+        return u, monitor, record
+
+    def _homotopy(self, t_final):
+        """Follow the homotopy on this grid from the exact start at t = 0
+        to t_final.
 
         Steps adapt: halve on Newton or monitor failure (down to dt_min,
         then ContinuationError carrying the trace and naming the cause
@@ -405,25 +501,12 @@ class ContinuationSolver:
         and all bound monitors.
         """
         cfg = self.config
-        if self.barriers is None:
-            raise ValueError("barriers must be set before running the homotopy")
-        if u0 is None:
-            u0 = np.full(self.grid.shape, self.start_radius)
         history = []
         accepted = 0
 
         def attempt(u_start, t):
-            # the Newton result, with its geometry, lives only in here
             nonlocal accepted
-            result = self.newton_solve(u_start, t)
-            u, geom = result.u, result.geometry
-            monitor = check_bounds(geom, u, self.barriers, cfg.c_tau,
-                                   cfg.c_a, cfg.k)
-            record = StepRecord(
-                t=t, iters=result.iterations,
-                residual=result.residual_norm,
-                min_u=float(u.min()), max_u=float(u.max()),
-                max_tau=float(geom.tau.max()), max_abs_A=float(geom.abs_A.max()))
+            u, monitor, record = self._attempt(u_start, t)
             accepted += 1
             if accepted == 1 or accepted % JACOBIAN_CHECK_INTERVAL == 0:
                 self.directional_derivative_check(u, t)
@@ -433,7 +516,8 @@ class ContinuationSolver:
             return HomotopyState(u, t, history[-1].residual, history[-1].iters,
                                  monitor, history)
 
-        u, monitor, record = attempt(u0, 0.0)
+        u, monitor, record = attempt(np.full(self.grid.shape, self.start_radius),
+                                     0.0)
         if not monitor.all_ok:
             raise ContinuationError(
                 "bound monitors failed at the homotopy start: "
@@ -471,7 +555,22 @@ class ContinuationSolver:
             history.append(record)
             if record.iters <= cfg.fast_iters:
                 dt = min(dt * cfg.grow_factor, cfg.dt_max)
-        return state(u, t, monitor, history)
+        result = state(u, t, monitor, history)
+        result.levels.append(_level_record(self.grid, history, u))
+        return result
+
+
+def _level_record(grid, records, u):
+    """LevelRecord of the accepted records on one grid, ending at u."""
+    return LevelRecord(
+        resolution=_resolution(grid), steps=len(records),
+        newton_iters=sum(rec.iters for rec in records),
+        residual=records[-1].residual, min_u=float(u.min()),
+        max_u=float(u.max()), mean_u=grid.mean(u))
+
+
+def _resolution(grid):
+    return "x".join(map(str, grid.shape))
 
 
 def _monitor_failures(monitor):
@@ -493,9 +592,9 @@ def combined_barriers(target, p, r_range, resolution=400, dim=2, n_xi=24):
 
 def run_homotopy(target, grid, config=None, barriers=None, t_final=1.0,
                  r_range=(0.05, 2.5)):
-    """One-call continuation: scan barriers (if not given), then follow
-    the homotopy to t_final.  The caller is responsible for auditing the
-    target's structural conditions beforehand."""
+    """One-call continuation: scan barriers (if not given), then solve
+    at t_final with ContinuationSolver.run.  The caller is responsible
+    for auditing the target's structural conditions beforehand."""
     config = config or SolverConfig()
     if barriers is None:
         barriers, _ = combined_barriers(target, config.p, r_range, dim=grid.dim)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import dscurv.grid
 from dscurv import (ConfigError, ContinuationSolver, InternalConsistencyError,
                     SolverConfig, build_grid)
 from dscurv import cli
@@ -79,7 +80,8 @@ def test_solve_mode_closed_form_oracle(tmp_path):
     assert np.max(np.abs(u_vals - R_STAR)) <= 1e-8
 
     trace = (out / "trace.csv").read_text().splitlines()
-    assert trace[0] == "t,newton_iters,residual,min_u,max_u,max_tau,max_abs_A"
+    assert trace[0] == ("t,newton_iters,residual,min_u,max_u,max_tau,"
+                        "max_abs_A,level")
     assert float(trace[-1].split(",")[0]) == 1.0
 
     summary = json.loads((out / "summary.json").read_text())
@@ -103,6 +105,44 @@ def test_summary_residual_matches_artifact_recomputation(tmp_path):
         SolverConfig(k=2, p=2.0), barriers=(0.6, 0.9))
     recomputed = float(np.max(np.abs(solver.residual(u.reshape(grid.shape), 1.0))))
     assert abs(recomputed - summary["continuation"]["residual_sup_norm"]) <= 1e-12
+
+
+def test_summary_levels_and_trace_level_column(tmp_path):
+    out = tmp_path / "levels"
+    path = write_config(tmp_path, BASE + f"prescription.a1 = 0.1\nout = {out}\n")
+    assert cli.main(["--config", path, "--resolution", "64x128",
+                     "--quiet"]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["fallback"] is None
+    levels = summary["levels"]
+    assert [level["resolution"] for level in levels] == ["16x32", "32x64",
+                                                        "64x128"]
+    assert [level["mean_u_ratio"] for level in levels[:2]] == [None, None]
+    assert 3.4 <= levels[2]["mean_u_ratio"] <= 4.6
+    assert levels[-1]["min_u"] == summary["continuation"]["min_u"]
+    assert all(level["residual"] <= 1e-10 for level in levels)
+
+    lines = (out / "trace.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), map(float, line.split(","))))
+            for line in lines[1:]]
+    for i, level in enumerate(levels):
+        mine = [row for row in rows if row["level"] == i]
+        assert len(mine) == level["steps"]
+        assert sum(row["newton_iters"] for row in mine) == level["newton_iters"]
+    assert [row["level"] for row in rows[-2:]] == [1.0, 2.0]
+
+
+def test_summary_reports_fallback(tmp_path, monkeypatch):
+    monkeypatch.setattr(dscurv.grid.SphereGrid, "prolong",
+                        lambda self, f: np.zeros(self.refine().shape))
+    out = tmp_path / "fallback"
+    path = write_config(tmp_path, BASE + f"out = {out}\n")
+    assert cli.main(["--config", path, "--resolution", "32x64",
+                     "--quiet"]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["fallback"].startswith("level 1 (32x64) failed")
+    assert [level["resolution"] for level in summary["levels"]] == ["32x64"]
+    assert summary["continuation"]["t"] == 1.0
 
 
 def test_round_trip_from_echoed_config(tmp_path):

@@ -152,3 +152,49 @@ def test_difference_operators_match_array_stencils(s1_64, s2_16x32, rng):
         for (i, j), D in hessians.items():
             got = (D @ f.ravel()).reshape(g.shape)
             assert np.max(np.abs(got - want[..., i, j])) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_coarsened_chain():
+    cases = {(2, (48, 96)): [(24, 48)], (2, (32, 64)): [(16, 32)],
+             (2, (16, 32)): [], (2, (64, 96)): [(32, 48), (16, 24)],
+             (2, (32, 66)): [],         # 33 longitudes: no pole closure
+             (2, (128, 256)): [(64, 128), (32, 64), (16, 32)],
+             (1, 128): [(64,), (32,), (16,)], (1, 24): []}
+    for (dim, res), shapes in cases.items():
+        grid = build_grid(dim, res)
+        chain = grid.coarsened()
+        assert [g.shape for g in chain] == shapes
+        for coarse, fine in zip(chain, [grid] + chain):
+            assert coarse.refine().shape == fine.shape
+
+
+def _smooth_field(g):
+    # non-zonal and smooth on the sphere, so smooth across the poles too
+    if g.dim == 1:
+        return np.exp(0.3 * np.cos(g.theta)) + np.sin(2.0 * g.theta)
+    phi, theta = g.coords()
+    x, y, z = np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)
+    return np.exp(0.3 * x) + y * z + 0.5 * z ** 3
+
+
+def test_prolong_exact_on_constants(s1_64, s2_16x32):
+    for g in (s1_64, s2_16x32):
+        fine = g.prolong(np.full(g.shape, 0.7))
+        assert fine.shape == g.refine().shape
+        assert np.max(np.abs(fine - 0.7)) <= 1e-15
+
+
+def test_prolong_second_order():
+    for dim, resolutions in ((2, [(16, 32), (32, 64), (64, 128), (128, 256)]),
+                             (1, [16, 32, 64, 128])):
+        errors, pole_errors = [], []
+        for res in resolutions:
+            g = build_grid(dim, res)
+            err = np.abs(g.prolong(_smooth_field(g)) - _smooth_field(g.refine()))
+            errors.append(err.max())
+            if dim == 2:
+                # the outermost fine rings read the antipodal ghost ring
+                pole_errors.append(max(err[0].max(), err[-1].max()))
+        for errs in (errors, pole_errors):
+            for coarse, fine in zip(errs, errs[1:]):
+                assert 3.4 <= _ratio(coarse, fine) <= 4.6

@@ -1,11 +1,14 @@
 """Continuation solver: start constants, residual, Jacobian, Newton, homotopy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse.linalg as spla
 
 import dscurv.grid
+import dscurv.solver
 from dscurv import (AdmissibilityError, ContinuationError, ContinuationSolver,
                     NewtonError, SolverConfig, SpaceTiltPower, SpacelikeError,
                     build_grid, combined_barriers, ellipticity_margin,
@@ -295,6 +298,71 @@ def test_run_homotopy_deterministic_s2():
     b = run_homotopy(target, grid, cfg)
     assert np.array_equal(a.u, b.u)
     assert a.step_history == b.step_history
+
+
+def test_nested_run_matches_single_grid_homotopy():
+    target = SpaceTiltPower(0.5, 0.1, 2.0)
+    for res, shapes in (((32, 64), ["16x32", "32x64"]),
+                        ((64, 128), ["16x32", "32x64", "64x128"])):
+        grid = build_grid(2, res)
+        barriers, _ = combined_barriers(target, 2.0, (0.05, 2.5), dim=2)
+        solver = ContinuationSolver(grid, target, SolverConfig(k=2, p=2.0),
+                                    barriers=barriers)
+        nested = solver.run()
+        single = solver._homotopy(1.0)
+        assert nested.fallback is None and nested.t == 1.0
+        assert np.max(np.abs(nested.u - single.u)) <= 1e-10
+        assert [level.resolution for level in nested.levels] == shapes
+        # the homotopy's steps on the coarsest grid, then one per level
+        levels = [rec.level for rec in nested.step_history]
+        assert levels == [0] * len(single.step_history) + list(
+            range(1, len(shapes)))
+        assert all(rec.residual <= 1e-10 for rec in nested.step_history)
+
+
+def test_nested_run_deterministic():
+    grid = build_grid(2, (32, 64))
+    target = SpaceTiltPower(0.5, 0.1, 2.0)
+    cfg = SolverConfig(k=2, p=2.0)
+    a = run_homotopy(target, grid, cfg)
+    b = run_homotopy(target, grid, cfg)
+    assert len(a.levels) == 2
+    assert np.array_equal(a.u, b.u)
+    assert a.step_history == b.step_history
+    assert a.levels == b.levels
+
+
+@pytest.mark.parametrize("failure", ["infeasible start", "monitor"])
+def test_nested_run_falls_back_to_single_grid(monkeypatch, failure):
+    grid = build_grid(2, (32, 64))
+    target = SpaceTiltPower(0.5, 0.1, 2.0)
+    barriers, _ = combined_barriers(target, 2.0, (0.05, 2.5), dim=2)
+    solver = ContinuationSolver(grid, target, SolverConfig(k=2, p=2.0),
+                                barriers=barriers)
+    single = solver._homotopy(1.0)
+    if failure == "infeasible start":
+        monkeypatch.setattr(dscurv.grid.SphereGrid, "prolong",
+                            lambda self, f: -np.ones(self.refine().shape))
+        cause = "initial iterate infeasible"
+    else:
+        # the level's monitors fail once; the fallback's pass
+        check_bounds, failed = dscurv.solver.check_bounds, []
+
+        def fail_once(geom, *args):
+            report = check_bounds(geom, *args)
+            if geom.grid is grid and not failed:
+                failed.append(True)
+                report = dataclasses.replace(report, c0_ok=False,
+                                             node_violations={"c0": [7]})
+            return report
+
+        monkeypatch.setattr(dscurv.solver, "check_bounds", fail_once)
+        cause = "bound monitors failed: c0 at 1 node(s) [7]"
+    state = solver.run()
+    assert state.fallback.startswith(f"level 1 (32x64) failed: {cause}")
+    assert np.array_equal(state.u, single.u)
+    assert state.step_history == single.step_history
+    assert [level.resolution for level in state.levels] == ["32x64"]
 
 
 def test_run_homotopy_preserves_constants(s2_16x32):
