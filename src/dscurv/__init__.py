@@ -12,11 +12,10 @@ __version__ = "0.1.0"
 from .errors import (AdmissibilityError, ConfigError, ContinuationError,
                      InternalConsistencyError, NewtonError, SpacelikeError)
 from .geometry import (InducedGeometry, induced_geometry, induced_metric,
-                       shape_eigenvalues, symmetrized_shape, tilt_and_height)
+                       shape_eigenvalues, tilt_and_height)
 from .grid import SphereGrid, build_grid, covariant_hessian
 from .monitor import (BoundReport, IdentityResiduals, check_bounds,
-                      identity_residuals, induced_christoffel,
-                      maclaurin_monitor, surface_hessian)
+                      identity_residuals, maclaurin_monitor)
 from .prescription import (AuditBox, BarrierScan, ConstantPrescription,
                            HomotopyPrescription, Prescription, PsiEval,
                            ReferencePrescription, SpaceTiltPower,
@@ -26,6 +25,5 @@ from .solver import (ContinuationSolver, HomotopyState, NewtonResult,
                      SolverConfig, StepRecord, combined_barriers,
                      ellipticity_margin, initial_constant, run_homotopy,
                      zeroth_coefficient_at_start)
-from .symmetric import (ConeReport, elementary_symmetric,
-                        elementary_symmetric_all, in_gamma_k, normalized_root,
-                        normalized_root_gradient)
+from .symmetric import (ConeReport, elementary_symmetric, in_gamma_k,
+                        normalized_root, normalized_root_gradient)

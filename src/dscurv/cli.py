@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigError, ContinuationError, InternalConsistencyError,
                      NewtonError)
-from .geometry import induced_geometry
 from .grid import build_grid
 from .monitor import identity_residuals
 from .prescription import (AuditBox, PRESCRIPTIONS, audit_structural,
@@ -205,7 +204,8 @@ def _write_fields_csv(path, grid, geom, residual):
     names += ["residual"]
     coords = [c.ravel() for c in grid.coords()]
     columns = coords + [geom.u.ravel(), geom.tau.ravel(), geom.eta.ravel()]
-    columns += [geom.shape_eigs[..., i].ravel() for i in range(grid.dim)]
+    eigs = geom.shape_eigs
+    columns += [eigs[..., i].ravel() for i in range(grid.dim)]
     columns += [np.asarray(residual).ravel()]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(names) + "\n")

@@ -4,16 +4,20 @@ A graph function u on S^n parametrizes a hypersurface of de Sitter
 space through Y(u(xi), xi) = sinh(u) E_1 + cosh(u) xi.  This module
 turns u into the per-node geometric bundle: induced metric g and its
 closed-form inverse, tilt tau, height eta = sinh(u), second fundamental
-form A, and the principal curvatures (eigenvalues of the shape operator
-g^{-1}A, computed through a Cholesky-symmetrized eigenproblem so they
-stay real in floating point).
+form A, and the elementary symmetric functions S_1..S_n of the
+principal curvatures in closed form (S_1 = g^{ij} A_ij and, on S^2,
+S_2 = det A / det g), which is all the curvature equation and the bound
+monitors read.  The principal curvatures themselves (eigenvalues of the
+shape operator g^{-1}A) are computed on request, for output and
+checks, through a Cholesky-symmetrized eigenproblem so they stay real
+and exact at umbilic points.
 
 Spacelike means cosh^2(u) - |grad u|^2 > 0 node-wise; a small relative
 guard keeps the tilt finite and the linearized operator well
 conditioned near the light cone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,22 +45,24 @@ class InducedGeometry:
     grid: object
     u: np.ndarray
     du: np.ndarray            # round-metric partials u_i
-    hess_sigma: np.ndarray    # round-metric covariant Hessian of u
     grad_norm2: np.ndarray    # |grad u|^2 = sigma^{ij} u_i u_j
     g: np.ndarray
     g_inv: np.ndarray
     tau: np.ndarray
     eta: np.ndarray
     A: np.ndarray
-    shape_sym: np.ndarray     # L^{-1} A L^{-T} with g = L L^T
-    shape_eigs: np.ndarray    # ascending principal curvatures, (..., n)
-    spacelike: bool = True
-    violations: list = field(default_factory=list)
+    sums: np.ndarray          # S_1..S_n of the principal curvatures, (..., n)
+
+    @property
+    def shape_eigs(self):
+        """Ascending principal curvatures, (..., n), computed on access."""
+        return shape_eigenvalues(self.A, self.g)
 
     @property
     def abs_A(self):
-        """Frobenius norm of the symmetrized shape matrix, sqrt(sum lam_i^2)."""
-        return np.sqrt(np.sum(self.shape_eigs ** 2, axis=-1))
+        """Norm of the shape operator, sqrt(sum lam_i^2) = sqrt(S1^2 - 2 S2)."""
+        s2 = self.sums[..., 1] if self.grid.dim == 2 else 0.0
+        return np.sqrt(self.sums[..., 0] ** 2 - 2.0 * s2)
 
 
 def _metric_pieces(u, grid):
@@ -74,7 +80,16 @@ def _metric_pieces(u, grid):
         + du_raised[..., :, None] * du_raised[..., None, :]
         / (cosh_u ** 2 * safe_margin)[..., None, None]
     )
-    return u, du, du_raised, grad_norm2, cosh_u, margin, bad, g, g_inv
+    return u, du, grad_norm2, cosh_u, margin, bad, g, g_inv
+
+
+def _check_inverse(g, g_inv):
+    ident = np.einsum("...ij,...jk->...ik", g, g_inv)
+    ident -= np.eye(g.shape[-1])
+    err = np.max(np.abs(ident))
+    if err > METRIC_INVERSE_TOL:
+        raise InternalConsistencyError(
+            f"metric inverse check failed: |g g_inv - I| = {err:.3e}")
 
 
 def induced_metric(u, grid):
@@ -83,15 +98,10 @@ def induced_metric(u, grid):
     Never raises on a spacelike violation: returns spacelike=False with
     the offending flat node indices so a line search can reject cheaply.
     """
-    u, du, du_r, gn2, cosh_u, margin, bad, g, g_inv = _metric_pieces(u, grid)
+    *_, bad, g, g_inv = _metric_pieces(u, grid)
     violations = np.flatnonzero(bad.ravel()).tolist()
     if not violations:
-        ident = np.einsum("...ij,...jk->...ik", g, g_inv)
-        ident -= np.eye(grid.dim)
-        err = np.max(np.abs(ident))
-        if err > METRIC_INVERSE_TOL:
-            raise InternalConsistencyError(
-                f"metric inverse check failed: |g g_inv - I| = {err:.3e}")
+        _check_inverse(g, g_inv)
     return MetricResult(g, g_inv, not violations, violations)
 
 
@@ -101,41 +111,30 @@ def tilt_and_height(u, grid):
     tau >= cosh(u) >= 1 with equality exactly where grad u vanishes.
     Raises SpacelikeError (with node ids) if the graph is not spacelike.
     """
-    u, _, _, _, cosh_u, margin, bad, _, _ = _metric_pieces(u, grid)
+    u, _, _, cosh_u, margin, bad, _, _ = _metric_pieces(u, grid)
     if bad.any():
         raise SpacelikeError(np.flatnonzero(bad.ravel()).tolist())
     tau = cosh_u ** 2 / np.sqrt(margin)
     return tau, np.sinh(u)
 
 
-def _cholesky_factors(g, dim):
-    if dim == 1:
-        g00 = g[..., 0, 0]
-        if np.any(g00 <= 0.0):
-            raise SpacelikeError(np.flatnonzero((g00 <= 0.0).ravel()).tolist(),
-                                 "Cholesky failure: metric not positive definite")
-        return (np.sqrt(g00),)
-    g00, g01, g11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+def shape_eigenvalues(A, g):
+    """Principal curvatures per node, sorted ascending: the eigenvalues
+    of L^{-1} A L^{-T} for the Cholesky factor g = L L^T, a symmetric
+    matrix, so the output is real (and exact at umbilic points)."""
+    g00 = g[..., 0, 0]
     bad = g00 <= 0.0
     l00 = np.sqrt(np.where(bad, 1.0, g00))
-    l10 = g01 / l00
-    rest = g11 - l10 ** 2
-    bad |= rest <= 0.0
+    if A.shape[-1] == 2:
+        l10 = g[..., 0, 1] / l00
+        rest = g[..., 1, 1] - l10 ** 2
+        bad |= rest <= 0.0
     if bad.any():
         raise SpacelikeError(np.flatnonzero(bad.ravel()).tolist(),
                              "Cholesky failure: metric not positive definite")
-    return l00, l10, np.sqrt(rest)
-
-
-def symmetrized_shape(A, g):
-    """L^{-1} A L^{-T} for g = L L^T: a symmetric matrix whose eigenvalues
-    are the generalized eigenvalues of (A, g), i.e. the principal
-    curvatures."""
-    dim = A.shape[-1]
-    if dim == 1:
-        (l00,) = _cholesky_factors(g, 1)
-        return A / (l00 ** 2)[..., None, None]
-    l00, l10, l11 = _cholesky_factors(g, 2)
+    if A.shape[-1] == 1:
+        return A[..., 0] / (l00 ** 2)[..., None]
+    l11 = np.sqrt(rest)
     i00 = 1.0 / l00
     i10 = -l10 / (l00 * l11)
     i11 = 1.0 / l11
@@ -145,41 +144,30 @@ def symmetrized_shape(A, g):
     b10 = i10 * a00 + i11 * a01
     b11 = i10 * a01 + i11 * a11
     m00 = b00 * i00
-    m01 = b00 * i10 + b01 * i11
-    m10 = b10 * i00
     m11 = b10 * i10 + b11 * i11
-    m_off = 0.5 * (m01 + m10)
-    M = np.empty_like(A)
-    M[..., 0, 0] = m00
-    M[..., 0, 1] = m_off
-    M[..., 1, 0] = m_off
-    M[..., 1, 1] = m11
-    return M
-
-
-def _sym_eigenvalues(M):
-    dim = M.shape[-1]
-    if dim == 1:
-        return M[..., 0, 0][..., None]
-    a, b, c = M[..., 0, 0], M[..., 0, 1], M[..., 1, 1]
-    mean = 0.5 * (a + c)
-    disc = np.sqrt((0.5 * (a - c)) ** 2 + b ** 2)
+    m_off = 0.5 * (b00 * i10 + b01 * i11 + b10 * i00)
+    mean = 0.5 * (m00 + m11)
+    disc = np.sqrt((0.5 * (m00 - m11)) ** 2 + m_off ** 2)
     return np.stack([mean - disc, mean + disc], axis=-1)
 
 
-def shape_eigenvalues(A, g):
-    """Principal curvatures per node, sorted ascending.
+def _curvature_sums(A, g, g_inv):
+    """S_1..S_n of the principal curvatures, (..., n), in closed form:
+    S_1 = g^{ij} A_ij and, for n = 2, S_2 = det A / det g."""
+    s1 = np.einsum("...ij,...ij->...", g_inv, A)
+    if A.shape[-1] == 1:
+        return s1[..., None]
+    det_a = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] ** 2
+    det_g = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
+    return np.stack([s1, det_a / det_g], axis=-1)
 
-    The computation goes through the Cholesky factor of g, which
-    guarantees real output.
-    """
-    return _sym_eigenvalues(symmetrized_shape(A, g))
 
-
-def induced_geometry_unchecked(u, grid):
-    u, du, du_r, gn2, cosh_u, margin, bad, g, g_inv = _metric_pieces(u, grid)
+def _geometry(u, grid, check_inverse):
+    u, du, gn2, cosh_u, margin, bad, g, g_inv = _metric_pieces(u, grid)
     if bad.any():
         raise SpacelikeError(np.flatnonzero(bad.ravel()).tolist())
+    if check_inverse:
+        _check_inverse(g, g_inv)
     tau = cosh_u ** 2 / np.sqrt(margin)
     eta = np.sinh(u)
     hess = grid.partial_hessian(u) - np.einsum(
@@ -193,22 +181,22 @@ def induced_geometry_unchecked(u, grid):
     if grid.dim == 2:
         # keep symmetry exact down to the last bit
         A[..., 1, 0] = A[..., 0, 1]
-    M = symmetrized_shape(A, g)
-    eigs = _sym_eigenvalues(M)
     return InducedGeometry(
-        grid=grid, u=u, du=du, hess_sigma=hess, grad_norm2=gn2,
-        g=g, g_inv=g_inv, tau=tau, eta=eta, A=A,
-        shape_sym=M, shape_eigs=eigs,
-    )
+        grid=grid, u=u, du=du, grad_norm2=gn2, g=g, g_inv=g_inv, tau=tau,
+        eta=eta, A=A, sums=_curvature_sums(A, g, g_inv))
+
+
+def induced_geometry_unchecked(u, grid):
+    """induced_geometry without the metric inverse check: the solver's
+    per-iterate evaluation."""
+    return _geometry(u, grid, check_inverse=False)
 
 
 def induced_geometry(u, grid):
-    """Full geometric bundle for a spacelike graph.
+    """Full geometric bundle for a spacelike graph, with the closed-form
+    metric inverse checked against g.
 
     Raises SpacelikeError carrying the violating node ids otherwise;
     use induced_metric() for the non-raising spacelike test.
     """
-    metric = induced_metric(u, grid)
-    if not metric.spacelike:
-        raise SpacelikeError(metric.violations)
-    return induced_geometry_unchecked(u, grid)
+    return _geometry(u, grid, check_inverse=True)

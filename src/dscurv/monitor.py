@@ -29,10 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AdmissibilityError
 from .geometry import induced_geometry
-from .symmetric import (elementary_symmetric_all, normalized_root,
-                        normalized_root_gradient)
+from .symmetric import normalized_root, normalized_root_gradient
 
 
 @dataclass
@@ -97,7 +95,7 @@ def check_bounds(geom, u, barriers, c_tau, c_a, k):
     tilt_bad = geom.tau > c_tau
     tilt_ok = not bool(tilt_bad.any())
 
-    sig = elementary_symmetric_all(geom.shape_eigs, k)[..., 1:]
+    sig = geom.sums[..., :k]
     member = np.all(sig > 0.0, axis=-1)
     abs_a = geom.abs_A
     max_abs_a = float(abs_a.max())
@@ -214,18 +212,16 @@ def identity_residuals(u, grid):
     return IdentityResiduals(r_eta, r_tau1, r_tau2, codazzi, grid.h)
 
 
-def maclaurin_monitor(geom, k, psi=None):
-    """Worst node margin of sum_i f_i lam_i^2 - f^2 (>= 0 on Gamma_k).
+def maclaurin_monitor(eigs, k, psi=None):
+    """Worst node margin of sum_i f_i lam_i^2 - f^2 (>= 0 on Gamma_k) for
+    principal curvatures eigs of shape (..., n), such as
+    InducedGeometry.shape_eigs.
 
     With psi supplied (the on-shell curvature value per node) the
     square uses psi instead of f.  Raises AdmissibilityError if any
     node left the cone.
     """
-    eigs = geom.shape_eigs
-    sig = elementary_symmetric_all(eigs, k)[..., 1:]
-    member = np.all(sig > 0.0, axis=-1)
-    if not member.all():
-        raise AdmissibilityError(np.flatnonzero(~member.ravel()).tolist())
+    eigs = np.asarray(eigs, dtype=float)
     f = normalized_root(eigs, k)
     grad = normalized_root_gradient(eigs, k)
     lhs = np.einsum("...i,...i->...", grad, eigs ** 2)

@@ -223,18 +223,15 @@ class HomotopyPrescription:
     on the graph itself (pass u separately to split them).
     """
 
-    def __init__(self, target, p=2.0, t=0.0):
-        if not 0.0 <= t <= 1.0:
-            raise ValueError("homotopy parameter t must lie in [0, 1]")
+    def __init__(self, target, p=2.0):
         self.target = target
         self.p = float(p)
-        self.t = float(t)
         self.reference = ReferencePrescription(p)
 
-    def at(self, t):
-        return HomotopyPrescription(self.target, self.p, t)
-
-    def evaluate(self, r, xi, tau, u=None):
+    def evaluate(self, t, r, xi, tau, u=None):
+        """PsiEval of the deformation at homotopy parameter t in [0, 1]."""
+        if not 0.0 <= t <= 1.0:
+            raise ValueError("homotopy parameter t must lie in [0, 1]")
         if u is None:
             u = r
         u = np.asarray(u, dtype=float)
@@ -242,7 +239,6 @@ class HomotopyPrescription:
             raise ValueError("graph value must be positive for an admissible graph")
         tv = self.target.evaluate(r, xi, tau)
         rv = self.reference.evaluate(u, xi, tau)
-        t = self.t
         s = 1.0 - t
         return PsiEval(
             t * tv.psi + s * rv.psi,

@@ -50,7 +50,7 @@ from .errors import (AdmissibilityError, ContinuationError,
 from .geometry import induced_geometry_unchecked
 from .monitor import check_bounds
 from .prescription import HomotopyPrescription, ReferencePrescription, scan_barriers
-from .symmetric import normalized_root
+from .symmetric import root_of_sums
 
 # Fixed covector directions for the ellipticity diagnostic (deterministic
 # stand-ins for random draws; the solve path must not consume RNG state).
@@ -60,6 +60,11 @@ _ELLIPTICITY_COVECTORS = ((1.0, 0.0), (0.0, 1.0), (0.8, 0.6),
 # The in-run Jacobian check runs on the first accepted step and then on
 # every JACOBIAN_CHECK_INTERVAL-th.
 JACOBIAN_CHECK_INTERVAL = 10
+
+# A homotopy step accepted in at most FAST_ITERS Newton iterations grows
+# the next step by GROW_FACTOR, up to dt_max.
+FAST_ITERS = 4
+GROW_FACTOR = 1.5
 
 
 @dataclass
@@ -75,8 +80,6 @@ class SolverConfig:
     dt_max: float = 0.5
     backtrack_factor: float = 0.5
     backtrack_min: float = 1e-4
-    grow_factor: float = 1.5
-    fast_iters: int = 4
     c_tau: float = 50.0
     c_a: float = 50.0
 
@@ -89,10 +92,6 @@ class SolverConfig:
                 and 0.0 < self.backtrack_min < 1.0):
             raise ValueError("need 0 < backtrack_factor < 1 and "
                              "0 < backtrack_min < 1")
-        if self.grow_factor < 1.0:
-            raise ValueError("grow_factor must be >= 1")
-        if self.fast_iters < 0:
-            raise ValueError("fast_iters must be >= 0")
         # tau >= cosh(u) >= 1, so a cap at or below 1 rejects every state
         if self.c_tau <= 1.0:
             raise ValueError("c_tau must exceed 1")
@@ -113,6 +112,7 @@ class NewtonResult:
     residual_norm: float
     history: list
     geometry: object        # induced geometry of u
+    psi: object             # the prescription's PsiEval at u
 
 
 @dataclass
@@ -205,13 +205,14 @@ def curvature_derivative_matrix(geom, k):
     """Newton tensor F = df/dA per node, in closed form: g^-1/n for k = 1
     and (S1 g^-1 - g^-1 A g^-1)/(2f) for k = 2 (where n = 2).  It is the
     second-order coefficient of the linearized operator up to the positive
-    factor tau/cosh(u), and positive definite on Gamma_k; for k = 2 it
-    raises AdmissibilityError outside the cone."""
+    factor tau/cosh(u), and positive definite on Gamma_k.  It reads S1 and
+    f = sqrt(S2) from geom.sums and makes no cone test of its own: the
+    caller passes a geometry inside Gamma_k."""
     g_inv = geom.g_inv
     if k == 1:
         return g_inv / geom.grid.dim
-    f = normalized_root(geom.shape_eigs, k)[..., None, None]
-    s1 = _contract(g_inv, geom.A)[..., None, None]
+    s1 = geom.sums[..., 0, None, None]
+    f = np.sqrt(geom.sums[..., 1, None, None])
     return (s1 * g_inv - g_inv @ geom.A @ g_inv) / (2.0 * f)
 
 
@@ -231,7 +232,9 @@ def _covector_margin(fij):
 
 
 def ellipticity_margin(geom, k):
-    """Smallest contraction of dF/dA with the fixed covector set."""
+    """Smallest contraction of dF/dA with the fixed covector set; raises
+    AdmissibilityError outside Gamma_k."""
+    root_of_sums(geom.sums, k, geom.grid.dim)
     return _covector_margin(curvature_derivative_matrix(geom, k))
 
 
@@ -251,7 +254,7 @@ class ContinuationSolver:
             raise ValueError(
                 f"curvature order k={self.config.k} needs k <= n={grid.dim}")
         self.target = target
-        self.homotopy = HomotopyPrescription(target, self.config.p, 0.0)
+        self.homotopy = HomotopyPrescription(target, self.config.p)
         self.barriers = barriers
         self.coords = grid.coords()
         # fail fast if the start linearization is unusable
@@ -273,8 +276,8 @@ class ContinuationSolver:
         Jacobian at (u, t) reuses: ``(residual, geometry, psi)``, psi
         being the prescription's PsiEval."""
         geom = self._geometry(u)
-        f = normalized_root(geom.shape_eigs, self.config.k)
-        psi = self.homotopy.at(t).evaluate(geom.u, self.coords, geom.tau)
+        f = root_of_sums(geom.sums, self.config.k, self.grid.dim)
+        psi = self.homotopy.evaluate(t, geom.u, self.coords, geom.tau)
         return f - psi.psi, geom, psi
 
     def residual(self, u, t):
@@ -286,9 +289,10 @@ class ContinuationSolver:
 
     def jacobian(self, u, t, geom=None, psi=None):
         """Exact Jacobian of the discrete residual at (u, t), as CSR on the
-        grid's fixed stencil pattern; ``geom`` and ``psi`` are u's induced
-        geometry and the prescription's PsiEval at (u, t) when the caller
-        already has them (residual_with_geometry returns both).
+        grid's fixed stencil pattern; ``geom`` and ``psi`` are the induced
+        geometry and PsiEval that residual_with_geometry returned at
+        (u, t), when the caller has them; otherwise that call, with its
+        cone test, evaluates both here.
 
         Phi at a node depends on u only through u, p = D_i u and
         H = D_ij u at that node, so J = diag(a_u) + sum_i diag(a_p_i) D_i
@@ -311,16 +315,14 @@ class ContinuationSolver:
         pipeline is broken and an InternalConsistencyError is raised.
         """
         grid = self.grid
-        if geom is None:
-            geom = self._geometry(u)
+        if geom is None or psi is None:
+            _, geom, psi = self.residual_with_geometry(u, t)
         F = curvature_derivative_matrix(geom, self.config.k)
         margin = _covector_margin(F)
         if margin <= 0.0:
             raise InternalConsistencyError(
                 f"non-elliptic second-order block (margin {margin:.3e}) "
                 "at an admissible node")
-        if psi is None:
-            psi = self.homotopy.at(t).evaluate(geom.u, self.coords, geom.tau)
         p, sigma = geom.du, grid.sigma
         c, s, th = np.cosh(geom.u), np.sinh(geom.u), np.tanh(geom.u)
         q = np.einsum("...ij,...j->...i", grid.sigma_inv, p)
@@ -349,9 +351,11 @@ class ContinuationSolver:
             for i, j in hessians]
         return grid.stencil_pattern().assemble(coefs)
 
-    def directional_derivative_check(self, u, t, v=None, eps=1e-6, tol=1e-5):
+    def directional_derivative_check(self, u, t, v=None, eps=1e-6, tol=1e-5,
+                                     geom=None, psi=None):
         """Compare the assembled Jacobian against a directional difference
-        of the residual along a fixed smooth field.
+        of the residual along a fixed smooth field; ``geom`` and ``psi``
+        are passed on to jacobian().
 
         The error is measured row-relative (against sum_q |J_mq v_q|
         per row, floored by the global scale): rows touching the pole
@@ -363,7 +367,7 @@ class ContinuationSolver:
         u = self.grid.check_field(u)
         if v is None:
             v = 1.0 + 0.5 * np.cos(self.coords[0]) * np.ones(self.grid.shape)
-        jac = self.jacobian(u, t)
+        jac = self.jacobian(u, t, geom, psi)
         vflat = v.ravel()
         jv = jac.dot(vflat)
         fd = (self.residual(u + eps * v, t) - self.residual(u - eps * v, t)).ravel()
@@ -397,7 +401,8 @@ class ContinuationSolver:
         pattern = self.grid.stencil_pattern()
         for iteration in range(1, cfg.max_newton + 1):
             if rnorm <= cfg.tol_newton:
-                return NewtonResult(u, iteration - 1, rnorm, history, geom)
+                return NewtonResult(u, iteration - 1, rnorm, history, geom,
+                                    psi)
             jac = pattern.ordered(self.jacobian(u, t, geom, psi))
             delta = np.empty(self.grid.node_count)
             delta[pattern.order] = spla.splu(jac, permc_spec="NATURAL").solve(
@@ -423,7 +428,7 @@ class ContinuationSolver:
                                         trial_psi, trial_norm)
             history.append(rnorm)
         if rnorm <= cfg.tol_newton:
-            return NewtonResult(u, cfg.max_newton, rnorm, history, geom)
+            return NewtonResult(u, cfg.max_newton, rnorm, history, geom, psi)
         raise NewtonError(f"no convergence in {cfg.max_newton} iterations",
                           best_u=u, residual_norm=rnorm,
                           iterations=cfg.max_newton)
@@ -459,11 +464,13 @@ class ContinuationSolver:
                 start = solver.grid.prolong(state.u)
                 solver = self if not coarser else ContinuationSolver(
                     coarser.pop(), self.target, self.config, self.barriers)
-                u, monitor, record = solver._attempt(start, t_final, level)
+                result, monitor, record = solver._attempt(start, t_final, level)
                 if not monitor.all_ok:
                     raise ContinuationError("bound monitors failed: "
                                             + _monitor_failures(monitor))
-                solver.directional_derivative_check(u, t_final)
+                u = result.u
+                solver.directional_derivative_check(
+                    u, t_final, geom=result.geometry, psi=result.psi)
                 state = HomotopyState(
                     u, t_final, record.residual, record.iters, monitor,
                     state.step_history + [record],
@@ -477,8 +484,7 @@ class ContinuationSolver:
 
     def _attempt(self, u_start, t, level=0):
         """Newton from u_start at fixed t, then the bound monitors on its
-        result: ``(u, monitor, record)``.  The Newton result, with its
-        geometry, lives only in here."""
+        result: ``(newton_result, monitor, record)``."""
         cfg = self.config
         result = self.newton_solve(u_start, t)
         u, geom = result.u, result.geometry
@@ -488,7 +494,7 @@ class ContinuationSolver:
             min_u=float(u.min()), max_u=float(u.max()),
             max_tau=float(geom.tau.max()), max_abs_A=float(geom.abs_A.max()),
             level=level)
-        return u, monitor, record
+        return result, monitor, record
 
     def _homotopy(self, t_final):
         """Follow the homotopy on this grid from the exact start at t = 0
@@ -506,11 +512,12 @@ class ContinuationSolver:
 
         def attempt(u_start, t):
             nonlocal accepted
-            u, monitor, record = self._attempt(u_start, t)
+            result, monitor, record = self._attempt(u_start, t)
             accepted += 1
             if accepted == 1 or accepted % JACOBIAN_CHECK_INTERVAL == 0:
-                self.directional_derivative_check(u, t)
-            return u, monitor, record
+                self.directional_derivative_check(
+                    result.u, t, geom=result.geometry, psi=result.psi)
+            return result.u, monitor, record
 
         def state(u, t, monitor, history):
             return HomotopyState(u, t, history[-1].residual, history[-1].iters,
@@ -553,8 +560,8 @@ class ContinuationSolver:
                 continue
             u, t, monitor = trial_u, t_next, trial_monitor
             history.append(record)
-            if record.iters <= cfg.fast_iters:
-                dt = min(dt * cfg.grow_factor, cfg.dt_max)
+            if record.iters <= FAST_ITERS:
+                dt = min(dt * GROW_FACTOR, cfg.dt_max)
         result = state(u, t, monitor, history)
         result.levels.append(_level_record(self.grid, history, u))
         return result

@@ -4,10 +4,12 @@ The algebraic core of the curvature operator: elementary symmetric
 polynomials S_k of the principal curvatures, the normalized k-th root
 f = (S_k / C(n,k))^(1/k), its gradient, and membership tests for the
 Garding cone Gamma_k = {S_1 > 0, ..., S_k > 0} on which f is elliptic
-and concave.
+and concave.  root_of_sums() takes S_1..S_k directly, which the
+induced geometry supplies in closed form, so the solve path never
+forms eigenvalues.
 
-All functions accept a single eigenvalue tuple of length n or an array
-of shape (..., n) and operate vectorized over the leading axes.
+The other functions accept a single eigenvalue tuple of length n or an
+array of shape (..., n) and operate vectorized over the leading axes.
 """
 
 from dataclasses import dataclass
@@ -75,13 +77,19 @@ def in_gamma_k(lam, k):
     return ConeReport(k=k, member=member, sigma_values=sig)
 
 
-def _require_admissible(lam, k):
-    report = in_gamma_k(lam, k)
-    member = np.asarray(report.member)
+def root_of_sums(sums, k, n):
+    """Normalized root (S_k / C(n,k))^(1/k) from sums[..., j - 1] = S_j
+    (j = 1..k at least) of n eigenvalues, with the Gamma_k test on the
+    same sums.
+
+    Raises AdmissibilityError with the flat node ids where some S_j,
+    j <= k, is not positive.
+    """
+    sums = np.asarray(sums, dtype=float)
+    member = np.all(sums[..., :k] > 0.0, axis=-1)
     if not member.all():
-        bad = np.flatnonzero(~member.ravel())
-        raise AdmissibilityError(bad.tolist())
-    return report
+        raise AdmissibilityError(np.flatnonzero(~member.ravel()).tolist())
+    return (sums[..., k - 1] / comb(n, k)) ** (1.0 / k)
 
 
 def normalized_root(lam, k):
@@ -91,10 +99,8 @@ def normalized_root(lam, k):
     decision (the Newton line search rejects such steps).
     """
     lam = _as_batch(lam)
-    n = lam.shape[-1]
-    report = _require_admissible(lam, k)
-    sk = report.sigma_values[..., k - 1]
-    return (sk / comb(n, k)) ** (1.0 / k)
+    return root_of_sums(elementary_symmetric_all(lam, k)[..., 1:], k,
+                        lam.shape[-1])
 
 
 def normalized_root_gradient(lam, k):
@@ -106,7 +112,6 @@ def normalized_root_gradient(lam, k):
     """
     lam = _as_batch(lam)
     n = lam.shape[-1]
-    _require_admissible(lam, k)
     f = normalized_root(lam, k)
     grad = np.empty_like(lam)
     for i in range(n):

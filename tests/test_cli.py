@@ -226,7 +226,7 @@ def test_continuation_failure_exit_code(tmp_path):
 
 
 def test_internal_consistency_failure_exit_code(tmp_path, monkeypatch):
-    def broken_check(self, u, t):
+    def broken_check(self, *args, **kwargs):
         raise InternalConsistencyError("Jacobian directional check failed")
 
     monkeypatch.setattr(ContinuationSolver, "directional_derivative_check",

@@ -7,6 +7,7 @@ import scipy.linalg
 from dscurv import (SpacelikeError, induced_geometry, induced_metric,
                     shape_eigenvalues, tilt_and_height)
 from dscurv.geometry import induced_geometry_unchecked
+from dscurv.symmetric import elementary_symmetric_all
 
 
 def test_umbilic_slice_closed_forms(s2_32x64):
@@ -94,6 +95,24 @@ def test_s1_eigenvalue_is_quotient(s1_64):
     geom = induced_geometry(u, g)
     assert np.allclose(geom.shape_eigs[:, 0],
                        geom.A[:, 0, 0] / geom.g[:, 0, 0], rtol=1e-12)
+
+
+def test_curvature_sums_match_eigenvalues(s1_64, s2_32x64):
+    # the closed-form S_1..S_n and |A| against the Cholesky eigenvalues
+    phi, theta = s2_32x64.coords()
+    states = (
+        (s1_64, 0.7 + 0.1 * np.cos(s1_64.theta) + 0.05 * np.sin(2 * s1_64.theta)),
+        (s2_32x64, 0.8 + 0.05 * np.sin(phi) * np.cos(phi) * np.cos(theta)
+         + 0.03 * np.sin(phi) * np.sin(theta)),
+    )
+    for grid, u in states:
+        geom = induced_geometry(u, grid)
+        eigs = geom.shape_eigs
+        expected = elementary_symmetric_all(eigs, grid.dim)[..., 1:]
+        assert geom.sums.shape == expected.shape
+        assert np.all(np.abs(geom.sums - expected) <= 1e-12 * np.abs(expected))
+        assert np.allclose(geom.abs_A, np.sqrt(np.sum(eigs ** 2, axis=-1)),
+                           rtol=1e-12, atol=0.0)
 
 
 def test_shape_eigenvalues_against_dense_oracle(rng):

@@ -45,9 +45,9 @@ def test_check_bounds_cone_violation(s2_16x32):
     r1, r2 = _model_barriers()
     u = np.full(s2_16x32.shape, 0.8814)
     geom = induced_geometry(u, s2_16x32)
-    eigs = geom.shape_eigs.copy()
-    eigs[0, 0] = (-1.0, 2.0)    # S_2 = -2 at one node
-    doctored = dataclasses.replace(geom, shape_eigs=eigs)
+    sums = geom.sums.copy()
+    sums[0, 0] = (1.0, -2.0)    # S_1 = 1, S_2 = -2 at one node
+    doctored = dataclasses.replace(geom, sums=sums)
     report = check_bounds(doctored, u, (r1, r2), c_tau=50.0, c_a=50.0, k=2)
     assert not report.curv_ok
     assert report.min_sigma_margin == pytest.approx(-2.0)
@@ -124,29 +124,27 @@ def test_identity_residuals_record_spacing(s1_64):
 
 def test_maclaurin_umbilic_margin_zero(s2_16x32):
     geom = induced_geometry(np.full(s2_16x32.shape, 0.8814), s2_16x32)
-    assert abs(maclaurin_monitor(geom, 2)) < 1e-12
+    assert abs(maclaurin_monitor(geom.shape_eigs, 2)) < 1e-12
     # on-shell variant: psi equals the curvature value on the slice
     psi = np.full(s2_16x32.shape, np.tanh(0.8814))
-    assert abs(maclaurin_monitor(geom, 2, psi=psi)) < 1e-12
+    assert abs(maclaurin_monitor(geom.shape_eigs, 2, psi=psi)) < 1e-12
 
 
 def test_maclaurin_direct_arithmetic(s1_64):
     # n = 2, k = 1, lam = (1, 3): sum f_i lam_i^2 = 5, f^2 = 4, margin 1
-    geom = induced_geometry(np.full(s1_64.shape, 0.8), s1_64)
-    eigs = np.broadcast_to(np.array([1.0, 3.0]), (s1_64.node_count, 2)).copy()
-    doctored = dataclasses.replace(geom, shape_eigs=eigs)
-    assert maclaurin_monitor(doctored, 1) == pytest.approx(1.0, abs=1e-14)
+    eigs = np.broadcast_to(np.array([1.0, 3.0]), (s1_64.node_count, 2))
+    assert maclaurin_monitor(eigs, 1) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_maclaurin_nonnegative_on_perturbations(s2_16x32):
     phi, theta = s2_16x32.coords()
     u = 0.85 + 0.05 * np.cos(phi) + 0.03 * np.sin(phi) * np.sin(theta)
     geom = induced_geometry(u, s2_16x32)
-    assert maclaurin_monitor(geom, 2) >= -1e-10
+    assert maclaurin_monitor(geom.shape_eigs, 2) >= -1e-10
 
 
 def test_maclaurin_rejects_inadmissible(s1_64):
     u = 0.9 + 0.3 * np.cos(4 * s1_64.theta)
     geom = induced_geometry(u, s1_64)
     with pytest.raises(AdmissibilityError):
-        maclaurin_monitor(geom, 1)
+        maclaurin_monitor(geom.shape_eigs, 1)

@@ -140,17 +140,17 @@ def test_homotopy_endpoints_exact(rng):
     tau = rng.uniform(1.0, 4.0, size=25)
     xi = (rng.uniform(0, np.pi, size=25), rng.uniform(0, 2 * np.pi, size=25))
     ref = ReferencePrescription(2.0)
-    at0 = HomotopyPrescription(target, 2.0, 0.0).evaluate(r, xi, tau)
+    at0 = HomotopyPrescription(target, 2.0).evaluate(0.0, r, xi, tau)
     assert np.array_equal(at0.psi, ref.evaluate(r, xi, tau).psi)
-    at1 = HomotopyPrescription(target, 2.0, 1.0).evaluate(r, xi, tau)
+    at1 = HomotopyPrescription(target, 2.0).evaluate(1.0, r, xi, tau)
     assert np.array_equal(at1.psi, target.evaluate(r, xi, tau).psi)
 
 
 def test_homotopy_halfway_hand_value():
     target = SpaceTiltPower(a0=0.5, a1=0.0, p=2.0)
-    h = HomotopyPrescription(target, 2.0, 0.5)
+    h = HomotopyPrescription(target, 2.0)
     r, tau = 0.8, 1.4
-    got = h.evaluate(np.array(r), (np.array(0.3), np.array(0.1)),
+    got = h.evaluate(0.5, np.array(r), (np.array(0.3), np.array(0.1)),
                      np.array(tau)).psi
     expected = 0.5 * (0.5 * np.tanh(0.8) * 1.96) + 0.5 * (1.96 * 0.8 * np.tanh(0.8))
     assert got == pytest.approx(expected, rel=1e-15)
@@ -158,18 +158,18 @@ def test_homotopy_halfway_hand_value():
 
 def test_homotopy_affine_in_t(rng):
     target = SpaceTiltPower(a0=0.5, a1=0.1, p=2.0)
-    base = HomotopyPrescription(target, 2.0, 0.0)
+    h = HomotopyPrescription(target, 2.0)
     r = rng.uniform(0.3, 1.2, size=15)
     tau = rng.uniform(1.0, 4.0, size=15)
     xi = (rng.uniform(0, np.pi, size=15), rng.uniform(0, 2 * np.pi, size=15))
-    p0 = base.at(0.0).evaluate(r, xi, tau).psi
-    p_half = base.at(0.5).evaluate(r, xi, tau).psi
-    p1 = base.at(1.0).evaluate(r, xi, tau).psi
+    p0 = h.evaluate(0.0, r, xi, tau).psi
+    p_half = h.evaluate(0.5, r, xi, tau).psi
+    p1 = h.evaluate(1.0, r, xi, tau).psi
     # three-point collinearity
     assert np.allclose(p_half, 0.5 * (p0 + p1), rtol=1e-14, atol=1e-15)
     # slope in t is target minus reference
-    slope = (base.at(0.8).evaluate(r, xi, tau).psi
-             - base.at(0.2).evaluate(r, xi, tau).psi) / 0.6
+    slope = (h.evaluate(0.8, r, xi, tau).psi
+             - h.evaluate(0.2, r, xi, tau).psi) / 0.6
     direct = (target.evaluate(r, xi, tau).psi
               - ReferencePrescription(2.0).evaluate(r, xi, tau).psi)
     assert np.allclose(slope, direct, rtol=1e-12, atol=1e-14)
@@ -177,11 +177,11 @@ def test_homotopy_affine_in_t(rng):
 
 def test_homotopy_rejects_nonpositive_graph():
     target = SpaceTiltPower(a0=0.5, a1=0.0, p=2.0)
-    h = HomotopyPrescription(target, 2.0, 0.5)
+    h = HomotopyPrescription(target, 2.0)
     with pytest.raises(ValueError):
-        h.evaluate(np.array([0.5, -0.1]), (np.zeros(2),), np.ones(2))
+        h.evaluate(0.5, np.array([0.5, -0.1]), (np.zeros(2),), np.ones(2))
     with pytest.raises(ValueError):
-        HomotopyPrescription(target, 2.0, 1.5)
+        h.evaluate(1.5, np.array([0.5, 0.6]), (np.zeros(2),), np.ones(2))
 
 
 def test_prescription_registry_and_validation():

@@ -8,6 +8,7 @@ import pytest
 
 from dscurv import (AdmissibilityError, elementary_symmetric, in_gamma_k,
                     normalized_root, normalized_root_gradient)
+from dscurv.symmetric import elementary_symmetric_all, root_of_sums
 
 
 def esym_bruteforce(lam, k):
@@ -164,3 +165,22 @@ def test_cone_segment_to_positive_orthant(rng):
         for s in np.linspace(0.0, 1.0, 21):
             seg = (1 - s) * lam + s * ones
             assert np.all(elementary_symmetric(seg, k) > 0.0)
+
+
+def test_root_of_sums_matches_normalized_root(rng):
+    # root_of_sums(S_1..S_k) is normalized_root without the eigenvalues
+    for n in (1, 2, 3):
+        for k in range(1, n + 1):
+            lam = sample_gamma_k(rng, n, k, 50)
+            sums = elementary_symmetric_all(lam, n)[..., 1:]
+            assert np.allclose(root_of_sums(sums, k, n),
+                               normalized_root(lam, k), rtol=1e-14, atol=0.0)
+            # outside the cone both name the flat ids of the non-members
+            lam = rng.uniform(-2.0, 1.0, size=(6, 7, n))
+            outside = np.flatnonzero(~in_gamma_k(lam, k).member.ravel()).tolist()
+            assert outside
+            with pytest.raises(AdmissibilityError) as from_lam:
+                normalized_root(lam, k)
+            with pytest.raises(AdmissibilityError) as from_sums:
+                root_of_sums(elementary_symmetric_all(lam, n)[..., 1:], k, n)
+            assert from_sums.value.nodes == from_lam.value.nodes == outside
