@@ -9,7 +9,7 @@ spacelike guard.
 
 import numpy as np
 
-from dscurv import build_grid, induced_geometry, induced_metric
+from dscurv import SpacelikeError, build_grid, induced_geometry
 
 g = build_grid(2, (32, 64))
 r = 0.8814
@@ -39,6 +39,8 @@ print(f"  |A| (Frobenius) max = {geom.abs_A.max():.4f}")
 print()
 g1 = build_grid(1, 64)
 steep = 1.0 + 0.9 * np.cos(3 * g1.theta)
-metric = induced_metric(steep, g1)
-print(f"steep S^1 profile: spacelike = {metric.spacelike}, "
-      f"{len(metric.violations)} nodes violate |grad u| < cosh u")
+try:
+    induced_geometry(steep, g1)
+except SpacelikeError as exc:
+    print(f"steep S^1 profile: not spacelike, {len(exc.nodes)} nodes "
+          "violate |grad u| < cosh u")

@@ -11,18 +11,14 @@ __version__ = "0.1.0"
 
 from .errors import (AdmissibilityError, ConfigError, ContinuationError,
                      InternalConsistencyError, NewtonError, SpacelikeError)
-from .geometry import (InducedGeometry, induced_geometry, induced_metric,
-                       shape_eigenvalues, tilt_and_height)
+from .geometry import induced_geometry, shape_eigenvalues
 from .grid import SphereGrid, build_grid, covariant_hessian
-from .monitor import (BoundReport, IdentityResiduals, check_bounds,
-                      identity_residuals, maclaurin_monitor)
-from .prescription import (AuditBox, BarrierScan, ConstantPrescription,
-                           HomotopyPrescription, Prescription, PsiEval,
-                           ReferencePrescription, SpaceTiltPower,
-                           StructuralAudit, TiltConcave, TiltPower,
+from .monitor import check_bounds, identity_residuals, maclaurin_monitor
+from .prescription import (AuditBox, ConstantPrescription,
+                           HomotopyPrescription, ReferencePrescription,
+                           SpaceTiltPower, TiltConcave, TiltPower,
                            audit_structural, make_prescription, scan_barriers)
-from .solver import (ContinuationSolver, HomotopyState, NewtonResult,
-                     SolverConfig, StepRecord, combined_barriers,
+from .solver import (ContinuationSolver, SolverConfig, combined_barriers,
                      ellipticity_margin, initial_constant, run_homotopy,
                      zeroth_coefficient_at_start)
 from .symmetric import (ConeReport, elementary_symmetric, in_gamma_k,

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigError, ContinuationError, InternalConsistencyError,
                      NewtonError)
-from .grid import build_grid
+from .grid import build_grid, grid_shape
 from .monitor import identity_residuals
 from .prescription import (AuditBox, PRESCRIPTIONS, audit_structural,
                            make_prescription)
@@ -37,6 +37,14 @@ _MODES = ("solve", "audit-only", "identity-check")
 
 # key -> (type, default); REQUIRED means no default
 _REQUIRED = object()
+
+
+def _fields_schema(prefix, cls, skip):
+    """Schema of the fields of dataclass cls, but skip, as prefix.* keys."""
+    return {f"{prefix}.{f.name}": (f.type, f.default)
+            for f in dataclasses.fields(cls) if f.name != skip}
+
+
 _SCHEMA = {
     "mode": (str, "solve"),
     "out": (str, "out"),
@@ -44,7 +52,7 @@ _SCHEMA = {
     "grid.n": (int, None),
     "grid.nlat": (int, None),
     "grid.nlon": (int, None),
-    "k": (int, 2),
+    "k": (int, SolverConfig.k),
     "prescription.name": (str, _REQUIRED),
     "prescription.a0": (float, None),
     "prescription.a1": (float, None),
@@ -52,22 +60,12 @@ _SCHEMA = {
     "prescription.coef": (float, None),
     "prescription.q": (float, None),
     "prescription.value": (float, None),
-    "solver.p": (float, 2.0),
-    "solver.tol_newton": (float, 1e-10),
-    "solver.max_newton": (int, 30),
-    "solver.dt_init": (float, 0.1),
-    "solver.dt_min": (float, 1e-3),
-    "solver.dt_max": (float, 0.5),
-    "solver.c_tau": (float, 50.0),
-    "solver.c_a": (float, 50.0),
-    "audit.r_lo": (float, 0.05),
-    "audit.r_hi": (float, 2.0),
-    "audit.tau_max": (float, 20.0),
-    "audit.n_r": (int, 40),
-    "audit.n_xi": (int, 24),
-    "audit.n_tau": (int, 40),
-    "audit.scan_resolution": (int, 400),
+    **_fields_schema("solver", SolverConfig, "k"),
+    **_fields_schema("audit", AuditBox, "dim"),
 }
+
+# the resolution keys of each grid.dim
+_GRID_KEYS = {1: ("grid.n",), 2: ("grid.nlat", "grid.nlon")}
 
 
 class RunConfig:
@@ -94,29 +92,21 @@ class RunConfig:
             return self["grid.n"]
         return (self["grid.nlat"], self["grid.nlon"])
 
-    def prescription_params(self):
-        prefix = "prescription."
+    def _section(self, prefix):
         return {key[len(prefix):]: value
                 for key, value in self.values.items()
-                if key.startswith(prefix) and key != "prescription.name"
-                and value is not None}
+                if key.startswith(prefix) and value is not None}
+
+    def prescription_params(self):
+        params = self._section("prescription.")
+        del params["name"]
+        return params
 
     def solver_config(self):
-        return SolverConfig(
-            k=self["k"], p=self["solver.p"],
-            tol_newton=self["solver.tol_newton"],
-            max_newton=self["solver.max_newton"],
-            dt_init=self["solver.dt_init"], dt_min=self["solver.dt_min"],
-            dt_max=self["solver.dt_max"],
-            c_tau=self["solver.c_tau"], c_a=self["solver.c_a"])
+        return SolverConfig(k=self["k"], **self._section("solver."))
 
     def audit_box(self):
-        return AuditBox(
-            r_lo=self["audit.r_lo"], r_hi=self["audit.r_hi"],
-            tau_max=self["audit.tau_max"], dim=self["grid.dim"],
-            n_r=self["audit.n_r"], n_xi=self["audit.n_xi"],
-            n_tau=self["audit.n_tau"],
-            scan_resolution=self["audit.scan_resolution"])
+        return AuditBox(dim=self["grid.dim"], **self._section("audit."))
 
 
 def _parse_scalar(key, text, caster):
@@ -170,19 +160,25 @@ def _validate(values):
     if values["mode"] not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}")
     dim = values["grid.dim"]
-    if dim not in (1, 2):
+    if dim not in _GRID_KEYS:
         raise ConfigError("grid.dim must be 1 or 2")
-    if dim == 1 and not values["grid.n"]:
-        raise ConfigError("grid.n is required for grid.dim = 1")
-    if dim == 2 and not (values["grid.nlat"] and values["grid.nlon"]):
-        raise ConfigError("grid.nlat and grid.nlon are required for grid.dim = 2")
+    for key_dim, keys in _GRID_KEYS.items():
+        for key in keys:
+            if key_dim == dim and values[key] is None:
+                raise ConfigError(f"{key} is required for grid.dim = {dim}")
+            if key_dim != dim and values[key] is not None:
+                raise ConfigError(f"{key} does not apply to grid.dim = {dim}")
+    cfg = RunConfig(values)
+    try:
+        grid_shape(dim, cfg.grid_resolution())
+    except ValueError as exc:
+        raise ConfigError(f"{' x '.join(_GRID_KEYS[dim])} invalid: {exc}")
     if not 1 <= values["k"] <= dim:
         raise ConfigError(f"k = {values['k']} invalid: 1 <= k <= n = {dim} required")
     name = values["prescription.name"]
     if name not in PRESCRIPTIONS:
         raise ConfigError(f"unknown prescription.name {name!r}; "
                           f"choices: {sorted(PRESCRIPTIONS)}")
-    cfg = RunConfig(values)
     try:
         make_prescription(name, **cfg.prescription_params())
     except (TypeError, ValueError) as exc:
@@ -260,28 +256,19 @@ def _identity_check(grid, summary, outdir, quiet):
         profile = lambda g: 0.8 + 0.1 * np.cos(g.coords()[0])
     else:
         profile = lambda g: 0.8 + 0.1 * (1.5 * np.cos(g.coords()[0]) ** 2 - 0.5)
-    fine = grid.refine()
-    coarse_res = identity_residuals(profile(grid), grid)
-    fine_res = identity_residuals(profile(fine), fine)
-    block = {
-        "coarse": {"h": coarse_res.h, "r_eta": coarse_res.r_eta,
-                   "r_tau1": coarse_res.r_tau1, "r_tau2": coarse_res.r_tau2,
-                   "codazzi": coarse_res.codazzi},
-        "fine": {"h": fine_res.h, "r_eta": fine_res.r_eta,
-                 "r_tau1": fine_res.r_tau1, "r_tau2": fine_res.r_tau2,
-                 "codazzi": fine_res.codazzi},
-        "ratios": {},
-    }
-    for name in ("r_eta", "r_tau1", "r_tau2", "codazzi"):
-        c, f = block["coarse"][name], block["fine"][name]
-        block["ratios"][name] = (c / f) if f > 0 else None
-    summary["identity_check"] = block
+    fine_grid = grid.refine()
+    coarse = dataclasses.asdict(identity_residuals(profile(grid), grid))
+    fine = dataclasses.asdict(identity_residuals(profile(fine_grid), fine_grid))
+    ratios = {name: coarse[name] / fine[name] if fine[name] > 0 else None
+              for name in ("r_eta", "r_tau1", "r_tau2", "codazzi")}
+    summary["identity_check"] = {"coarse": coarse, "fine": fine,
+                                 "ratios": ratios}
     _write_summary(outdir, summary)
     if not quiet:
-        for name, ratio in block["ratios"].items():
+        for name, ratio in ratios.items():
             shown = "exact" if ratio is None else f"{ratio:.2f}"
-            print(f"identity {name}: coarse {block['coarse'][name]:.3e} "
-                  f"fine {block['fine'][name]:.3e} ratio {shown}")
+            print(f"identity {name}: coarse {coarse[name]:.3e} "
+                  f"fine {fine[name]:.3e} ratio {shown}")
     return EXIT_OK
 
 
@@ -311,7 +298,8 @@ def run(config, quiet=False):
     if config["mode"] == "identity-check":
         return _identity_check(grid, summary, outdir, quiet)
 
-    audit = audit_structural(target, config.audit_box())
+    box = config.audit_box()
+    audit = audit_structural(target, box)
     summary["audit"] = audit.to_dict()
     core_ok = (audit.positive and audit.pass_B and audit.pass_C
                and audit.pass_D and audit.pass_E)
@@ -323,10 +311,8 @@ def run(config, quiet=False):
 
     solver_config = config.solver_config()
     barriers, scans = combined_barriers(
-        target, solver_config.p,
-        (config["audit.r_lo"], config["audit.r_hi"]),
-        resolution=config["audit.scan_resolution"], dim=grid.dim,
-        n_xi=config["audit.n_xi"])
+        target, solver_config.p, (box.r_lo, box.r_hi),
+        resolution=box.scan_resolution, dim=grid.dim, n_xi=box.n_xi)
     if barriers is None:
         summary["barriers"] = {
             "found": False,

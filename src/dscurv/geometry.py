@@ -14,28 +14,22 @@ and exact at umbilic points.
 
 Spacelike means cosh^2(u) - |grad u|^2 > 0 node-wise; a small relative
 guard keeps the tilt finite and the linearized operator well
-conditioned near the light cone.
+conditioned near the light cone.  A graph that is not spacelike raises
+SpacelikeError carrying the violating node ids.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InternalConsistencyError, SpacelikeError
+from .grid import covariant_hessian
 
 # Relative margin below which a node counts as non-spacelike.
 SPACELIKE_GUARD = 1e-8
 
 # Tolerance for the closed-form metric inverse check g . g_inv = I.
 METRIC_INVERSE_TOL = 1e-10
-
-
-class MetricResult(NamedTuple):
-    g: np.ndarray
-    g_inv: np.ndarray
-    spacelike: bool
-    violations: list
 
 
 @dataclass
@@ -65,24 +59,6 @@ class InducedGeometry:
         return np.sqrt(self.sums[..., 0] ** 2 - 2.0 * s2)
 
 
-def _metric_pieces(u, grid):
-    u = grid.check_field(u)
-    du = grid.partial_gradient(u)
-    du_raised = np.einsum("...ij,...j->...i", grid.sigma_inv, du)
-    grad_norm2 = np.einsum("...i,...i->...", du, du_raised)
-    cosh_u = np.cosh(u)
-    margin = cosh_u ** 2 - grad_norm2
-    bad = margin <= SPACELIKE_GUARD * cosh_u ** 2
-    g = -du[..., :, None] * du[..., None, :] + (cosh_u ** 2)[..., None, None] * grid.sigma
-    safe_margin = np.where(bad, 1.0, margin)
-    g_inv = (
-        grid.sigma_inv / (cosh_u ** 2)[..., None, None]
-        + du_raised[..., :, None] * du_raised[..., None, :]
-        / (cosh_u ** 2 * safe_margin)[..., None, None]
-    )
-    return u, du, grad_norm2, cosh_u, margin, bad, g, g_inv
-
-
 def _check_inverse(g, g_inv):
     ident = np.einsum("...ij,...jk->...ik", g, g_inv)
     ident -= np.eye(g.shape[-1])
@@ -90,32 +66,6 @@ def _check_inverse(g, g_inv):
     if err > METRIC_INVERSE_TOL:
         raise InternalConsistencyError(
             f"metric inverse check failed: |g g_inv - I| = {err:.3e}")
-
-
-def induced_metric(u, grid):
-    """Induced metric, closed-form inverse, and the spacelike verdict.
-
-    Never raises on a spacelike violation: returns spacelike=False with
-    the offending flat node indices so a line search can reject cheaply.
-    """
-    *_, bad, g, g_inv = _metric_pieces(u, grid)
-    violations = np.flatnonzero(bad.ravel()).tolist()
-    if not violations:
-        _check_inverse(g, g_inv)
-    return MetricResult(g, g_inv, not violations, violations)
-
-
-def tilt_and_height(u, grid):
-    """Tilt tau = cosh^2(u)/sqrt(cosh^2(u) - |grad u|^2) and height sinh(u).
-
-    tau >= cosh(u) >= 1 with equality exactly where grad u vanishes.
-    Raises SpacelikeError (with node ids) if the graph is not spacelike.
-    """
-    u, _, _, cosh_u, margin, bad, _, _ = _metric_pieces(u, grid)
-    if bad.any():
-        raise SpacelikeError(np.flatnonzero(bad.ravel()).tolist())
-    tau = cosh_u ** 2 / np.sqrt(margin)
-    return tau, np.sinh(u)
 
 
 def shape_eigenvalues(A, g):
@@ -163,20 +113,31 @@ def _curvature_sums(A, g, g_inv):
 
 
 def _geometry(u, grid, check_inverse):
-    u, du, gn2, cosh_u, margin, bad, g, g_inv = _metric_pieces(u, grid)
+    u = grid.check_field(u)
+    du = grid.partial_gradient(u)
+    du_raised = np.einsum("...ij,...j->...i", grid.sigma_inv, du)
+    gn2 = np.einsum("...i,...i->...", du, du_raised)
+    cosh_u = np.cosh(u)
+    margin = cosh_u ** 2 - gn2
+    bad = margin <= SPACELIKE_GUARD * cosh_u ** 2
     if bad.any():
         raise SpacelikeError(np.flatnonzero(bad.ravel()).tolist())
+    g = -du[..., :, None] * du[..., None, :] + (cosh_u ** 2)[..., None, None] * grid.sigma
+    g_inv = (
+        grid.sigma_inv / (cosh_u ** 2)[..., None, None]
+        + du_raised[..., :, None] * du_raised[..., None, :]
+        / (cosh_u ** 2 * margin)[..., None, None]
+    )
     if check_inverse:
         _check_inverse(g, g_inv)
     tau = cosh_u ** 2 / np.sqrt(margin)
     eta = np.sinh(u)
-    hess = grid.partial_hessian(u) - np.einsum(
-        "...kij,...k->...ij", grid.christoffel, du)
+    hess = covariant_hessian(grid.partial_hessian(u), du, grid.christoffel)
     tanh_u = np.tanh(u)
     A = (tau / cosh_u)[..., None, None] * (
         hess
         - 2.0 * tanh_u[..., None, None] * (du[..., :, None] * du[..., None, :])
-        + (np.sinh(u) * cosh_u)[..., None, None] * grid.sigma
+        + (eta * cosh_u)[..., None, None] * grid.sigma
     )
     if grid.dim == 2:
         # keep symmetry exact down to the last bit
@@ -196,7 +157,6 @@ def induced_geometry(u, grid):
     """Full geometric bundle for a spacelike graph, with the closed-form
     metric inverse checked against g.
 
-    Raises SpacelikeError carrying the violating node ids otherwise;
-    use induced_metric() for the non-raising spacelike test.
+    Raises SpacelikeError carrying the violating node ids otherwise.
     """
     return _geometry(u, grid, check_inverse=True)

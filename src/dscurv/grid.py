@@ -21,6 +21,28 @@ import scipy.sparse.linalg as spla
 COARSEST_NODES = 16
 
 
+def grid_shape(dim, resolution):
+    """Node shape of SphereGrid(dim, resolution): (n,) on S^1 for a
+    resolution n, (n_lat, n_lon) on S^2 for a pair.  Raises ValueError
+    for a resolution the grid refuses: fewer than 8 nodes in a
+    direction, or an odd n_lon, which has no antipodal pole closure."""
+    if dim == 1:
+        shape = (int(resolution),)
+    elif dim == 2:
+        try:
+            nlat, nlon = resolution
+        except TypeError:
+            raise ValueError("S^2 resolution must be a (n_lat, n_lon) pair")
+        shape = (int(nlat), int(nlon))
+    else:
+        raise ValueError(f"unsupported sphere dimension {dim!r}")
+    if min(shape) < 8:
+        raise ValueError(f"S^{dim} grid needs at least 8 nodes per direction")
+    if dim == 2 and shape[1] % 2 != 0:
+        raise ValueError("n_lon must be even for the antipodal pole closure")
+    return shape
+
+
 class SphereGrid:
     """Nodes, round metric, Christoffel symbols, and difference operators.
 
@@ -31,36 +53,24 @@ class SphereGrid:
     """
 
     def __init__(self, dim, resolution):
-        if dim == 1:
-            n = int(resolution)
-            if n < 8:
-                raise ValueError("S^1 grid needs at least 8 nodes")
-            self.dim = 1
+        self.shape = grid_shape(dim, resolution)
+        self.dim = len(self.shape)
+        if self.dim == 1:
+            n, = self.shape
             self.n_theta = n
             self.dtheta = 2.0 * np.pi / n
             self.theta = self.dtheta * np.arange(n)
-            self.shape = (n,)
             self.h = self.dtheta
             self.sigma = np.ones((n, 1, 1))
             self.sigma_inv = np.ones((n, 1, 1))
             self.christoffel = np.zeros((n, 1, 1, 1))
-        elif dim == 2:
-            try:
-                nlat, nlon = resolution
-            except TypeError:
-                raise ValueError("S^2 resolution must be a (n_lat, n_lon) pair")
-            nlat, nlon = int(nlat), int(nlon)
-            if nlat < 8 or nlon < 8:
-                raise ValueError("S^2 grid needs at least 8 nodes per direction")
-            if nlon % 2 != 0:
-                raise ValueError("n_lon must be even for the antipodal pole closure")
-            self.dim = 2
+        else:
+            nlat, nlon = self.shape
             self.n_lat, self.n_lon = nlat, nlon
             self.dphi = np.pi / nlat
             self.dtheta = 2.0 * np.pi / nlon
             self.phi = self.dphi * (np.arange(nlat) + 0.5)
             self.theta = self.dtheta * np.arange(nlon)
-            self.shape = (nlat, nlon)
             sin_phi = np.sin(self.phi)
             cos_phi = np.cos(self.phi)
             self.h = float(max(self.dphi, self.dtheta * sin_phi.max()))
@@ -78,8 +88,6 @@ class SphereGrid:
             gamma[..., 1, 0, 1] = cot
             gamma[..., 1, 1, 0] = cot
             self.christoffel = gamma
-        else:
-            raise ValueError(f"unsupported sphere dimension {dim!r}")
         self.node_count = int(np.prod(self.shape))
         self._operators = None
         self._pattern = None
@@ -346,8 +354,9 @@ def build_grid(dim, resolution):
     return SphereGrid(dim, resolution)
 
 
-def covariant_hessian(u, grid):
-    """Round-metric covariant Hessian: d_ij u - Gamma^k_ij d_k u."""
-    du = grid.partial_gradient(u)
-    d2u = grid.partial_hessian(u)
-    return d2u - np.einsum("...kij,...k->...ij", grid.christoffel, du)
+def covariant_hessian(d2f, df, christoffel):
+    """Covariant Hessian d_ij f - Gamma^k_ij d_k f of a scalar f from its
+    partials d2f = d_ij f, shape (..., n, n), and df = d_k f, shape
+    (..., n), in the connection with Christoffel symbols
+    christoffel[..., k, i, j]: grid.christoffel for the round metric."""
+    return d2f - np.einsum("...kij,...k->...ij", christoffel, df)

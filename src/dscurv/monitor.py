@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import induced_geometry
+from .grid import covariant_hessian
 from .symmetric import normalized_root, normalized_root_gradient
 
 
@@ -150,21 +151,9 @@ def induced_christoffel(geom):
     return np.einsum("...mk,...kij->...mij", geom.g_inv, low)
 
 
-def surface_hessian(geom, scalar, christoffel=None):
-    """Covariant Hessian of a scalar field with respect to the induced
-    metric's connection."""
-    grid = geom.grid
-    if christoffel is None:
-        christoffel = induced_christoffel(geom)
-    ds = grid.partial_gradient(scalar)
-    d2s = grid.partial_hessian(scalar)
-    return d2s - np.einsum("...kij,...k->...ij", christoffel, ds)
-
-
-def covariant_derivative_A(geom, christoffel=None):
-    """grad_k A_ij in the induced connection, index order (..., k, i, j)."""
-    if christoffel is None:
-        christoffel = induced_christoffel(geom)
+def covariant_derivative_A(geom, christoffel):
+    """grad_k A_ij in the connection with Christoffel symbols christoffel
+    (induced_christoffel(geom)), index order (..., k, i, j)."""
     dA = _tensor_partials(geom.grid, geom.A)
     t1 = np.einsum("...mki,...mj->...kij", christoffel, geom.A)
     t2 = np.einsum("...mkj,...im->...kij", christoffel, geom.A)
@@ -182,12 +171,12 @@ def identity_residuals(u, grid):
     christoffel = induced_christoffel(geom)
     tau, eta, g, A = geom.tau, geom.eta, geom.g, geom.A
 
-    hess_eta = surface_hessian(geom, eta, christoffel)
+    deta = grid.partial_gradient(eta)
+    dtau = grid.partial_gradient(tau)
+    hess_eta = covariant_hessian(grid.partial_hessian(eta), deta, christoffel)
     res_eta = hess_eta - (tau[..., None, None] * A - eta[..., None, None] * g)
     r_eta = float(np.max(np.abs(res_eta)))
 
-    deta = grid.partial_gradient(eta)
-    dtau = grid.partial_gradient(tau)
     shape_mixed = np.einsum("...ik,...kj->...ij", geom.g_inv, A)
     res_tau1 = dtau - np.einsum("...ij,...i->...j", shape_mixed, deta)
     r_tau1 = float(np.max(np.abs(res_tau1)))
@@ -196,7 +185,7 @@ def identity_residuals(u, grid):
     deta_raised = np.einsum("...kl,...l->...k", geom.g_inv, deta)
     transport = np.einsum("...kij,...k->...ij", cov_a, deta_raised)
     a_sq = np.einsum("...ik,...kl,...lj->...ij", A, geom.g_inv, A)
-    hess_tau = surface_hessian(geom, tau, christoffel)
+    hess_tau = covariant_hessian(grid.partial_hessian(tau), dtau, christoffel)
     res_tau2 = hess_tau - (transport
                            + tau[..., None, None] * a_sq
                            - eta[..., None, None] * A)

@@ -32,6 +32,9 @@ import numpy as np
 
 MARGIN_TOL = 1e-12
 
+# Condition D fails when the empirical constant C exceeds this cap.
+D_CAP = 1e6
+
 
 @dataclass
 class PsiEval:
@@ -220,7 +223,7 @@ class HomotopyPrescription:
     At t = 0 this is exactly the solvable reference prescription, at
     t = 1 exactly the target; all derivative components are affine in t.
     The reference depends on the graph value u, which coincides with r
-    on the graph itself (pass u separately to split them).
+    on the graph itself.
     """
 
     def __init__(self, target, p=2.0):
@@ -228,13 +231,11 @@ class HomotopyPrescription:
         self.p = float(p)
         self.reference = ReferencePrescription(p)
 
-    def evaluate(self, t, r, xi, tau, u=None):
+    def evaluate(self, t, r, xi, tau):
         """PsiEval of the deformation at homotopy parameter t in [0, 1]."""
         if not 0.0 <= t <= 1.0:
             raise ValueError("homotopy parameter t must lie in [0, 1]")
-        if u is None:
-            u = r
-        u = np.asarray(u, dtype=float)
+        u = np.asarray(r, dtype=float)
         if np.any(u <= 0.0):
             raise ValueError("graph value must be positive for an admissible graph")
         tv = self.target.evaluate(r, xi, tau)
@@ -264,16 +265,17 @@ def sphere_lattice(dim, n_xi):
 
 @dataclass
 class AuditBox:
-    """Sampling box for the structural audit."""
+    """Sampling box for the structural audit: n_r radii in [r_lo, r_hi],
+    n_xi sphere samples (sphere_lattice), n_tau tilts in [1, tau_max],
+    and scan_resolution radii for the barrier scan."""
 
-    r_lo: float
-    r_hi: float
+    r_lo: float = 0.05
+    r_hi: float = 2.0
     tau_max: float = 20.0
     dim: int = 2
     n_r: int = 40
     n_xi: int = 24
     n_tau: int = 40
-    d_cap: float = 1e6
     scan_resolution: int = 400
 
     def __post_init__(self):
@@ -283,6 +285,11 @@ class AuditBox:
             raise ValueError("tau_max must be at least 2")
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
+        # C differences psi/tau along tau; R1 < R2 needs two scan radii
+        for name, least in (("n_r", 1), ("n_xi", 1), ("n_tau", 2),
+                            ("scan_resolution", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
 
 
 @dataclass
@@ -432,9 +439,9 @@ def audit_structural(psi, box):
         constant_d = float(max(np.max(c / vals) for c in comps))
     else:
         constant_d = float("inf")
-    pass_d = bool(np.isfinite(constant_d) and constant_d <= box.d_cap)
+    pass_d = bool(np.isfinite(constant_d) and constant_d <= D_CAP)
     if not pass_d:
-        witnesses["D"] = [{"constant_D": constant_d, "cap": box.d_cap}]
+        witnesses["D"] = [{"constant_D": constant_d, "cap": D_CAP}]
 
     ratio = vals / grids["tau"]
     diffs = np.diff(ratio, axis=-1)

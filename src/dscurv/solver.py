@@ -66,6 +66,17 @@ JACOBIAN_CHECK_INTERVAL = 10
 FAST_ITERS = 4
 GROW_FACTOR = 1.5
 
+# The line search halves a rejected Newton step down to BACKTRACK_MIN.
+BACKTRACK_FACTOR = 0.5
+BACKTRACK_MIN = 1e-4
+
+# Difference step and relative error bound of the Jacobian check.
+JACOBIAN_CHECK_EPS = 1e-6
+JACOBIAN_CHECK_TOL = 1e-5
+
+# r range that run_homotopy scans for barrier radii when given none.
+BARRIER_SCAN_RANGE = (0.05, 2.5)
+
 
 @dataclass
 class SolverConfig:
@@ -78,8 +89,6 @@ class SolverConfig:
     dt_init: float = 0.1
     dt_min: float = 1e-3
     dt_max: float = 0.5
-    backtrack_factor: float = 0.5
-    backtrack_min: float = 1e-4
     c_tau: float = 50.0
     c_a: float = 50.0
 
@@ -88,10 +97,6 @@ class SolverConfig:
             raise ValueError("tol_newton must be positive")
         if self.max_newton < 1:
             raise ValueError("max_newton must be >= 1")
-        if not (0.0 < self.backtrack_factor < 1.0
-                and 0.0 < self.backtrack_min < 1.0):
-            raise ValueError("need 0 < backtrack_factor < 1 and "
-                             "0 < backtrack_min < 1")
         # tau >= cosh(u) >= 1, so a cap at or below 1 rejects every state
         if self.c_tau <= 1.0:
             raise ValueError("c_tau must exceed 1")
@@ -259,7 +264,7 @@ class ContinuationSolver:
         self.coords = grid.coords()
         # fail fast if the start linearization is unusable
         self.start_radius = initial_constant(self.config.p)
-        self.start_coefficient = zeroth_coefficient_at_start(self.config.p)
+        zeroth_coefficient_at_start(self.config.p)
 
     # -- residual -------------------------------------------------------
 
@@ -351,22 +356,21 @@ class ContinuationSolver:
             for i, j in hessians]
         return grid.stencil_pattern().assemble(coefs)
 
-    def directional_derivative_check(self, u, t, v=None, eps=1e-6, tol=1e-5,
-                                     geom=None, psi=None):
-        """Compare the assembled Jacobian against a directional difference
-        of the residual along a fixed smooth field; ``geom`` and ``psi``
-        are passed on to jacobian().
+    def directional_derivative_check(self, u, t, geom=None, psi=None):
+        """Compare the assembled Jacobian against a central difference of
+        the residual, step JACOBIAN_CHECK_EPS, along the fixed smooth field
+        1 + cos(xi_1)/2; ``geom`` and ``psi`` are passed on to jacobian().
 
         The error is measured row-relative (against sum_q |J_mq v_q|
         per row, floored by the global scale): rows touching the pole
         rings legitimately carry stencil weights hundreds of times the
         interior scale, and a single global normalization would only
         measure those rows.  Returns the worst relative error; raises
-        InternalConsistencyError beyond tol.
+        InternalConsistencyError beyond JACOBIAN_CHECK_TOL.
         """
         u = self.grid.check_field(u)
-        if v is None:
-            v = 1.0 + 0.5 * np.cos(self.coords[0]) * np.ones(self.grid.shape)
+        v = 1.0 + 0.5 * np.cos(self.coords[0]) * np.ones(self.grid.shape)
+        eps = JACOBIAN_CHECK_EPS
         jac = self.jacobian(u, t, geom, psi)
         vflat = v.ravel()
         jv = jac.dot(vflat)
@@ -375,7 +379,7 @@ class ContinuationSolver:
         row_scale = np.abs(jac).dot(np.abs(vflat))
         row_scale = np.maximum(row_scale, max(np.max(np.abs(jv)), 1e-30))
         err = float(np.max(np.abs(jv - fd) / row_scale))
-        if err > tol:
+        if err > JACOBIAN_CHECK_TOL:
             raise InternalConsistencyError(
                 f"Jacobian directional check failed: relative error {err:.3e}")
         return err
@@ -419,8 +423,8 @@ class ContinuationSolver:
                     trial_norm = None
                 if trial_norm is not None and trial_norm < rnorm:
                     break
-                alpha *= cfg.backtrack_factor
-                if alpha < cfg.backtrack_min:
+                alpha *= BACKTRACK_FACTOR
+                if alpha < BACKTRACK_MIN:
                     raise NewtonError("line search stalled below minimal step",
                                       best_u=u, residual_norm=rnorm,
                                       iterations=iteration - 1)
@@ -446,8 +450,11 @@ class ContinuationSolver:
         ContinuationError or a failed monitor), the run falls back to the
         homotopy on this grid and names the cause in ``fallback``.  With
         t_final = 0, where the start is exact on every grid, or with no
-        coarser grid, the homotopy runs on this grid directly.
+        coarser grid, the homotopy runs on this grid directly.  Raises
+        ValueError for t_final outside [0, 1] before any work.
         """
+        if not 0.0 <= t_final <= 1.0:
+            raise ValueError(f"t_final = {t_final} must lie in [0, 1]")
         if self.barriers is None:
             raise ValueError("barriers must be set before running the homotopy")
         coarser = self.grid.coarsened()
@@ -597,14 +604,15 @@ def combined_barriers(target, p, r_range, resolution=400, dim=2, n_xi=24):
     return (min(scan_t.R1, scan_r.R1), max(scan_t.R2, scan_r.R2)), (scan_t, scan_r)
 
 
-def run_homotopy(target, grid, config=None, barriers=None, t_final=1.0,
-                 r_range=(0.05, 2.5)):
-    """One-call continuation: scan barriers (if not given), then solve
-    at t_final with ContinuationSolver.run.  The caller is responsible
-    for auditing the target's structural conditions beforehand."""
+def run_homotopy(target, grid, config=None, barriers=None, t_final=1.0):
+    """One-call continuation: scan barriers on BARRIER_SCAN_RANGE (if not
+    given), then solve at t_final with ContinuationSolver.run.  The caller
+    is responsible for auditing the target's structural conditions
+    beforehand."""
     config = config or SolverConfig()
     if barriers is None:
-        barriers, _ = combined_barriers(target, config.p, r_range, dim=grid.dim)
+        barriers, _ = combined_barriers(target, config.p, BARRIER_SCAN_RANGE,
+                                        dim=grid.dim)
         if barriers is None:
             raise ValueError("no barrier radii found on the scan range; "
                              "run scan_barriers for the sign pattern")

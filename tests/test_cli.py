@@ -1,13 +1,14 @@
 """Config parsing, pipeline modes, exit codes, artifact contracts."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 import dscurv.grid
-from dscurv import (ConfigError, ContinuationSolver, InternalConsistencyError,
-                    SolverConfig, build_grid)
+from dscurv import (AuditBox, ConfigError, ContinuationSolver,
+                    InternalConsistencyError, SolverConfig, build_grid)
 from dscurv import cli
 from dscurv.prescription import make_prescription
 
@@ -59,6 +60,53 @@ def test_parse_rejects_bad_inputs(tmp_path):
     for text in cases:
         with pytest.raises(ConfigError):
             cli.parse_config(write_config(tmp_path, text))
+
+
+S1 = BASE.replace("grid.dim = 2\ngrid.nlat = 16\ngrid.nlon = 32\nk = 2",
+                  "grid.dim = 1\ngrid.n = 16\nk = 1")
+
+
+@pytest.mark.parametrize("text, argv, key", [
+    (BASE, ["--resolution", "4x8"], "grid.nlat"),
+    (BASE, ["--resolution", "16x33"], "grid.nlon"),
+    (BASE, ["--resolution", "6"], "grid.n"),
+    (S1, ["--resolution", "4"], "grid.n"),
+    (S1, ["--resolution", "16x32"], "grid.nlat"),
+    (BASE + "audit.n_tau = 1\n", [], "n_tau"),
+    (BASE + "audit.n_r = 0\n", [], "n_r"),
+    (BASE + "audit.n_xi = 0\n", [], "n_xi"),
+    (BASE + "audit.scan_resolution = 0\n", [], "scan_resolution"),
+], ids=["s2-too-few", "s2-odd-nlon", "s2-grid.n", "s1-too-few", "s1-grid.nlat",
+        "n_tau", "n_r", "n_xi", "scan_resolution"])
+def test_invalid_grid_and_sample_counts_exit_2(tmp_path, capsys, text, argv,
+                                              key):
+    path = write_config(tmp_path, text + f"out = {tmp_path / 'out'}\n")
+    assert cli.main(["--config", path, "--quiet", *argv]) == cli.EXIT_CONFIG
+    assert re.search(rf"{re.escape(key)}\b", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_solver_and_audit_keys_reach_their_fields(tmp_path):
+    # one non-default value per key; the key list guards the schema that
+    # cli builds from the SolverConfig and AuditBox fields
+    values = {"solver.p": 3.0, "solver.tol_newton": 1e-9,
+              "solver.max_newton": 31, "solver.dt_init": 0.2,
+              "solver.dt_min": 0.002, "solver.dt_max": 0.6,
+              "solver.c_tau": 60.0, "solver.c_a": 70.0,
+              "audit.r_lo": 0.06, "audit.r_hi": 2.5, "audit.tau_max": 21.0,
+              "audit.n_r": 41, "audit.n_xi": 25, "audit.n_tau": 42,
+              "audit.scan_resolution": 401}
+    assert values.keys() == {key for key in cli._SCHEMA
+                             if key.startswith(("solver.", "audit."))}
+    text = BASE + "".join(f"{key} = {value}\n" for key, value in values.items())
+    config = cli.parse_config(write_config(tmp_path, text))
+    built = {"solver": config.solver_config(), "audit": config.audit_box()}
+    defaults = {"solver": SolverConfig(), "audit": AuditBox()}
+    for key, value in values.items():
+        section, name = key.split(".")
+        assert getattr(defaults[section], name) != value
+        got = getattr(built[section], name)
+        assert got == value and type(got) is type(value), key
 
 
 def test_missing_file_is_config_error(tmp_path):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dscurv import (SpacelikeError, induced_geometry, induced_metric,
-                    shape_eigenvalues, tilt_and_height)
-from dscurv.geometry import induced_geometry_unchecked
+from dscurv import SpacelikeError, induced_geometry, shape_eigenvalues
+from dscurv.geometry import SPACELIKE_GUARD, induced_geometry_unchecked
 from dscurv.symmetric import elementary_symmetric_all
 
 
@@ -28,7 +27,8 @@ def test_umbilic_slice_closed_forms(s2_32x64):
 
 def test_tilt_height_standard_values(s1_64):
     u = np.full(s1_64.shape, 0.5)
-    tau, eta = tilt_and_height(u, s1_64)
+    geom = induced_geometry(u, s1_64)
+    tau, eta = geom.tau, geom.eta
     assert np.allclose(tau, 1.127626, atol=1e-6)
     assert np.allclose(eta, 0.521095, atol=1e-6)
     assert np.allclose(tau, np.cosh(0.5), rtol=1e-15)
@@ -38,8 +38,7 @@ def test_tilt_height_standard_values(s1_64):
 def test_s1_metric_closed_form(s1_64):
     g = s1_64
     u = 0.5 + 0.2 * np.cos(g.theta)
-    metric = induced_metric(u, g)
-    assert metric.spacelike
+    metric = induced_geometry(u, g)
     du = g.partial_gradient(u)[:, 0]
     assert np.allclose(metric.g[:, 0, 0], -du ** 2 + np.cosh(u) ** 2, atol=1e-15)
     prod = metric.g[:, 0, 0] * metric.g_inv[:, 0, 0]
@@ -50,29 +49,28 @@ def test_metric_inverse_identity(s2_16x32, rng):
     g = s2_16x32
     phi, theta = g.coords()
     u = 0.8 + 0.1 * np.cos(phi) + 0.05 * np.sin(phi) * np.sin(theta)
-    metric = induced_metric(u, g)
-    assert metric.spacelike
+    metric = induced_geometry(u, g)
     ident = np.einsum("...ij,...jk->...ik", metric.g, metric.g_inv)
     assert np.max(np.abs(ident - np.eye(2))) < 1e-10
 
 
 def test_spacelike_violation_reported(s1_64):
     u = 0.5 + 1.2 * np.cos(s1_64.theta)
-    metric = induced_metric(u, s1_64)
-    assert not metric.spacelike
-    assert len(metric.violations) > 0
-    with pytest.raises(SpacelikeError) as err:
-        tilt_and_height(u, s1_64)
-    assert err.value.nodes == metric.violations
-    with pytest.raises(SpacelikeError):
-        induced_geometry_unchecked(u, s1_64)
+    du = s1_64.partial_gradient(u)[:, 0]
+    violations = np.flatnonzero(
+        np.cosh(u) ** 2 - du ** 2 <= SPACELIKE_GUARD * np.cosh(u) ** 2).tolist()
+    assert len(violations) > 0
+    for geometry in (induced_geometry, induced_geometry_unchecked):
+        with pytest.raises(SpacelikeError) as err:
+            geometry(u, s1_64)
+        assert err.value.nodes == violations
 
 
 def test_tilt_lower_bound(s2_16x32):
     g = s2_16x32
     phi, _ = g.coords()
     u = 0.8 + 0.1 * np.cos(phi)
-    tau, _ = tilt_and_height(u, g)
+    tau = induced_geometry(u, g).tau
     assert np.all(tau >= np.cosh(u) - 1e-14)
     # equality exactly where the gradient vanishes
     du = g.partial_gradient(u)

@@ -410,6 +410,17 @@ def test_run_homotopy_ends_exactly_at_t_final():
     assert state.t == 1.0
 
 
+@pytest.mark.parametrize("t_final", [-0.5, 1.5])
+def test_run_rejects_t_final_outside_unit_interval(monkeypatch, t_final):
+    # refused before any work: no Newton solve on any level may start
+    def no_newton(self, u0, t):
+        raise AssertionError("Newton ran before t_final was checked")
+
+    monkeypatch.setattr(ContinuationSolver, "newton_solve", no_newton)
+    with pytest.raises(ValueError, match="t_final"):
+        _solver(build_grid(1, 64), 1).run(t_final=t_final)
+
+
 def test_solution_converges_at_second_order():
     # non-constant target: compare the area-weighted mean, min and max of
     # u over three refinements
@@ -428,9 +439,8 @@ def test_solution_converges_at_second_order():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol_newton=0.0)
-    for bad in ({"backtrack_factor": 1.5}, {"backtrack_factor": 0.0},
-                {"backtrack_min": 0.0}, {"backtrack_min": 1.0},
-                {"max_newton": 0}, {"c_a": 0.0}, {"c_tau": -1.0}, {"c_tau": 1.0}):
+    for bad in ({"max_newton": 0}, {"c_a": 0.0}, {"c_tau": -1.0},
+                {"c_tau": 1.0}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     with pytest.raises(ValueError):
