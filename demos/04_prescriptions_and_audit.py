@@ -43,8 +43,8 @@ show("constant 0.2  (no lower barrier)",
 
 print()
 print("=== barrier scan for the model target ===")
-scan = scan_barriers(SpaceTiltPower(a0=0.5, a1=0.0, p=2.0), (0.1, 2.0),
-                     resolution=200, dim=2)
+scan = scan_barriers(SpaceTiltPower(a0=0.5, a1=0.0, p=2.0),
+                     AuditBox(r_lo=0.1, r_hi=2.0, dim=2, scan_resolution=200))
 r_star = np.log(1.0 + np.sqrt(2.0))
 print(f"closed-form crossing of tanh r = 0.5 tanh(r) cosh^2(r): "
       f"r* = ln(1 + sqrt 2) = {r_star:.6f}")

@@ -54,12 +54,9 @@ _SCHEMA = {
     "grid.nlon": (int, None),
     "k": (int, SolverConfig.k),
     "prescription.name": (str, _REQUIRED),
-    "prescription.a0": (float, None),
-    "prescription.a1": (float, None),
-    "prescription.p": (float, None),
-    "prescription.coef": (float, None),
-    "prescription.q": (float, None),
-    "prescription.value": (float, None),
+    # the union of the families' fields; unset keys take the family default
+    **{f"prescription.{f.name}": (f.type, None)
+       for cls in PRESCRIPTIONS.values() for f in dataclasses.fields(cls)},
     **_fields_schema("solver", SolverConfig, "k"),
     **_fields_schema("audit", AuditBox, "dim"),
 }
@@ -310,9 +307,7 @@ def run(config, quiet=False):
         return EXIT_AUDIT
 
     solver_config = config.solver_config()
-    barriers, scans = combined_barriers(
-        target, solver_config.p, (box.r_lo, box.r_hi),
-        resolution=box.scan_resolution, dim=grid.dim, n_xi=box.n_xi)
+    barriers, scans = combined_barriers(target, solver_config.p, box)
     if barriers is None:
         summary["barriers"] = {
             "found": False,

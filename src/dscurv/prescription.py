@@ -26,7 +26,7 @@ at every sampled xi.  tanh(r) is the curvature of the umbilic slice of
 radius r, so these inequalities trap solutions between the two radii.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -38,11 +38,9 @@ D_CAP = 1e6
 
 @dataclass
 class PsiEval:
-    """Value and partial derivatives of a prescription at sample points.
-
-    psi_xi holds one array per intrinsic sphere coordinate, each
-    broadcastable against psi.
-    """
+    """Value and partial derivatives of a prescription at sample points,
+    psi_xi holding one array per intrinsic sphere coordinate; all of one
+    shape."""
 
     psi: np.ndarray
     psi_r: np.ndarray
@@ -51,21 +49,44 @@ class PsiEval:
     psi_xi: tuple
 
 
+@dataclass
 class Prescription:
-    """Base class: named, parametrized, immutable, pure evaluate()."""
+    """Base class: a named family whose dataclass fields are its float
+    parameters, with a pure evaluate().
+
+    A family implements _check() (validate the fields) and
+    _closed_form(r, xi, tau), which returns psi, psi_r, psi_tau,
+    psi_tautau and d psi/d xi_1 in any shapes that broadcast together
+    (scalars for the terms that vanish).
+    """
 
     name = "prescription"
 
-    def __init__(self, **params):
-        self.params = dict(params)
+    def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, float(getattr(self, f.name)))
+        self._check()
+
+    def _check(self):
+        pass
 
     def evaluate(self, r, xi, tau):
-        raise NotImplementedError
+        """PsiEval at the sample points, every field a read-only view at
+        the common shape of r, xi and tau."""
+        r = np.asarray(r, dtype=float)
+        xi = tuple(np.asarray(c, dtype=float) for c in xi)
+        tau = np.asarray(tau, dtype=float)
+        shape = np.broadcast_shapes(r.shape, tau.shape, *(c.shape for c in xi))
+        *parts, dxi1 = (np.broadcast_to(a, shape)
+                        for a in self._closed_form(r, xi, tau))
+        zero = np.broadcast_to(0.0, shape)
+        return PsiEval(*parts, (dxi1,) + (zero,) * (len(xi) - 1))
 
     def describe(self):
-        return {"name": self.name, "params": dict(self.params)}
+        return {"name": self.name, "params": asdict(self)}
 
 
+@dataclass
 class SpaceTiltPower(Prescription):
     """Model family a(xi) * tanh(r) * tau^p with a = a0 + a1 cos(xi_1).
 
@@ -75,101 +96,75 @@ class SpaceTiltPower(Prescription):
     """
 
     name = "space_tilt_power"
+    a0: float = 0.5
+    a1: float = 0.0
+    p: float = 2.0
 
-    def __init__(self, a0=0.5, a1=0.0, p=2.0):
-        if a0 <= abs(a1):
+    def _check(self):
+        if self.a0 <= abs(self.a1):
             raise ValueError("need a0 > |a1| for a positive amplitude")
-        if p <= 0:
+        if self.p <= 0:
             raise ValueError("tilt power p must be positive")
-        super().__init__(a0=float(a0), a1=float(a1), p=float(p))
-        self.a0, self.a1, self.p = float(a0), float(a1), float(p)
 
-    def evaluate(self, r, xi, tau):
-        r = np.asarray(r, dtype=float)
-        tau = np.asarray(tau, dtype=float)
-        c1 = np.cos(np.asarray(xi[0], dtype=float))
-        amp = self.a0 + self.a1 * c1
+    def _closed_form(self, r, xi, tau):
+        amp = self.a0 + self.a1 * np.cos(xi[0])
         p = self.p
         tanh_r = np.tanh(r)
         tau_p = tau ** p
-        psi = amp * tanh_r * tau_p
-        psi_r = amp * tau_p / np.cosh(r) ** 2
-        psi_tau = amp * tanh_r * p * tau ** (p - 1.0)
-        psi_tautau = amp * tanh_r * p * (p - 1.0) * tau ** (p - 2.0)
-        dxi1 = -self.a1 * np.sin(np.asarray(xi[0], dtype=float)) * tanh_r * tau_p
-        psi_xi = (dxi1,) + tuple(np.zeros(()) for _ in xi[1:])
-        psi_xi = tuple(np.broadcast_arrays(c, psi)[0] for c in psi_xi)
-        return PsiEval(psi, psi_r, psi_tau, psi_tautau, psi_xi)
+        return (amp * tanh_r * tau_p,
+                amp * tau_p / np.cosh(r) ** 2,
+                amp * tanh_r * p * tau ** (p - 1.0),
+                amp * tanh_r * p * (p - 1.0) * tau ** (p - 2.0),
+                -self.a1 * np.sin(xi[0]) * tanh_r * tau_p)
 
 
+@dataclass
 class TiltPower(Prescription):
     """coef * tau^q; violates the tilt inequality for q < 1."""
 
     name = "tilt_power"
+    coef: float = 1.0
+    q: float = 0.5
 
-    def __init__(self, coef=1.0, q=0.5):
-        if coef <= 0:
+    def _check(self):
+        if self.coef <= 0:
             raise ValueError("coef must be positive")
-        super().__init__(coef=float(coef), q=float(q))
-        self.coef, self.q = float(coef), float(q)
 
-    def evaluate(self, r, xi, tau):
-        r = np.asarray(r, dtype=float)
-        tau = np.asarray(tau, dtype=float)
+    def _closed_form(self, r, xi, tau):
         q = self.q
-        psi = self.coef * tau ** q
-        zeros = np.zeros(np.broadcast_shapes(r.shape, psi.shape))
-        psi = np.broadcast_to(psi, zeros.shape).copy()
-        return PsiEval(
-            psi,
-            zeros,
-            self.coef * q * tau ** (q - 1.0) + zeros,
-            self.coef * q * (q - 1.0) * tau ** (q - 2.0) + zeros,
-            (zeros,) * len(xi),
-        )
+        return (self.coef * tau ** q, 0.0,
+                self.coef * q * tau ** (q - 1.0),
+                self.coef * q * (q - 1.0) * tau ** (q - 2.0), 0.0)
 
 
+@dataclass
 class ConstantPrescription(Prescription):
     """psi = const; fails the lower slice inequality near r = 0."""
 
     name = "constant"
+    value: float = 0.2
 
-    def __init__(self, value=0.2):
-        if value <= 0:
+    def _check(self):
+        if self.value <= 0:
             raise ValueError("value must be positive")
-        super().__init__(value=float(value))
-        self.value = float(value)
 
-    def evaluate(self, r, xi, tau):
-        shape = np.broadcast_shapes(np.shape(r), np.shape(tau))
-        zeros = np.zeros(shape)
-        return PsiEval(zeros + self.value, zeros, zeros, zeros, (zeros,) * len(xi))
+    def _closed_form(self, r, xi, tau):
+        return self.value, 0.0, 0.0, 0.0, 0.0
 
 
+@dataclass
 class TiltConcave(Prescription):
     """psi = tau (2 - exp(-tau)); psi_tautau = (2 - tau) e^{-tau} turns
     negative past tau = 2, violating convexity on any box reaching there."""
 
     name = "tilt_concave"
 
-    def __init__(self):
-        super().__init__()
-
-    def evaluate(self, r, xi, tau):
-        tau = np.asarray(tau, dtype=float)
+    def _closed_form(self, r, xi, tau):
         e = np.exp(-tau)
-        psi = tau * (2.0 - e)
-        shape = np.broadcast_shapes(np.shape(r), psi.shape)
-        zeros = np.zeros(shape)
-        return PsiEval(
-            np.broadcast_to(psi, shape).copy(),
-            zeros,
-            np.broadcast_to(2.0 - e + tau * e, shape).copy(),
-            np.broadcast_to((2.0 - tau) * e, shape).copy(),
-            (zeros,) * len(xi),
-        )
+        return tau * (2.0 - e), 0.0, 2.0 - e + tau * e, (2.0 - tau) * e, 0.0
 
 
+@dataclass
 class ReferencePrescription(Prescription):
     """Exactly solvable endpoint tau^p * u * tanh(u) of the deformation.
 
@@ -178,27 +173,20 @@ class ReferencePrescription(Prescription):
     """
 
     name = "reference_power"
+    p: float = 2.0
 
-    def __init__(self, p=2.0):
-        if p < 1.0:
+    def _check(self):
+        if self.p < 1.0:
             raise ValueError("reference power p must be >= 1")
-        super().__init__(p=float(p))
-        self.p = float(p)
 
-    def evaluate(self, r, xi, tau):
-        u = np.asarray(r, dtype=float)
-        tau = np.asarray(tau, dtype=float)
+    def _closed_form(self, u, xi, tau):
         p = self.p
         tanh_u = np.tanh(u)
         tau_p = tau ** p
-        psi = tau_p * u * tanh_u
-        psi_r = tau_p * (tanh_u + u / np.cosh(u) ** 2)
-        psi_tau = p * tau ** (p - 1.0) * u * tanh_u
-        psi_tautau = p * (p - 1.0) * tau ** (p - 2.0) * u * tanh_u
-        shape = np.broadcast_shapes(psi.shape, np.shape(tau))
-        zeros = np.zeros(shape)
-        return PsiEval(psi + zeros, psi_r + zeros, psi_tau + zeros,
-                       psi_tautau + zeros, (zeros,) * len(xi))
+        return (tau_p * u * tanh_u,
+                tau_p * (tanh_u + u / np.cosh(u) ** 2),
+                p * tau ** (p - 1.0) * u * tanh_u,
+                p * (p - 1.0) * tau ** (p - 2.0) * u * tanh_u, 0.0)
 
 
 PRESCRIPTIONS = {
@@ -311,23 +299,20 @@ class BarrierScan:
         return "".join(marks)
 
 
-def scan_barriers(psi, r_range, resolution=400, dim=2, n_xi=24):
-    """Scan for trap radii R1 < R2 on a lattice over r_range.
+def scan_barriers(psi, box):
+    """Scan for trap radii R1 < R2 on box.scan_resolution radii evenly
+    spaced over [box.r_lo, box.r_hi], at the box.n_xi-point sphere
+    lattice of S^box.dim.
 
     Returns the largest R1 and smallest R2 such that the strict slice
     inequalities hold at every scanned radius on the respective side
     and every sampled xi; found=False (with the margin arrays for
     diagnosis) when no such pair exists.
     """
-    r_lo, r_hi = r_range
-    if r_lo <= 0.0 or r_hi <= r_lo:
-        raise ValueError("scan range must satisfy 0 < r_lo < r_hi")
-    r = np.linspace(r_lo, r_hi, resolution)
-    xi = sphere_lattice(dim, n_xi)
-    xi_cols = tuple(c[None, :] for c in xi)
+    r = np.linspace(box.r_lo, box.r_hi, box.scan_resolution)
+    xi_cols = tuple(c[None, :] for c in sphere_lattice(box.dim, box.n_xi))
     rr = r[:, None]
-    ev = psi.evaluate(rr, xi_cols, np.cosh(rr))
-    vals = np.broadcast_to(ev.psi, (resolution, xi[0].size))
+    vals = psi.evaluate(rr, xi_cols, np.cosh(rr)).psi
     tanh_r = np.tanh(r)
     lo_margin = tanh_r - vals.max(axis=1)
     hi_margin = vals.min(axis=1) - tanh_r
@@ -380,8 +365,9 @@ class StructuralAudit:
         }
 
 
-def _worst_witnesses(margin, grids, count=3, threshold=-MARGIN_TOL):
-    """Up to `count` worst samples with margin <= threshold."""
+def _worst_witnesses(margin, axes, count=3, threshold=-MARGIN_TOL):
+    """Up to `count` worst samples with margin <= threshold; axes maps
+    each coordinate name to (axis of margin, its samples along it)."""
     flat = margin.ravel()
     order = np.argsort(flat)
     picks = []
@@ -389,7 +375,8 @@ def _worst_witnesses(margin, grids, count=3, threshold=-MARGIN_TOL):
         if flat[idx] > threshold:
             break
         loc = np.unravel_index(idx, margin.shape)
-        sample = {key: float(arr[loc]) for key, arr in grids.items()}
+        sample = {key: float(arr[loc[axis]])
+                  for key, (axis, arr) in axes.items()}
         sample["margin"] = float(flat[idx])
         picks.append(sample)
     return picks
@@ -407,35 +394,31 @@ def audit_structural(psi, box):
     r = np.linspace(box.r_lo, box.r_hi, box.n_r)
     tau = np.linspace(1.0, box.tau_max, box.n_tau)
     xi = sphere_lattice(box.dim, box.n_xi)
-    R = r[:, None, None]
     TAU = tau[None, None, :]
-    XI = tuple(c[None, :, None] for c in xi)
-    ev = psi.evaluate(R, XI, TAU)
-    full = np.broadcast_shapes(ev.psi.shape, (box.n_r, xi[0].size, box.n_tau))
-    vals = np.broadcast_to(ev.psi, full)
-    grids = {"r": np.broadcast_to(R, full),
-             "tau": np.broadcast_to(TAU, full)}
-    for name, c in zip(("xi_1", "xi_2"), XI):
-        grids[name] = np.broadcast_to(c, full)
+    ev = psi.evaluate(r[:, None, None], tuple(c[None, :, None] for c in xi),
+                      TAU)
+    vals = ev.psi
+    axes = {"r": (0, r), "tau": (2, tau)}
+    for name, c in zip(("xi_1", "xi_2"), xi):
+        axes[name] = (1, c)
 
     witnesses = {}
     positive = bool(vals.min() > 0.0)
     if not positive:
-        witnesses["positive"] = _worst_witnesses(vals, grids, threshold=0.0)
+        witnesses["positive"] = _worst_witnesses(vals, axes, threshold=0.0)
 
-    margin_b = np.broadcast_to(ev.psi_tau, full) * grids["tau"] - vals
+    margin_b = ev.psi_tau * TAU - vals
     pass_b = bool(margin_b.min() >= -MARGIN_TOL)
     if not pass_b:
-        witnesses["B"] = _worst_witnesses(margin_b, grids)
+        witnesses["B"] = _worst_witnesses(margin_b, axes)
 
-    margin_e = np.broadcast_to(ev.psi_tautau, full)
+    margin_e = ev.psi_tautau
     pass_e = bool(margin_e.min() >= -MARGIN_TOL)
     if not pass_e:
-        witnesses["E"] = _worst_witnesses(margin_e, grids)
+        witnesses["E"] = _worst_witnesses(margin_e, axes)
 
     if positive:
-        comps = [np.abs(np.broadcast_to(ev.psi_r, full))]
-        comps += [np.abs(np.broadcast_to(c, full)) for c in ev.psi_xi]
+        comps = [np.abs(c) for c in (ev.psi_r, *ev.psi_xi)]
         constant_d = float(max(np.max(c / vals) for c in comps))
     else:
         constant_d = float("inf")
@@ -443,21 +426,20 @@ def audit_structural(psi, box):
     if not pass_d:
         witnesses["D"] = [{"constant_D": constant_d, "cap": D_CAP}]
 
-    ratio = vals / grids["tau"]
+    ratio = vals / TAU
     diffs = np.diff(ratio, axis=-1)
     scale = 1.0 + np.abs(ratio[..., :-1])
     monotone_margin = np.min(diffs + MARGIN_TOL * scale, axis=-1)
     final_slope = diffs[..., -1]
     # per-(r, xi) margin: negative iff psi/tau dips, zero-or-negative iff
-    # it also fails to keep growing at tau_max
+    # it also fails to keep growing at tau_max; its witnesses sit at tau = 1
     c_margin = np.minimum(monotone_margin, final_slope)
     pass_c = bool(monotone_margin.min() >= 0.0) and bool(final_slope.min() > 0.0)
     if not pass_c:
-        witnesses["C"] = _worst_witnesses(
-            c_margin, {k: v[..., 0] for k, v in grids.items()}, threshold=0.0)
+        witnesses["C"] = _worst_witnesses(c_margin[..., None], axes,
+                                          threshold=0.0)
 
-    scan = scan_barriers(psi, (box.r_lo, box.r_hi), box.scan_resolution,
-                         box.dim, box.n_xi)
+    scan = scan_barriers(psi, box)
     pass_a = scan.found
     if not pass_a:
         witnesses["A"] = [{"sign_pattern": scan.sign_pattern()}]

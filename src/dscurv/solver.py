@@ -49,13 +49,9 @@ from .errors import (AdmissibilityError, ContinuationError,
                      InternalConsistencyError, NewtonError, SpacelikeError)
 from .geometry import induced_geometry_unchecked
 from .monitor import check_bounds
-from .prescription import HomotopyPrescription, ReferencePrescription, scan_barriers
+from .prescription import (AuditBox, HomotopyPrescription,
+                           ReferencePrescription, scan_barriers)
 from .symmetric import root_of_sums
-
-# Fixed covector directions for the ellipticity diagnostic (deterministic
-# stand-ins for random draws; the solve path must not consume RNG state).
-_ELLIPTICITY_COVECTORS = ((1.0, 0.0), (0.0, 1.0), (0.8, 0.6),
-                          (-0.6, 0.8), (0.36, -0.933))
 
 # The in-run Jacobian check runs on the first accepted step and then on
 # every JACOBIAN_CHECK_INTERVAL-th.
@@ -73,9 +69,6 @@ BACKTRACK_MIN = 1e-4
 # Difference step and relative error bound of the Jacobian check.
 JACOBIAN_CHECK_EPS = 1e-6
 JACOBIAN_CHECK_TOL = 1e-5
-
-# r range that run_homotopy scans for barrier radii when given none.
-BARRIER_SCAN_RANGE = (0.05, 2.5)
 
 
 @dataclass
@@ -153,7 +146,6 @@ class HomotopyState:
     u: np.ndarray
     t: float
     residual_norm: float
-    newton_iters: int
     monitor: object
     step_history: list = field(default_factory=list)
     levels: list = field(default_factory=list)      # LevelRecord, coarsest first
@@ -226,21 +218,23 @@ def _contract(X, Y):
     return np.einsum("...ij,...ij->...", X, Y)
 
 
-def _covector_margin(fij):
-    dim = fij.shape[-1]
-    worst = np.inf
-    for zeta in _ELLIPTICITY_COVECTORS[: 1 if dim == 1 else None]:
-        z = np.asarray(zeta[:dim])
-        q = np.einsum("i,...ij,j->...", z, fij, z)
-        worst = min(worst, float(q.min()))
-    return worst
+def _smallest_eigenvalue(F):
+    """Smallest eigenvalue over all nodes of the symmetric part of the
+    1x1 or 2x2 blocks F, in closed form: the least value of zeta.F.zeta
+    over unit covectors zeta."""
+    if F.shape[-1] == 1:
+        return float(F.min())
+    half_trace = 0.5 * (F[..., 0, 0] + F[..., 1, 1])
+    half_gap = 0.5 * (F[..., 0, 0] - F[..., 1, 1])
+    off = 0.5 * (F[..., 0, 1] + F[..., 1, 0])
+    return float(np.min(half_trace - np.hypot(half_gap, off)))
 
 
 def ellipticity_margin(geom, k):
-    """Smallest contraction of dF/dA with the fixed covector set; raises
+    """Smallest eigenvalue of F = df/dA over the nodes; raises
     AdmissibilityError outside Gamma_k."""
     root_of_sums(geom.sums, k, geom.grid.dim)
-    return _covector_margin(curvature_derivative_matrix(geom, k))
+    return _smallest_eigenvalue(curvature_derivative_matrix(geom, k))
 
 
 class ContinuationSolver:
@@ -315,15 +309,15 @@ class ContinuationSolver:
                   + tau/c F:(-2 sech^2(u) p p^T + (c^2 + s^2) sigma)
                   + 2 c s G:sigma - psi_tau (2 c s/sqrt(m) - c^3 s/m^1.5)
 
-        Also runs the ellipticity diagnostic: F must contract positively
-        with covectors at every admissible node, otherwise the geometry
-        pipeline is broken and an InternalConsistencyError is raised.
+        Also runs the ellipticity diagnostic: F must be positive definite
+        at every admissible node, otherwise the geometry pipeline is
+        broken and an InternalConsistencyError is raised.
         """
         grid = self.grid
         if geom is None or psi is None:
             _, geom, psi = self.residual_with_geometry(u, t)
         F = curvature_derivative_matrix(geom, self.config.k)
-        margin = _covector_margin(F)
+        margin = _smallest_eigenvalue(F)
         if margin <= 0.0:
             raise InternalConsistencyError(
                 f"non-elliptic second-order block (margin {margin:.3e}) "
@@ -479,7 +473,7 @@ class ContinuationSolver:
                 solver.directional_derivative_check(
                     u, t_final, geom=result.geometry, psi=result.psi)
                 state = HomotopyState(
-                    u, t_final, record.residual, record.iters, monitor,
+                    u, t_final, record.residual, monitor,
                     state.step_history + [record],
                     state.levels + [_level_record(solver.grid, [record], u)])
             return state
@@ -527,8 +521,7 @@ class ContinuationSolver:
             return result.u, monitor, record
 
         def state(u, t, monitor, history):
-            return HomotopyState(u, t, history[-1].residual, history[-1].iters,
-                                 monitor, history)
+            return HomotopyState(u, t, history[-1].residual, monitor, history)
 
         u, monitor, record = attempt(np.full(self.grid.shape, self.start_radius),
                                      0.0)
@@ -594,25 +587,27 @@ def _monitor_failures(monitor):
         for flag, nodes in monitor.node_violations.items() if nodes)
 
 
-def combined_barriers(target, p, r_range, resolution=400, dim=2, n_xi=24):
-    """Barrier radii valid along the whole deformation: the scan of the
-    target and of the reference prescription, combined by min/max."""
-    scan_t = scan_barriers(target, r_range, resolution, dim, n_xi)
-    scan_r = scan_barriers(ReferencePrescription(p), r_range, resolution, dim, n_xi)
+def combined_barriers(target, p, box):
+    """Barrier radii valid along the whole deformation: the scans of the
+    target and of the reference prescription on the AuditBox box,
+    combined by min/max."""
+    scan_t = scan_barriers(target, box)
+    scan_r = scan_barriers(ReferencePrescription(p), box)
     if not (scan_t.found and scan_r.found):
         return None, (scan_t, scan_r)
     return (min(scan_t.R1, scan_r.R1), max(scan_t.R2, scan_r.R2)), (scan_t, scan_r)
 
 
 def run_homotopy(target, grid, config=None, barriers=None, t_final=1.0):
-    """One-call continuation: scan barriers on BARRIER_SCAN_RANGE (if not
-    given), then solve at t_final with ContinuationSolver.run.  The caller
-    is responsible for auditing the target's structural conditions
-    beforehand."""
+    """One-call continuation: unless barriers are given, find them with
+    combined_barriers on AuditBox(dim=grid.dim), the scan the CLI makes
+    with default audit keys; then solve at t_final with
+    ContinuationSolver.run.  The caller is responsible for auditing the
+    target's structural conditions beforehand."""
     config = config or SolverConfig()
     if barriers is None:
-        barriers, _ = combined_barriers(target, config.p, BARRIER_SCAN_RANGE,
-                                        dim=grid.dim)
+        barriers, _ = combined_barriers(target, config.p,
+                                        AuditBox(dim=grid.dim))
         if barriers is None:
             raise ValueError("no barrier radii found on the scan range; "
                              "run scan_barriers for the sign pattern")

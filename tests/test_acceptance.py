@@ -229,7 +229,7 @@ def test_criterion_8_audit_correctness():
     e_ok = (not e_violation.pass_E) and bool(e_violation.witnesses["E"])
 
     const_audit = audit_structural(ConstantPrescription(0.2), box)
-    scan = scan_barriers(ConstantPrescription(0.2), (0.05, 2.0), dim=2)
+    scan = scan_barriers(ConstantPrescription(0.2), box)
     a_ok = ((not const_audit.pass_A) and bool(const_audit.witnesses["A"])
             and not scan.found and scan.lo_margin[0] < 0.0)
 

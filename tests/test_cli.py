@@ -1,5 +1,6 @@
 """Config parsing, pipeline modes, exit codes, artifact contracts."""
 
+import dataclasses
 import json
 import re
 
@@ -8,9 +9,10 @@ import pytest
 
 import dscurv.grid
 from dscurv import (AuditBox, ConfigError, ContinuationSolver,
-                    InternalConsistencyError, SolverConfig, build_grid)
+                    InternalConsistencyError, SolverConfig, SpaceTiltPower,
+                    build_grid, run_homotopy)
 from dscurv import cli
-from dscurv.prescription import make_prescription
+from dscurv.prescription import PRESCRIPTIONS, make_prescription
 
 R_STAR = np.log(1.0 + np.sqrt(2.0))
 
@@ -107,6 +109,58 @@ def test_solver_and_audit_keys_reach_their_fields(tmp_path):
         assert getattr(defaults[section], name) != value
         got = getattr(built[section], name)
         assert got == value and type(got) is type(value), key
+
+
+def test_prescription_keys_reach_their_fields(tmp_path):
+    # one non-default value per field of each family; the key list guards
+    # the schema that cli builds from the union of the families' fields
+    values = {"space_tilt_power": {"a0": 0.6, "a1": 0.1, "p": 3.0},
+              "tilt_power": {"coef": 2.0, "q": 0.7},
+              "constant": {"value": 0.3},
+              "tilt_concave": {},
+              "reference_power": {"p": 1.5}}
+    assert values.keys() == PRESCRIPTIONS.keys()
+    keys = {key for key in cli._SCHEMA if key.startswith("prescription.")}
+    fields = {f"prescription.{f.name}" for cls in PRESCRIPTIONS.values()
+              for f in dataclasses.fields(cls)}
+    assert keys - {"prescription.name"} == fields == {
+        f"prescription.{name}" for params in values.values()
+        for name in params}
+    for family, params in values.items():
+        text = ("grid.dim = 2\ngrid.nlat = 16\ngrid.nlon = 32\n"
+                f"prescription.name = {family}\n"
+                + "".join(f"prescription.{name} = {value}\n"
+                          for name, value in params.items()))
+        config = cli.parse_config(write_config(tmp_path, text))
+        built = make_prescription(family, **config.prescription_params())
+        default = PRESCRIPTIONS[family]()
+        for name, value in params.items():
+            assert getattr(default, name) != value
+            got = getattr(built, name)
+            assert got == value and type(got) is float, (family, name)
+        assert built.describe() == {"name": family, "params": params}
+
+
+def test_library_and_cli_agree_on_barriers(tmp_path):
+    out = tmp_path / "model"
+    path = write_config(tmp_path, BASE + f"out = {out}\n")
+    assert cli.main(["--config", path, "--quiet"]) == cli.EXIT_OK
+    barriers = json.loads((out / "summary.json").read_text())["barriers"]
+    state = run_homotopy(SpaceTiltPower(0.5, 0.0, 2.0),
+                         build_grid(2, (16, 32)), SolverConfig(k=2, p=2.0))
+    assert (state.monitor.R1, state.monitor.R2) == (barriers["R1"],
+                                                    barriers["R2"])
+    # the target's upper barrier lies past the default scan range: both
+    # refuse it
+    out = tmp_path / "flat"
+    path = write_config(tmp_path, (
+        f"out = {out}\ngrid.dim = 1\ngrid.n = 32\nk = 1\n"
+        "prescription.name = space_tilt_power\nprescription.a0 = 0.05\n"
+        "prescription.a1 = 0.0\nprescription.p = 2.0\n"), name="flat.cfg")
+    assert cli.main(["--config", path, "--quiet"]) == cli.EXIT_BARRIER
+    with pytest.raises(ValueError, match="no barrier radii"):
+        run_homotopy(SpaceTiltPower(0.05, 0.0, 2.0), build_grid(1, 32),
+                     SolverConfig(k=1, p=2.0))
 
 
 def test_missing_file_is_config_error(tmp_path):

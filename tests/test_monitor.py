@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dscurv import (AdmissibilityError, SpaceTiltPower, check_bounds,
+from dscurv import (AdmissibilityError, AuditBox, SpaceTiltPower, check_bounds,
                     identity_residuals, induced_geometry, maclaurin_monitor,
                     scan_barriers)
 
@@ -13,8 +13,8 @@ UMBILIC_TOL = 1e-12
 
 
 def _model_barriers():
-    scan = scan_barriers(SpaceTiltPower(a0=0.5, a1=0.0, p=2.0), (0.1, 2.0),
-                         resolution=400, dim=2)
+    scan = scan_barriers(SpaceTiltPower(a0=0.5, a1=0.0, p=2.0),
+                         AuditBox(r_lo=0.1, r_hi=2.0, scan_resolution=400))
     assert scan.found
     return scan.R1, scan.R2
 

@@ -5,8 +5,9 @@ import pytest
 
 from dscurv import (AuditBox, ConstantPrescription, HomotopyPrescription,
                     ReferencePrescription, SpaceTiltPower, TiltConcave,
-                    TiltPower, audit_structural, make_prescription,
-                    scan_barriers)
+                    TiltPower, audit_structural, build_grid,
+                    make_prescription, scan_barriers)
+from dscurv.prescription import sphere_lattice
 
 R_STAR = np.log(1.0 + np.sqrt(2.0))   # root of 0.5 cosh^2(r) = 1
 
@@ -36,6 +37,34 @@ def _fd_consistency(psi, dim, rng, rel=1e-6):
     fd_xi = (psi.evaluate(r, xi_hi, tau).psi
              - psi.evaluate(r, xi_lo, tau).psi) / (2 * h)
     assert np.max(np.abs(fd_xi - ev.psi_xi[0]) / scale) < rel
+
+
+FAMILIES = (SpaceTiltPower(a0=0.5, a1=0.1, p=2.0), TiltPower(),
+            ConstantPrescription(), TiltConcave(), ReferencePrescription())
+
+
+def _psi_fields(ev):
+    return [ev.psi, ev.psi_r, ev.psi_tau, ev.psi_tautau, *ev.psi_xi]
+
+
+@pytest.mark.parametrize("psi", FAMILIES, ids=lambda psi: psi.name)
+def test_every_psi_field_has_the_common_shape(psi):
+    # the audit box: r, xi and tau on their own axes
+    box = AuditBox(dim=2)
+    xi = sphere_lattice(2, box.n_xi)
+    r = np.linspace(box.r_lo, box.r_hi, box.n_r)[:, None, None]
+    tau = np.linspace(1.0, box.tau_max, box.n_tau)[None, None, :]
+    ev = psi.evaluate(r, tuple(c[None, :, None] for c in xi), tau)
+    assert len(ev.psi_xi) == 2
+    for arr in _psi_fields(ev):
+        assert arr.shape == (box.n_r, xi[0].size, box.n_tau)
+        assert not arr.flags.writeable
+    # the nodes of an S^2 grid
+    grid = build_grid(2, (16, 32))
+    u = np.full(grid.shape, 0.8)
+    ev = psi.evaluate(u, grid.coords(), np.cosh(u))
+    assert len(ev.psi_xi) == 2
+    assert all(arr.shape == grid.shape for arr in _psi_fields(ev))
 
 
 def test_derivative_self_consistency(rng):
@@ -95,7 +124,8 @@ def test_concave_in_tau_fails_E():
 
 def test_constant_prescription_fails_lower_barrier():
     psi = ConstantPrescription(0.2)
-    scan = scan_barriers(psi, (0.05, 2.0), resolution=300, dim=2)
+    scan = scan_barriers(psi, AuditBox(r_lo=0.05, r_hi=2.0, dim=2,
+                                       scan_resolution=300))
     assert not scan.found
     # near the origin the slice curvature tanh(r) sits below the constant
     assert scan.lo_margin[0] < 0.0
@@ -107,7 +137,8 @@ def test_constant_prescription_fails_lower_barrier():
 def test_scan_finds_closed_form_crossing():
     psi = SpaceTiltPower(a0=0.5, a1=0.0, p=2.0)
     res = 500
-    scan = scan_barriers(psi, (0.1, 2.0), resolution=res, dim=2)
+    scan = scan_barriers(psi, AuditBox(r_lo=0.1, r_hi=2.0, dim=2,
+                                       scan_resolution=res))
     assert scan.found
     step = (2.0 - 0.1) / (res - 1)
     assert scan.R1 < R_STAR < scan.R2
@@ -121,17 +152,18 @@ def test_reference_slice_bracket_and_barriers():
     for p in (1.0, 1.5, 2.0, 3.0):
         assert 0.0 * np.cosh(0.0) ** p == 0.0
         assert 1.0 * np.cosh(1.0) ** p > 1.0
-    scan = scan_barriers(ReferencePrescription(2.0), (0.01, 1.0),
-                         resolution=400, dim=2)
+    scan = scan_barriers(ReferencePrescription(2.0),
+                         AuditBox(r_lo=0.01, r_hi=1.0, dim=2,
+                                  scan_resolution=400))
     assert scan.found
     assert 0.0 < scan.R1 < scan.R2 <= 1.0
 
 
 def test_scan_range_validation():
     with pytest.raises(ValueError):
-        scan_barriers(ConstantPrescription(0.2), (0.0, 1.0))
+        AuditBox(r_lo=0.0, r_hi=1.0)
     with pytest.raises(ValueError):
-        scan_barriers(ConstantPrescription(0.2), (1.0, 0.5))
+        AuditBox(r_lo=1.0, r_hi=0.5)
 
 
 def test_homotopy_endpoints_exact(rng):

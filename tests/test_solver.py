@@ -9,10 +9,11 @@ import scipy.sparse.linalg as spla
 
 import dscurv.grid
 import dscurv.solver
-from dscurv import (AdmissibilityError, ContinuationError, ContinuationSolver,
-                    NewtonError, SolverConfig, SpaceTiltPower, SpacelikeError,
-                    build_grid, combined_barriers, ellipticity_margin,
-                    induced_geometry, initial_constant, run_homotopy,
+from dscurv import (AdmissibilityError, AuditBox, ContinuationError,
+                    ContinuationSolver, InternalConsistencyError, NewtonError,
+                    SolverConfig, SpaceTiltPower, SpacelikeError, build_grid,
+                    combined_barriers, ellipticity_margin, induced_geometry,
+                    initial_constant, run_homotopy,
                     zeroth_coefficient_at_start)
 
 R_STAR = np.log(1.0 + np.sqrt(2.0))
@@ -221,6 +222,27 @@ def test_ellipticity_margin_positive(s2_16x32):
     assert ellipticity_margin(geom, 1) > 0.0
 
 
+def test_ellipticity_margin_is_exact(s2_16x32, monkeypatch):
+    geom = induced_geometry(np.full(s2_16x32.shape, 0.8), s2_16x32)
+    for k in (1, 2):
+        F = dscurv.solver.curvature_derivative_matrix(geom, k)
+        least = np.linalg.eigvalsh(0.5 * (F + np.swapaxes(F, -1, -2))).min()
+        assert ellipticity_margin(geom, k) == pytest.approx(least, rel=1e-13)
+    # F = R diag(-0.01, 1) R^T with R a rotation by 18 degrees is
+    # indefinite, yet positive on the covectors (1, 0), (0, 1), (0.8, 0.6),
+    # (-0.6, 0.8) and (0.36, -0.933)
+    c, s = np.cos(np.radians(18.0)), np.sin(np.radians(18.0))
+    rot = np.array([[c, -s], [s, c]])
+    doctored = np.broadcast_to(rot @ np.diag([-0.01, 1.0]) @ rot.T,
+                               s2_16x32.shape + (2, 2))
+    monkeypatch.setattr(dscurv.solver, "curvature_derivative_matrix",
+                        lambda geom, k: doctored)
+    assert ellipticity_margin(geom, 2) == pytest.approx(-0.01, rel=1e-12)
+    solver = _solver(s2_16x32, 2)
+    with pytest.raises(InternalConsistencyError, match="non-elliptic"):
+        solver.jacobian(np.full(s2_16x32.shape, solver.start_radius), 0.0)
+
+
 def test_newton_at_exact_solution(s1_64):
     solver = _solver(s1_64, 1)
     u = np.full(s1_64.shape, solver.start_radius)
@@ -271,7 +293,7 @@ def test_run_homotopy_closed_form_s1():
 
 def test_run_homotopy_frozen_at_zero(s1_64):
     lam = initial_constant(2.0)
-    barriers, _ = combined_barriers(MODEL, 2.0, (0.05, 2.0), dim=1)
+    barriers, _ = combined_barriers(MODEL, 2.0, AuditBox(dim=1))
     solver = ContinuationSolver(s1_64, MODEL, SolverConfig(k=1, p=2.0),
                                 barriers=barriers)
     state = solver.run(t_final=0.0)
@@ -305,7 +327,7 @@ def test_nested_run_matches_single_grid_homotopy():
     for res, shapes in (((32, 64), ["16x32", "32x64"]),
                         ((64, 128), ["16x32", "32x64", "64x128"])):
         grid = build_grid(2, res)
-        barriers, _ = combined_barriers(target, 2.0, (0.05, 2.5), dim=2)
+        barriers, _ = combined_barriers(target, 2.0, AuditBox(r_hi=2.5))
         solver = ContinuationSolver(grid, target, SolverConfig(k=2, p=2.0),
                                     barriers=barriers)
         nested = solver.run()
@@ -336,7 +358,7 @@ def test_nested_run_deterministic():
 def test_nested_run_falls_back_to_single_grid(monkeypatch, failure):
     grid = build_grid(2, (32, 64))
     target = SpaceTiltPower(0.5, 0.1, 2.0)
-    barriers, _ = combined_barriers(target, 2.0, (0.05, 2.5), dim=2)
+    barriers, _ = combined_barriers(target, 2.0, AuditBox(r_hi=2.5))
     solver = ContinuationSolver(grid, target, SolverConfig(k=2, p=2.0),
                                 barriers=barriers)
     single = solver._homotopy(1.0)
