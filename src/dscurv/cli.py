@@ -307,7 +307,7 @@ def run(config, quiet=False):
         return EXIT_AUDIT
 
     solver_config = config.solver_config()
-    barriers, scans = combined_barriers(target, solver_config.p, box)
+    barriers, scans = combined_barriers(audit.scan, solver_config.p, box)
     if barriers is None:
         summary["barriers"] = {
             "found": False,

@@ -24,6 +24,12 @@ the slice scan, which looks for radii R1 < R2 with
 
 at every sampled xi.  tanh(r) is the curvature of the umbilic slice of
 radius r, so these inequalities trap solutions between the two radii.
+
+Each radius is independent of the others, so the audit and the scan
+evaluate their boxes one slab of radii (about SLAB_ELEMENTS samples) at
+a time and reduce as they go: running minima and maxima, and each
+condition's worst samples.  Their memory is that of one slab (at least
+one radius), not of the box.
 """
 
 from dataclasses import asdict, dataclass, field, fields
@@ -34,6 +40,12 @@ MARGIN_TOL = 1e-12
 
 # Condition D fails when the empirical constant C exceeds this cap.
 D_CAP = 1e6
+
+# Most samples the audit and the barrier scan evaluate at a time (a slab
+# holds at least one radius).  Slabs of 2^14-2^15 samples timed fastest
+# on the default S^1 and S^2 audit boxes (Xeon, 2 MB L2 per core); the
+# temporaries of a larger slab no longer fit in L2.
+SLAB_ELEMENTS = 2 ** 15
 
 
 @dataclass
@@ -299,6 +311,14 @@ class BarrierScan:
         return "".join(marks)
 
 
+def _row_slabs(n_rows, per_row):
+    """Slices splitting n_rows rows of per_row samples into equal slabs
+    of at most SLAB_ELEMENTS samples (at least one row each)."""
+    count = -(-n_rows // max(1, SLAB_ELEMENTS // per_row))
+    rows = -(-n_rows // count)
+    return [slice(i, i + rows) for i in range(0, n_rows, rows)]
+
+
 def scan_barriers(psi, box):
     """Scan for trap radii R1 < R2 on box.scan_resolution radii evenly
     spaced over [box.r_lo, box.r_hi], at the box.n_xi-point sphere
@@ -307,15 +327,19 @@ def scan_barriers(psi, box):
     Returns the largest R1 and smallest R2 such that the strict slice
     inequalities hold at every scanned radius on the respective side
     and every sampled xi; found=False (with the margin arrays for
-    diagnosis) when no such pair exists.
+    diagnosis) when no such pair exists.  The radii are evaluated one
+    slab of rows at a time.
     """
     r = np.linspace(box.r_lo, box.r_hi, box.scan_resolution)
     xi_cols = tuple(c[None, :] for c in sphere_lattice(box.dim, box.n_xi))
-    rr = r[:, None]
-    vals = psi.evaluate(rr, xi_cols, np.cosh(rr)).psi
     tanh_r = np.tanh(r)
-    lo_margin = tanh_r - vals.max(axis=1)
-    hi_margin = vals.min(axis=1) - tanh_r
+    lo_margin = np.empty_like(r)
+    hi_margin = np.empty_like(r)
+    for rows in _row_slabs(r.size, xi_cols[0].size):
+        rr = r[rows, None]
+        vals = psi.evaluate(rr, xi_cols, np.cosh(rr)).psi
+        lo_margin[rows] = tanh_r[rows] - vals.max(axis=1)
+        hi_margin[rows] = vals.min(axis=1) - tanh_r[rows]
     lo_ok = lo_margin > 0.0
     hi_ok = hi_margin > 0.0
     lo_prefix = np.cumprod(lo_ok)          # 1 while all scanned r' <= r pass
@@ -330,19 +354,27 @@ def scan_barriers(psi, box):
 
 @dataclass
 class StructuralAudit:
-    """Outcome of the structural audit over a sample box."""
+    """Outcome of the structural audit over a sample box; condition A
+    and the barrier radii are those of its barrier scan."""
 
     box: AuditBox
     positive: bool
-    pass_A: bool
     pass_B: bool
     pass_C: bool
     pass_D: bool
     pass_E: bool
     constant_D: float
-    barriers: tuple = None
+    scan: BarrierScan
     witnesses: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def pass_A(self):
+        return self.scan.found
+
+    @property
+    def barriers(self):
+        return (self.scan.R1, self.scan.R2) if self.scan.found else None
 
     @property
     def passed(self):
@@ -365,20 +397,27 @@ class StructuralAudit:
         }
 
 
-def _worst_witnesses(margin, axes, count=3, threshold=-MARGIN_TOL):
-    """Up to `count` worst samples with margin <= threshold; axes maps
-    each coordinate name to (axis of margin, its samples along it)."""
+# A sample witnesses a failed condition when its margin is at or below
+# the condition's threshold; the audit reports the WITNESS_COUNT worst.
+_THRESHOLDS = {"positive": 0.0, "B": -MARGIN_TOL, "E": -MARGIN_TOL, "C": 0.0}
+WITNESS_COUNT = 3
+
+
+def _slab_witnesses(margin, i_r0, threshold):
+    """The first WITNESS_COUNT samples of one slab in (margin, index)
+    order with margin <= threshold, as (margin, (i_r, i_xi, i_tau)),
+    i_r counted from the slab's first row i_r0."""
     flat = margin.ravel()
-    order = np.argsort(flat)
+    k = min(WITNESS_COUNT, flat.size)
+    cut = min(np.partition(flat, k - 1)[k - 1], threshold)
+    below = np.flatnonzero(flat < cut)      # fewer than k samples
+    below = below[np.argsort(flat[below], kind="stable")]
+    tied = np.flatnonzero(flat == cut)[:WITNESS_COUNT - below.size]
     picks = []
-    for idx in order[:count]:
-        if flat[idx] > threshold:
-            break
-        loc = np.unravel_index(idx, margin.shape)
-        sample = {key: float(arr[loc[axis]])
-                  for key, (axis, arr) in axes.items()}
-        sample["margin"] = float(flat[idx])
-        picks.append(sample)
+    for idx in (*below, *tied):
+        i_r, i_xi, i_tau = np.unravel_index(idx, margin.shape)
+        picks.append((float(flat[idx]),
+                      (i_r0 + int(i_r), int(i_xi), int(i_tau))))
     return picks
 
 
@@ -390,72 +429,101 @@ def audit_structural(psi, box):
     to tau_max with a positive final slope) and flagged as such in the
     diagnostics; the solver only visits tilts below its monitor bound,
     so the surrogate is the operative condition.
+
+    The box is evaluated one slab of radii at a time (at most
+    SLAB_ELEMENTS samples, or one radius), keeping only running minima,
+    the running maximum for D and each condition's worst samples, so
+    memory does not grow with n_r.  A failed condition's witnesses are
+    its WITNESS_COUNT lowest margins; among equal margins the lowest
+    (i_r, i_xi, i_tau) sample index comes first.
     """
     r = np.linspace(box.r_lo, box.r_hi, box.n_r)
     tau = np.linspace(1.0, box.tau_max, box.n_tau)
     xi = sphere_lattice(box.dim, box.n_xi)
+    xi_cols = tuple(c[None, :, None] for c in xi)
     TAU = tau[None, None, :]
-    ev = psi.evaluate(r[:, None, None], tuple(c[None, :, None] for c in xi),
-                      TAU)
-    vals = ev.psi
-    axes = {"r": (0, r), "tau": (2, tau)}
-    for name, c in zip(("xi_1", "xi_2"), xi):
-        axes[name] = (1, c)
+    lows = dict.fromkeys(("positive", "B", "E", "C", "monotone", "slope"),
+                         np.inf)
+    worst = {key: [] for key in _THRESHOLDS}
+    max_d = 0.0
+    for rows in _row_slabs(box.n_r, xi[0].size * box.n_tau):
+        ev = psi.evaluate(r[rows, None, None], xi_cols, TAU)
+        vals = ev.psi
+        ratio = vals / TAU
+        diffs = np.diff(ratio, axis=-1)
+        scale = 1.0 + np.abs(ratio[..., :-1])
+        monotone = np.min(diffs + MARGIN_TOL * scale, axis=-1)
+        slope = diffs[..., -1]
+        lows["monotone"] = min(lows["monotone"], monotone.min())
+        lows["slope"] = min(lows["slope"], slope.min())
+        margins = {
+            "positive": vals,
+            "B": ev.psi_tau * TAU - vals,
+            "E": ev.psi_tautau,
+            # per-(r, xi) margin: negative iff psi/tau dips, zero-or-negative
+            # iff it also fails to keep growing at tau_max; its witnesses
+            # sit at tau = 1
+            "C": np.minimum(monotone, slope)[..., None],
+        }
+        for key, margin in margins.items():
+            low = margin.min()
+            lows[key] = min(lows[key], low)
+            kept = worst[key]
+            # later slabs hold higher indices, so a tie with the last
+            # kept witness cannot displace it
+            if low <= _THRESHOLDS[key] and (len(kept) < WITNESS_COUNT
+                                            or low < kept[-1][0]):
+                worst[key] = sorted(kept + _slab_witnesses(
+                    margin, rows.start, _THRESHOLDS[key]))[:WITNESS_COUNT]
+        if lows["positive"] > 0.0:
+            for c in (ev.psi_r, *ev.psi_xi):
+                max_d = max(max_d, float(np.max(np.abs(c) / vals)))
+
+    def witnesses_of(key):
+        picks = []
+        for margin, (i_r, i_xi, i_tau) in worst[key]:
+            sample = {"r": float(r[i_r]), "tau": float(tau[i_tau])}
+            for name, c in zip(("xi_1", "xi_2"), xi):
+                sample[name] = float(c[i_xi])
+            sample["margin"] = margin
+            picks.append(sample)
+        return picks
 
     witnesses = {}
-    positive = bool(vals.min() > 0.0)
+    positive = bool(lows["positive"] > 0.0)
     if not positive:
-        witnesses["positive"] = _worst_witnesses(vals, axes, threshold=0.0)
-
-    margin_b = ev.psi_tau * TAU - vals
-    pass_b = bool(margin_b.min() >= -MARGIN_TOL)
+        witnesses["positive"] = witnesses_of("positive")
+    pass_b = bool(lows["B"] >= -MARGIN_TOL)
     if not pass_b:
-        witnesses["B"] = _worst_witnesses(margin_b, axes)
-
-    margin_e = ev.psi_tautau
-    pass_e = bool(margin_e.min() >= -MARGIN_TOL)
+        witnesses["B"] = witnesses_of("B")
+    pass_e = bool(lows["E"] >= -MARGIN_TOL)
     if not pass_e:
-        witnesses["E"] = _worst_witnesses(margin_e, axes)
+        witnesses["E"] = witnesses_of("E")
 
-    if positive:
-        comps = [np.abs(c) for c in (ev.psi_r, *ev.psi_xi)]
-        constant_d = float(max(np.max(c / vals) for c in comps))
-    else:
-        constant_d = float("inf")
+    constant_d = max_d if positive else float("inf")
     pass_d = bool(np.isfinite(constant_d) and constant_d <= D_CAP)
     if not pass_d:
         witnesses["D"] = [{"constant_D": constant_d, "cap": D_CAP}]
 
-    ratio = vals / TAU
-    diffs = np.diff(ratio, axis=-1)
-    scale = 1.0 + np.abs(ratio[..., :-1])
-    monotone_margin = np.min(diffs + MARGIN_TOL * scale, axis=-1)
-    final_slope = diffs[..., -1]
-    # per-(r, xi) margin: negative iff psi/tau dips, zero-or-negative iff
-    # it also fails to keep growing at tau_max; its witnesses sit at tau = 1
-    c_margin = np.minimum(monotone_margin, final_slope)
-    pass_c = bool(monotone_margin.min() >= 0.0) and bool(final_slope.min() > 0.0)
+    pass_c = bool(lows["monotone"] >= 0.0) and bool(lows["slope"] > 0.0)
     if not pass_c:
-        witnesses["C"] = _worst_witnesses(c_margin[..., None], axes,
-                                          threshold=0.0)
+        witnesses["C"] = witnesses_of("C")
 
     scan = scan_barriers(psi, box)
-    pass_a = scan.found
-    if not pass_a:
+    if not scan.found:
         witnesses["A"] = [{"sign_pattern": scan.sign_pattern()}]
 
     return StructuralAudit(
         box=box,
         positive=positive,
-        pass_A=pass_a, pass_B=pass_b, pass_C=pass_c,
-        pass_D=pass_d, pass_E=pass_e,
+        pass_B=pass_b, pass_C=pass_c, pass_D=pass_d, pass_E=pass_e,
         constant_D=constant_d,
-        barriers=(scan.R1, scan.R2) if scan.found else None,
+        scan=scan,
         witnesses=witnesses,
         diagnostics={
-            "min_B_margin": float(margin_b.min()),
-            "min_E_value": float(margin_e.min()),
+            "min_B_margin": float(lows["B"]),
+            "min_E_value": float(lows["E"]),
             "C_surrogate_tau_max": box.tau_max,
-            "min_psi": float(vals.min()),
+            "min_psi": float(lows["positive"]),
         },
     )

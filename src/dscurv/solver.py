@@ -587,11 +587,10 @@ def _monitor_failures(monitor):
         for flag, nodes in monitor.node_violations.items() if nodes)
 
 
-def combined_barriers(target, p, box):
-    """Barrier radii valid along the whole deformation: the scans of the
-    target and of the reference prescription on the AuditBox box,
-    combined by min/max."""
-    scan_t = scan_barriers(target, box)
+def combined_barriers(scan_t, p, box):
+    """Barrier radii valid along the whole deformation: scan_t, the
+    target's scan_barriers result on the AuditBox box, and the reference
+    prescription's scan on the same box, combined by min/max."""
     scan_r = scan_barriers(ReferencePrescription(p), box)
     if not (scan_t.found and scan_r.found):
         return None, (scan_t, scan_r)
@@ -606,8 +605,9 @@ def run_homotopy(target, grid, config=None, barriers=None, t_final=1.0):
     target's structural conditions beforehand."""
     config = config or SolverConfig()
     if barriers is None:
-        barriers, _ = combined_barriers(target, config.p,
-                                        AuditBox(dim=grid.dim))
+        box = AuditBox(dim=grid.dim)
+        barriers, _ = combined_barriers(scan_barriers(target, box), config.p,
+                                        box)
         if barriers is None:
             raise ValueError("no barrier radii found on the scan range; "
                              "run scan_barriers for the sign pattern")

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import dscurv.grid
+import dscurv.prescription
+import dscurv.solver
 from dscurv import (AuditBox, ConfigError, ContinuationSolver,
                     InternalConsistencyError, SolverConfig, SpaceTiltPower,
                     build_grid, run_homotopy)
@@ -273,7 +275,16 @@ def test_full_precision_round_trip(tmp_path):
         assert format(value, ".17g") == text
 
 
-def test_audit_only_mode(tmp_path):
+def test_audit_only_mode(tmp_path, monkeypatch):
+    scanned = []
+    scan = dscurv.prescription.scan_barriers
+
+    def counting_scan(psi, box):
+        scanned.append(psi.name)
+        return scan(psi, box)
+
+    for module in (dscurv.prescription, dscurv.solver):
+        monkeypatch.setattr(module, "scan_barriers", counting_scan)
     out = tmp_path / "audit"
     path = write_config(tmp_path, BASE.replace("mode = solve", "mode = audit-only")
                         + f"out = {out}\n")
@@ -282,6 +293,8 @@ def test_audit_only_mode(tmp_path):
     assert summary["audit"]["passed"] is True
     assert summary["barriers"]["found"] is True
     assert "continuation" not in summary
+    # the barriers reuse the audit's scan of the target
+    assert scanned == ["space_tilt_power", "reference_power"]
 
 
 def test_identity_check_mode(tmp_path):

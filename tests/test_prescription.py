@@ -1,8 +1,11 @@
 """Prescription families, structural audits, barrier scans, homotopy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import dscurv.prescription
 from dscurv import (AuditBox, ConstantPrescription, HomotopyPrescription,
                     ReferencePrescription, SpaceTiltPower, TiltConcave,
                     TiltPower, audit_structural, build_grid,
@@ -157,6 +160,52 @@ def test_reference_slice_bracket_and_barriers():
                                   scan_resolution=400))
     assert scan.found
     assert 0.0 < scan.R1 < scan.R2 <= 1.0
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+@pytest.mark.parametrize("psi", FAMILIES, ids=lambda psi: psi.name)
+def test_audit_and_scan_do_not_depend_on_the_slab_size(monkeypatch, psi, dim):
+    box = AuditBox(dim=dim)
+    results = []
+    # one row per slab, the default, the whole box in one slab
+    for budget in (1, dscurv.prescription.SLAB_ELEMENTS, 10 ** 9):
+        monkeypatch.setattr(dscurv.prescription, "SLAB_ELEMENTS", budget)
+        scan = scan_barriers(psi, box)
+        results.append((audit_structural(psi, box).to_dict(), scan.R1,
+                        scan.R2, scan.lo_margin.tobytes(),
+                        scan.hi_margin.tobytes()))
+    assert results[0] == results[1] == results[2]
+
+
+def test_tied_witnesses_take_the_lowest_index():
+    # psi = tau^(1/2) has the same B margin at every (r, xi) for a given
+    # tau, most negative at tau_max
+    box = AuditBox(dim=2)
+    audit = audit_structural(TiltPower(coef=1.0, q=0.5), box)
+    phi, theta = sphere_lattice(2, box.n_xi)
+    assert audit.witnesses["B"] == [
+        {"r": box.r_lo, "tau": box.tau_max, "xi_1": float(phi[i]),
+         "xi_2": float(theta[i]), "margin": audit.diagnostics["min_B_margin"]}
+        for i in range(3)]
+
+
+def _traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("psi", (SpaceTiltPower(0.5, 0.1, 2.0), TiltPower(),
+                                 ConstantPrescription(), TiltConcave()),
+                         ids=lambda psi: psi.name)
+def test_audit_and_scan_allocate_bounded_memory(psi):
+    # the default S^2 box holds 40 x 288 x 40 samples, 3.5 MB per field
+    box = AuditBox(dim=2)
+    assert _traced_peak_mb(audit_structural, psi, box) <= 5.0
+    assert _traced_peak_mb(scan_barriers, psi, box) <= 2.5
 
 
 def test_scan_range_validation():

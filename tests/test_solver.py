@@ -13,7 +13,7 @@ from dscurv import (AdmissibilityError, AuditBox, ContinuationError,
                     ContinuationSolver, InternalConsistencyError, NewtonError,
                     SolverConfig, SpaceTiltPower, SpacelikeError, build_grid,
                     combined_barriers, ellipticity_margin, induced_geometry,
-                    initial_constant, run_homotopy,
+                    initial_constant, run_homotopy, scan_barriers,
                     zeroth_coefficient_at_start)
 
 R_STAR = np.log(1.0 + np.sqrt(2.0))
@@ -293,7 +293,8 @@ def test_run_homotopy_closed_form_s1():
 
 def test_run_homotopy_frozen_at_zero(s1_64):
     lam = initial_constant(2.0)
-    barriers, _ = combined_barriers(MODEL, 2.0, AuditBox(dim=1))
+    box = AuditBox(dim=1)
+    barriers, _ = combined_barriers(scan_barriers(MODEL, box), 2.0, box)
     solver = ContinuationSolver(s1_64, MODEL, SolverConfig(k=1, p=2.0),
                                 barriers=barriers)
     state = solver.run(t_final=0.0)
@@ -327,7 +328,8 @@ def test_nested_run_matches_single_grid_homotopy():
     for res, shapes in (((32, 64), ["16x32", "32x64"]),
                         ((64, 128), ["16x32", "32x64", "64x128"])):
         grid = build_grid(2, res)
-        barriers, _ = combined_barriers(target, 2.0, AuditBox(r_hi=2.5))
+        box = AuditBox(r_hi=2.5)
+        barriers, _ = combined_barriers(scan_barriers(target, box), 2.0, box)
         solver = ContinuationSolver(grid, target, SolverConfig(k=2, p=2.0),
                                     barriers=barriers)
         nested = solver.run()
@@ -358,7 +360,8 @@ def test_nested_run_deterministic():
 def test_nested_run_falls_back_to_single_grid(monkeypatch, failure):
     grid = build_grid(2, (32, 64))
     target = SpaceTiltPower(0.5, 0.1, 2.0)
-    barriers, _ = combined_barriers(target, 2.0, AuditBox(r_hi=2.5))
+    box = AuditBox(r_hi=2.5)
+    barriers, _ = combined_barriers(scan_barriers(target, box), 2.0, box)
     solver = ContinuationSolver(grid, target, SolverConfig(k=2, p=2.0),
                                 barriers=barriers)
     single = solver._homotopy(1.0)
