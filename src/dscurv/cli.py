@@ -200,10 +200,13 @@ def _write_fields_csv(path, grid, geom, residual):
     eigs = geom.shape_eigs
     columns += [eigs[..., i].ravel() for i in range(grid.dim)]
     columns += [np.asarray(residual).ravel()]
+    # %.17g of a Python float is _fmt's text; one template per row and
+    # columns converted once keep the per-value calls out of the loop
+    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(names) + "\n")
-        for row in zip(*columns):
-            handle.write(",".join(_fmt(x) for x in row) + "\n")
+        handle.writelines(row % values for values in zip(*columns))
 
 
 def _write_trace_csv(path, history):

@@ -17,9 +17,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-# coarsened() stops before a direction would fall below this many nodes
-COARSEST_NODES = 16
-
 
 def grid_shape(dim, resolution):
     """Node shape of SphereGrid(dim, resolution): (n,) on S^1 for a
@@ -115,15 +112,19 @@ class SphereGrid:
     def coarsened(self):
         """The grids whose refine() chain ends at this one, finest first.
 
-        The spacing doubles while every direction halves exactly to at
-        least COARSEST_NODES nodes and, on S^2, n_lon stays even for the
-        pole closure: 48x96 gives [24x48], S^1 128 gives [64, 32, 16].
+        The spacing doubles while every direction halves exactly to a
+        shape grid_shape accepts: at least 8 nodes per direction and, on
+        S^2, an even n_lon for the pole closure.  48x96 gives [24x48,
+        12x24], 32x64 gives [16x32, 8x16], S^1 128 gives [64, 32, 16, 8].
         """
         chain, shape = [], self.shape
-        while all(n % 2 == 0 and n // 2 >= COARSEST_NODES for n in shape) and (
-                self.dim == 1 or shape[1] % 4 == 0):
+        while all(n % 2 == 0 for n in shape):
             shape = tuple(n // 2 for n in shape)
-            chain.append(SphereGrid(self.dim, shape[0] if self.dim == 1 else shape))
+            resolution = shape[0] if self.dim == 1 else shape
+            try:
+                chain.append(SphereGrid(self.dim, resolution))
+            except ValueError:
+                break
         return chain
 
     def prolong(self, f):

@@ -29,11 +29,16 @@ geometry and prescription values to the Jacobian at the same iterate,
 so each Newton iterate evaluates them once.
 
 A solve is a nested iteration over the grid's refinement chain
-(SphereGrid.coarsened): the homotopy runs on the coarsest grid only,
-and each finer grid starts Newton at the final t from the prolonged
-solution of the grid below (SphereGrid.prolong), then checks the bound
-monitors and the Jacobian.  The prolonged start is second-order close
-to the fine solution, so a level takes a couple of Newton iterations.
+(SphereGrid.coarsened), down to the smallest valid grid: the homotopy
+runs on the coarsest grid only, and each finer grid starts Newton at
+the final t from the prolonged solution of the grid below
+(SphereGrid.prolong), then checks the bound monitors and the Jacobian.
+The prolonged start is second-order close to the fine solution, so a
+level factors its Jacobian once, at that start, and reuses the factor
+for the later corrections (a chord iteration); it factors again only
+after a step that leaves more than half the residual.  The homotopy
+steps keep full Newton, because their step growth keys on the Newton
+iteration count.
 If the coarse homotopy or a level fails, the solve falls back to the
 homotopy on the target grid and records why.  Everything on the solve
 path is deterministic: same config, grid, and prescription reproduce
@@ -65,6 +70,10 @@ GROW_FACTOR = 1.5
 # The line search halves a rejected Newton step down to BACKTRACK_MIN.
 BACKTRACK_FACTOR = 0.5
 BACKTRACK_MIN = 1e-4
+
+# A nested level's Newton keeps its LU factor while every accepted step
+# cuts the residual sup-norm to at most this fraction of its last value.
+CHORD_CONTRACTION = 0.5
 
 # Difference step and relative error bound of the Jacobian check.
 JACOBIAN_CHECK_EPS = 1e-6
@@ -111,6 +120,7 @@ class NewtonResult:
     history: list
     geometry: object        # induced geometry of u
     psi: object             # the prescription's PsiEval at u
+    lu_factorizations: int  # Jacobians factored on the way
 
 
 @dataclass
@@ -122,6 +132,7 @@ class StepRecord:
     max_u: float
     max_tau: float
     max_abs_A: float
+    lu_factorizations: int
     level: int = 0          # index of the step's grid in HomotopyState.levels
 
 
@@ -133,6 +144,7 @@ class LevelRecord:
     resolution: str         # "n" on S^1, "n_latxn_lon" on S^2
     steps: int              # accepted states on this grid
     newton_iters: int
+    lu_factorizations: int  # made by the accepted states' Newton solves
     residual: float
     min_u: float
     max_u: float
@@ -380,11 +392,15 @@ class ContinuationSolver:
 
     # -- Newton ----------------------------------------------------------
 
-    def newton_solve(self, u0, t):
+    def newton_solve(self, u0, t, *, reuse_factor=False):
         """Damped Newton with backtracking from u0 at fixed t.
 
         A trial step is accepted only if it is spacelike, node-wise
-        admissible, and reduces the residual sup-norm.  Raises
+        admissible, and reduces the residual sup-norm.  With
+        reuse_factor, the LU factor of the Jacobian at u0 also serves the
+        later corrections (a chord iteration), until an accepted step
+        leaves more than CHORD_CONTRACTION of the residual sup-norm; the
+        next iteration then factors the Jacobian at its iterate.  Raises
         NewtonError (carrying the best iterate) when the iteration cap
         or the minimal damping is hit.
         """
@@ -397,14 +413,17 @@ class ContinuationSolver:
         rnorm = float(np.max(np.abs(res)))
         history = [rnorm]
         pattern = self.grid.stencil_pattern()
+        lu, factorizations = None, 0
         for iteration in range(1, cfg.max_newton + 1):
             if rnorm <= cfg.tol_newton:
                 return NewtonResult(u, iteration - 1, rnorm, history, geom,
-                                    psi)
-            jac = pattern.ordered(self.jacobian(u, t, geom, psi))
+                                    psi, factorizations)
+            if lu is None:
+                lu = spla.splu(pattern.ordered(self.jacobian(u, t, geom, psi)),
+                               permc_spec="NATURAL")
+                factorizations += 1
             delta = np.empty(self.grid.node_count)
-            delta[pattern.order] = spla.splu(jac, permc_spec="NATURAL").solve(
-                -res.ravel()[pattern.order])
+            delta[pattern.order] = lu.solve(-res.ravel()[pattern.order])
             delta = delta.reshape(self.grid.shape)
             alpha = 1.0
             while True:
@@ -422,11 +441,14 @@ class ContinuationSolver:
                     raise NewtonError("line search stalled below minimal step",
                                       best_u=u, residual_norm=rnorm,
                                       iterations=iteration - 1)
+            if not reuse_factor or trial_norm > CHORD_CONTRACTION * rnorm:
+                lu = None
             u, res, geom, psi, rnorm = (trial, trial_res, trial_geom,
                                         trial_psi, trial_norm)
             history.append(rnorm)
         if rnorm <= cfg.tol_newton:
-            return NewtonResult(u, cfg.max_newton, rnorm, history, geom, psi)
+            return NewtonResult(u, cfg.max_newton, rnorm, history, geom, psi,
+                                factorizations)
         raise NewtonError(f"no convergence in {cfg.max_newton} iterations",
                           best_u=u, residual_norm=rnorm,
                           iterations=cfg.max_newton)
@@ -438,7 +460,8 @@ class ContinuationSolver:
 
         The homotopy runs on the coarsest grid of grid.coarsened() only.
         Each finer grid, up to this one, is one more level: Newton at
-        t_final from the prolonged solution of the level below, then the
+        t_final from the prolonged solution of the level below, reusing
+        the LU factor of its start while the residual contracts, then the
         bound monitors and the Jacobian directional check on its result.
         If the coarse homotopy or a level fails (a NewtonError, a
         ContinuationError or a failed monitor), the run falls back to the
@@ -485,16 +508,19 @@ class ContinuationSolver:
 
     def _attempt(self, u_start, t, level=0):
         """Newton from u_start at fixed t, then the bound monitors on its
-        result: ``(newton_result, monitor, record)``."""
+        result: ``(newton_result, monitor, record)``.  Level 0 is a
+        homotopy step, whose full Newton iteration count keys the step
+        growth; a nested level (level > 0) starts O(h^2) from its
+        solution and reuses its LU factor."""
         cfg = self.config
-        result = self.newton_solve(u_start, t)
+        result = self.newton_solve(u_start, t, reuse_factor=level > 0)
         u, geom = result.u, result.geometry
         monitor = check_bounds(geom, u, self.barriers, cfg.c_tau, cfg.c_a, cfg.k)
         record = StepRecord(
             t=t, iters=result.iterations, residual=result.residual_norm,
             min_u=float(u.min()), max_u=float(u.max()),
             max_tau=float(geom.tau.max()), max_abs_A=float(geom.abs_A.max()),
-            level=level)
+            lu_factorizations=result.lu_factorizations, level=level)
         return result, monitor, record
 
     def _homotopy(self, t_final):
@@ -572,6 +598,7 @@ def _level_record(grid, records, u):
     return LevelRecord(
         resolution=_resolution(grid), steps=len(records),
         newton_iters=sum(rec.iters for rec in records),
+        lu_factorizations=sum(rec.lu_factorizations for rec in records),
         residual=records[-1].residual, min_u=float(u.min()),
         max_u=float(u.max()), mean_u=grid.mean(u))
 

@@ -12,7 +12,7 @@ import dscurv.prescription
 import dscurv.solver
 from dscurv import (AuditBox, ConfigError, ContinuationSolver,
                     InternalConsistencyError, SolverConfig, SpaceTiltPower,
-                    build_grid, run_homotopy)
+                    build_grid, induced_geometry, run_homotopy)
 from dscurv import cli
 from dscurv.prescription import PRESCRIPTIONS, make_prescription
 
@@ -219,10 +219,10 @@ def test_summary_levels_and_trace_level_column(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["fallback"] is None
     levels = summary["levels"]
-    assert [level["resolution"] for level in levels] == ["16x32", "32x64",
-                                                        "64x128"]
+    assert [level["resolution"] for level in levels] == ["8x16", "16x32",
+                                                        "32x64", "64x128"]
     assert [level["mean_u_ratio"] for level in levels[:2]] == [None, None]
-    assert 3.4 <= levels[2]["mean_u_ratio"] <= 4.6
+    assert all(3.4 <= level["mean_u_ratio"] <= 4.6 for level in levels[2:])
     assert levels[-1]["min_u"] == summary["continuation"]["min_u"]
     assert all(level["residual"] <= 1e-10 for level in levels)
 
@@ -233,7 +233,7 @@ def test_summary_levels_and_trace_level_column(tmp_path):
         mine = [row for row in rows if row["level"] == i]
         assert len(mine) == level["steps"]
         assert sum(row["newton_iters"] for row in mine) == level["newton_iters"]
-    assert [row["level"] for row in rows[-2:]] == [1.0, 2.0]
+    assert [row["level"] for row in rows[-3:]] == [1.0, 2.0, 3.0]
 
 
 def test_summary_reports_fallback(tmp_path, monkeypatch):
@@ -244,7 +244,7 @@ def test_summary_reports_fallback(tmp_path, monkeypatch):
     assert cli.main(["--config", path, "--resolution", "32x64",
                      "--quiet"]) == cli.EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["fallback"].startswith("level 1 (32x64) failed")
+    assert summary["fallback"].startswith("level 1 (16x32) failed")
     assert [level["resolution"] for level in summary["levels"]] == ["32x64"]
     assert summary["continuation"]["t"] == 1.0
 
@@ -273,6 +273,25 @@ def test_full_precision_round_trip(tmp_path):
     for text in row:
         value = float(text)
         assert format(value, ".17g") == text
+
+
+def test_fields_csv_matches_per_value_formatting(tmp_path):
+    # the writer's row template against formatting each value on its own
+    grid = build_grid(2, (8, 16))
+    geom = induced_geometry(
+        0.8 + 0.05 * np.cos(grid.coords()[0]), grid)
+    residual = np.linspace(-1e-10, 1e-10, grid.node_count).reshape(grid.shape)
+    residual.flat[:6] = [-0.0, 5e-324, 1e300, 1e16, 0.1, -2.5]
+    path = tmp_path / "fields.csv"
+    cli._write_fields_csv(str(path), grid, geom, residual)
+    columns = [c.ravel() for c in grid.coords()] + [
+        geom.u.ravel(), geom.tau.ravel(), geom.eta.ravel(),
+        geom.shape_eigs[..., 0].ravel(), geom.shape_eigs[..., 1].ravel(),
+        residual.ravel()]
+    lines = path.read_text().splitlines()
+    assert lines[0] == "phi,theta,u,tau,eta,lambda_1,lambda_2,residual"
+    assert lines[1:] == [",".join(format(float(x), ".17g") for x in row)
+                         for row in zip(*columns)]
 
 
 def test_audit_only_mode(tmp_path, monkeypatch):

@@ -161,11 +161,13 @@ def test_difference_operators_match_array_stencils(s1_64, s2_16x32, rng):
 
 
 def test_coarsened_chain():
-    cases = {(2, (48, 96)): [(24, 48)], (2, (32, 64)): [(16, 32)],
-             (2, (16, 32)): [], (2, (64, 96)): [(32, 48), (16, 24)],
+    cases = {(2, (48, 96)): [(24, 48), (12, 24)], (2, (24, 48)): [(12, 24)],
+             (2, (32, 64)): [(16, 32), (8, 16)], (2, (16, 32)): [(8, 16)],
+             (2, (8, 16)): [], (2, (64, 96)): [(32, 48), (16, 24), (8, 12)],
              (2, (32, 66)): [],         # 33 longitudes: no pole closure
-             (2, (128, 256)): [(64, 128), (32, 64), (16, 32)],
-             (1, 128): [(64,), (32,), (16,)], (1, 24): []}
+             (2, (128, 256)): [(64, 128), (32, 64), (16, 32), (8, 16)],
+             (1, 128): [(64,), (32,), (16,), (8,)], (1, 24): [(12,)],
+             (1, 12): []}
     for (dim, res), shapes in cases.items():
         grid = build_grid(dim, res)
         chain = grid.coarsened()

@@ -325,8 +325,9 @@ def test_run_homotopy_deterministic_s2():
 
 def test_nested_run_matches_single_grid_homotopy():
     target = SpaceTiltPower(0.5, 0.1, 2.0)
-    for res, shapes in (((32, 64), ["16x32", "32x64"]),
-                        ((64, 128), ["16x32", "32x64", "64x128"])):
+    for res, shapes in (((32, 64), ["8x16", "16x32", "32x64"]),
+                        ((48, 96), ["12x24", "24x48", "48x96"]),
+                        ((64, 128), ["8x16", "16x32", "32x64", "64x128"])):
         grid = build_grid(2, res)
         box = AuditBox(r_hi=2.5)
         barriers, _ = combined_barriers(scan_barriers(target, box), 2.0, box)
@@ -350,10 +351,62 @@ def test_nested_run_deterministic():
     cfg = SolverConfig(k=2, p=2.0)
     a = run_homotopy(target, grid, cfg)
     b = run_homotopy(target, grid, cfg)
-    assert len(a.levels) == 2
+    assert len(a.levels) == 3
     assert np.array_equal(a.u, b.u)
     assert a.step_history == b.step_history
     assert a.levels == b.levels
+
+
+def test_nested_levels_factor_once(monkeypatch):
+    factored, checked = [], []
+    splu = spla.splu
+    check = ContinuationSolver.directional_derivative_check
+
+    def counted_splu(mat, *args, **kwargs):
+        factored.append(mat.shape[0])
+        return splu(mat, *args, **kwargs)
+
+    def counted_check(self, *args, **kwargs):
+        checked.append(self.grid.node_count)
+        return check(self, *args, **kwargs)
+
+    monkeypatch.setattr(dscurv.solver.spla, "splu", counted_splu)
+    monkeypatch.setattr(ContinuationSolver, "directional_derivative_check",
+                        counted_check)
+    state = run_homotopy(SpaceTiltPower(0.5, 0.1, 2.0),
+                         build_grid(2, (64, 128)), SolverConfig(k=2, p=2.0))
+    assert state.fallback is None and state.t == 1.0
+    assert [level.resolution for level in state.levels] == [
+        "8x16", "16x32", "32x64", "64x128"]
+    # the homotopy factors on every Newton iteration, each finer level once
+    coarsest, *finer = state.levels
+    assert factored.count(8 * 16) == coarsest.lu_factorizations == (
+        coarsest.newton_iters)
+    assert checked.count(8 * 16) >= 1
+    for nodes, level in zip((16 * 32, 32 * 64, 64 * 128), finer):
+        assert factored.count(nodes) == level.lu_factorizations == 1
+        assert level.newton_iters > 1
+        assert checked.count(nodes) == 1
+
+
+def test_nested_level_refactors_when_contraction_is_slow(monkeypatch):
+    # a start far from the level's solution: 0.1 Re((x + iy)^4) added to
+    # every prolonged field makes some chord step leave more than
+    # CHORD_CONTRACTION of the residual
+    prolong = dscurv.grid.SphereGrid.prolong
+
+    def perturbed(self, f):
+        phi, theta = self.refine().coords()
+        return prolong(self, f) + 0.1 * np.sin(phi) ** 4 * np.cos(4.0 * theta)
+
+    target, cfg = SpaceTiltPower(0.5, 0.1, 2.0), SolverConfig(k=2, p=2.0)
+    reference = run_homotopy(target, build_grid(2, (32, 64)), cfg)
+    monkeypatch.setattr(dscurv.grid.SphereGrid, "prolong", perturbed)
+    state = run_homotopy(target, build_grid(2, (32, 64)), cfg)
+    assert state.fallback is None and state.t == 1.0
+    assert all(level.lu_factorizations >= 2 for level in state.levels[1:])
+    assert all(level.residual <= cfg.tol_newton for level in state.levels)
+    assert np.max(np.abs(state.u - reference.u)) <= 1e-10
 
 
 @pytest.mark.parametrize("failure", ["infeasible start", "monitor"])
@@ -368,7 +421,7 @@ def test_nested_run_falls_back_to_single_grid(monkeypatch, failure):
     if failure == "infeasible start":
         monkeypatch.setattr(dscurv.grid.SphereGrid, "prolong",
                             lambda self, f: -np.ones(self.refine().shape))
-        cause = "initial iterate infeasible"
+        cause, failed_level = "initial iterate infeasible", "level 1 (16x32)"
     else:
         # the level's monitors fail once; the fallback's pass
         check_bounds, failed = dscurv.solver.check_bounds, []
@@ -383,8 +436,9 @@ def test_nested_run_falls_back_to_single_grid(monkeypatch, failure):
 
         monkeypatch.setattr(dscurv.solver, "check_bounds", fail_once)
         cause = "bound monitors failed: c0 at 1 node(s) [7]"
+        failed_level = "level 2 (32x64)"
     state = solver.run()
-    assert state.fallback.startswith(f"level 1 (32x64) failed: {cause}")
+    assert state.fallback.startswith(f"{failed_level} failed: {cause}")
     assert np.array_equal(state.u, single.u)
     assert state.step_history == single.step_history
     assert [level.resolution for level in state.levels] == ["32x64"]
