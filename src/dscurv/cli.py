@@ -394,10 +394,12 @@ def main(argv=None):
         overrides["out"] = args.out
     try:
         if args.resolution:
-            if "x" in args.resolution:
-                nlat, nlon = args.resolution.lower().split("x")
-                overrides["grid.nlat"] = nlat
-                overrides["grid.nlon"] = nlon
+            parts = args.resolution.lower().split("x")
+            if len(parts) > 2:
+                raise ConfigError("--resolution must be N or NLATxNLON, got "
+                                  f"{args.resolution!r}")
+            if len(parts) == 2:
+                overrides["grid.nlat"], overrides["grid.nlon"] = parts
             else:
                 overrides["grid.n"] = args.resolution
         config = parse_config(args.config, overrides)

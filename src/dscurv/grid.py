@@ -86,7 +86,6 @@ class SphereGrid:
             gamma[..., 1, 1, 0] = cot
             self.christoffel = gamma
         self.node_count = int(np.prod(self.shape))
-        self._operators = None
         self._pattern = None
 
     # -- coordinates ---------------------------------------------------
@@ -206,7 +205,7 @@ class SphereGrid:
         hess[..., 1, 1] = d2theta
         return hess
 
-    # -- the same stencils as sparse matrices --------------------------
+    # -- the same stencils as one neighbour table -----------------------
 
     def _neighbours(self, dj, di):
         """Flat index of the node at offset (dj, di) in (phi, theta) from
@@ -220,114 +219,97 @@ class SphereGrid:
         j = np.clip(j, 0, self.n_lat - 1)
         return (j * self.n_lon + i).ravel()
 
-    def _stencil_matrix(self, weights):
-        n = self.node_count
-        rows = np.tile(np.arange(n), len(weights))
-        cols = np.concatenate([self._neighbours(*off) for off in weights])
-        data = np.repeat(np.array(list(weights.values())), n)
-        return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-    def difference_operators(self):
-        """The centered differences of partial_gradient and partial_hessian
-        (scalar parity) as sparse matrices acting on flattened fields.
-
-        Returns ``(grads, hessians)``: ``grads[i]`` maps f to d_i f and
-        ``hessians[i, j]`` (i <= j) maps f to d_ij f.  Built on first use
-        and shared afterwards.
-        """
-        if self._operators is not None:
-            return self._operators
-        stencil = self._stencil_matrix
-        axes = ([((1, 0), self.dphi)] if self.dim == 2 else []) + [
-            ((0, 1), self.dtheta)]
-        grads = tuple(stencil({e: 0.5 / h, (-e[0], -e[1]): -0.5 / h})
-                      for e, h in axes)
-        hessians = {(i, i): stencil({e: h ** -2, (0, 0): -2.0 * h ** -2,
-                                     (-e[0], -e[1]): h ** -2})
-                    for i, (e, h) in enumerate(axes)}
-        if self.dim == 2:
-            c = 0.25 / (self.dphi * self.dtheta)
-            hessians[0, 1] = stencil({(1, 1): c, (1, -1): -c,
-                                      (-1, 1): -c, (-1, -1): c})
-        self._operators = (grads, hessians)
-        return self._operators
-
     def stencil_pattern(self):
-        """StencilPattern of the identity followed by difference_operators()
-        (``grads`` in order, then ``hessians`` in key order): the pattern
-        and ordering of every Jacobian on this grid.  Built on first use
-        and shared afterwards."""
+        """StencilPattern of partial_gradient and partial_hessian (scalar
+        parity): the pattern and ordering of every Jacobian on this grid.
+        Built on first use and shared afterwards."""
         if self._pattern is None:
-            grads, hessians = self.difference_operators()
-            self._pattern = StencilPattern(
-                [sp.identity(self.node_count, format="csr"), *grads,
-                 *hessians.values()])
+            self._pattern = StencilPattern(self)
         return self._pattern
 
 
 class StencilPattern:
-    """One sparsity pattern for every combination sum_m diag(c_m) L_m of
-    a fixed list of n x n operators, with one fill-reducing ordering.
+    """The centered stencils of a grid as one fixed sparsity pattern, for
+    every matrix of the form diag(a_u) + sum_i diag(a_p_i) D_i
+    + sum_ij diag(a_H_ij) D_ij, with one fill-reducing ordering.
 
-    The pattern is the union of the operators' patterns, and every
-    operator entry has a precomputed position in it, so assembling a
-    combination is one scatter of the coefficients and all assembled
-    matrices share ``indptr`` and ``indices`` (entries that cancel stay
-    as stored zeros).  ``order`` is a multiple-minimum-degree ordering
-    of the pattern's A^T + A, computed once: ``ordered`` permutes an
-    assembled matrix symmetrically into it, ready for a factorization
-    that adds no column ordering of its own.
+    Row m holds node m's neighbours at the stencil offsets (the 3x3
+    neighbourhood on S^2, 3 nodes on S^1), in offset order; across a
+    pole they lie on the antipodal ring, and they stay distinct on every
+    grid grid_shape accepts, so every row has ``width`` entries and all
+    assembled matrices share ``indptr`` and ``indices`` (entries that
+    cancel stay as stored zeros).  ``order`` is a multiple-minimum-degree
+    ordering of the pattern's A^T + A, computed once: ``ordered``
+    permutes an assembled matrix symmetrically into it, ready for a
+    factorization that adds no column ordering of its own.
     """
 
-    def __init__(self, operators):
-        n = operators[0].shape[0]
-        rows, cols, weights, terms = [], [], [], []
-        for m, op in enumerate(operators):
-            coo = op.tocoo()
-            rows.append(coo.row)
-            cols.append(coo.col)
-            weights.append(coo.data)
-            terms.append(m * n + coo.row)
-        keys = np.concatenate(rows).astype(np.int64) * n + np.concatenate(cols)
-        unique = np.sort(keys)
-        unique = unique[np.concatenate(([True], unique[1:] != unique[:-1]))]
+    def __init__(self, grid):
+        n, self.dim = grid.node_count, grid.dim
+        steps = (-1, 0, 1)
+        offsets = [(dj, di) for dj in (steps if grid.dim == 2 else (0,))
+                   for di in steps]
         self.shape = (n, n)
-        self.indices = (unique % n).astype(np.int32)
-        self.indptr = np.searchsorted(unique, n * np.arange(n + 1)).astype(np.int32)
-        # per operator entry: where it lands, which coefficient scales it
-        self._positions = np.searchsorted(unique, keys).astype(np.int32)
-        self._terms = np.concatenate(terms).astype(np.int32)
-        self._weights = np.concatenate(weights)
+        self.width = len(offsets)
+        self.indices = np.stack([grid._neighbours(*off) for off in offsets],
+                                axis=1).ravel().astype(np.int32)
+        self.indptr = (self.width * np.arange(n + 1)).astype(np.int32)
+
+        # the stencil of each term, as (offset column, weight) pairs, in
+        # the order assemble() sums them: the identity, D_i, D_ii, D_01
+        column = {off: o for o, off in enumerate(offsets)}
+        axes = ([((1, 0), grid.dphi)] if grid.dim == 2 else []) + [
+            ((0, 1), grid.dtheta)]
+        terms = [{(0, 0): 1.0}]
+        terms += [{e: 0.5 / h, (-e[0], -e[1]): -0.5 / h} for e, h in axes]
+        terms += [{e: h ** -2, (0, 0): -2.0 * h ** -2, (-e[0], -e[1]): h ** -2}
+                  for e, h in axes]
+        if grid.dim == 2:
+            c = 0.25 / (grid.dphi * grid.dtheta)
+            terms.append({(1, 1): c, (1, -1): -c, (-1, 1): -c, (-1, -1): c})
+        self._terms = [[(column[off], w) for off, w in term.items()]
+                       for term in terms]
 
         self.order = _minimum_degree_order(self.indptr, self.indices, n)
-        # the pattern in ordered CSC: entry e is data[take[e]] of the CSR
-        rank = np.empty(n, dtype=np.int64)
+        # the pattern in ordered CSC, rows sorted in each column: entry e
+        # is data[take[e]] of the CSR.  P A P^T in CSR holds in row a the
+        # CSR positions of row order[a], and SciPy's CSR-to-CSC transpose
+        # visits rows in order.  The pattern is symmetric, so every column
+        # has width entries too.
+        rank = np.empty(n, dtype=np.int32)
         rank[self.order] = np.arange(n)
-        new_rows = rank[unique // n]
-        new_cols = rank[self.indices]
-        take = np.lexsort((new_rows, new_cols))
-        self._take = take.astype(np.int32)
-        self._ordered_indices = new_rows[take].astype(np.int32)
-        self._ordered_indptr = np.searchsorted(
-            new_cols[take], np.arange(n + 1)).astype(np.int32)
+        table = self.indices.reshape(n, self.width)[self.order]
+        positions = self.order[:, None] * self.width + np.arange(self.width)
+        permuted = sp.csr_matrix((positions.ravel(), rank[table].ravel(),
+                                  self.indptr), shape=self.shape).tocsc()
+        self._take = permuted.data.astype(np.int32)
+        self._ordered_indices = permuted.indices.astype(np.int32)
 
-    def assemble(self, coefs):
-        """CSR matrix sum_m diag(coefs[m]) L_m on the fixed pattern, from
-        one coefficient field (any shape, n values) per operator."""
-        values = np.concatenate([np.ravel(c) for c in coefs])
-        data = np.bincount(self._positions,
-                           weights=values[self._terms] * self._weights,
-                           minlength=self.indices.size)
+    def assemble(self, a_u, a_p, a_H):
+        """CSR matrix diag(a_u) + sum_i diag(a_p_i) D_i + sum_ij
+        diag(a_H_ij) D_ij on the fixed pattern, from coefficient fields
+        a_u (n values), a_p (..., dim) and a_H (..., dim, dim); the mixed
+        partial D_01 = D_10 takes a_H_01 + a_H_10.  Each entry sums its
+        terms in that order."""
+        coefs = [a_u, *np.moveaxis(a_p, -1, 0),
+                 *(a_H[..., i, i] for i in range(self.dim))]
+        if self.dim == 2:
+            coefs.append(a_H[..., 0, 1] + a_H[..., 1, 0])
+        data = np.zeros((self.shape[0], self.width))
+        for coef, term in zip(coefs, self._terms):
+            coef = np.ravel(coef)
+            for o, w in term:
+                data[:, o] += coef * w
         # copies: scipy may sort or prune a matrix's index arrays in place
-        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
-                             shape=self.shape)
+        return sp.csr_matrix((data.ravel(), self.indices.copy(),
+                              self.indptr.copy()), shape=self.shape)
 
     def ordered(self, mat):
         """P mat P^T as CSC, row and column a of it being ``order[a]`` of
         mat, for a CSR ``mat`` returned by assemble()."""
         return sp.csc_matrix((mat.data[self._take],
                               self._ordered_indices.copy(),
-                              self._ordered_indptr.copy()), shape=self.shape)
+                              self.indptr.copy()), shape=self.shape)
 
 
 def _minimum_degree_order(indptr, indices, n):

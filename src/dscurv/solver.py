@@ -14,12 +14,13 @@ value is cosh^p(lam) * lam * tanh(lam) = tanh(lam).
 The Jacobian is the exact derivative of the *discrete* residual: Phi at
 a node depends on u only through u and its centered first and second
 partials there, so the chain rule with closed-form 2x2 coefficients
-times the grid's sparse difference operators gives the matrix.  The
-grid builds the union pattern of those operators and a multiple-
-minimum-degree ordering of it once (SphereGrid.stencil_pattern); every
-Jacobian is one scatter of the coefficients onto that fixed pattern,
-and Newton factors it permuted into the ordering, so SuperLU adds no
-column ordering of its own and keeps its threshold partial pivoting.
+times the grid's centered stencils gives the matrix.  The grid builds
+the stencils' pattern, each node's 3x3 neighbourhood with the antipodal
+pole closure, and a multiple-minimum-degree ordering of it once
+(SphereGrid.stencil_pattern); every Jacobian fills that fixed pattern
+with the coefficients times the stencil weights, and Newton factors it
+permuted into the ordering, so SuperLU adds no column ordering of its
+own and keeps its threshold partial pivoting.
 
 Each Newton trial step must be spacelike, node-wise admissible, and
 reduce the residual sup-norm, otherwise the step is backtracked; each
@@ -307,12 +308,12 @@ class ContinuationSolver:
 
         Phi at a node depends on u only through u, p = D_i u and
         H = D_ij u at that node, so J = diag(a_u) + sum_i diag(a_p_i) D_i
-        + sum_{i<=j} diag(a_H_ij) D_ij with the grid's difference
-        operators D and chain-rule coefficients in closed form.  With
-        c = cosh u, s = sinh u, q = sigma^-1 p, m = c^2 - p.q,
-        tau = c^2/sqrt(m) and K = H - Gamma^k p_k - 2 tanh(u) p p^T
-        + s c sigma (so A = tau/c K), F = df/dA and G = df/dg = -F A g^-1
-        (f depends on A and g only through g^-1 A):
+        + sum_ij diag(a_H_ij) D_ij with the grid's centered stencils D
+        (StencilPattern.assemble) and chain-rule coefficients in closed
+        form.  With c = cosh u, s = sinh u, q = sigma^-1 p,
+        m = c^2 - p.q, tau = c^2/sqrt(m) and K = H - Gamma^k p_k
+        - 2 tanh(u) p p^T + s c sigma (so A = tau/c K), F = df/dA and
+        G = df/dg = -F A g^-1 (f depends on A and g only through g^-1 A):
 
             a_H = tau/c F
             a_p = c/m^1.5 (F:K) q - tau/c (F:Gamma + 4 tanh(u) F p)
@@ -356,16 +357,14 @@ class ContinuationSolver:
                - psi.psi_r
                - psi.psi_tau * (2.0 * c * s / rm - c ** 3 * s / m32))
         a_H = ratio[..., None, None] * F
-        _, hessians = grid.difference_operators()
-        coefs = [a_u, *np.moveaxis(a_p, -1, 0)] + [
-            a_H[..., i, j] if i == j else a_H[..., i, j] + a_H[..., j, i]
-            for i, j in hessians]
-        return grid.stencil_pattern().assemble(coefs)
+        return grid.stencil_pattern().assemble(a_u, a_p, a_H)
 
     def directional_derivative_check(self, u, t, geom=None, psi=None):
         """Compare the assembled Jacobian against a central difference of
         the residual, step JACOBIAN_CHECK_EPS, along the fixed smooth field
-        1 + cos(xi_1)/2; ``geom`` and ``psi`` are passed on to jacobian().
+        1 + cos(xi_1)/2, plus 0.3 sin(phi) cos(theta) on S^2 so that the
+        theta columns (D_theta, D_thth, D_phith) enter too; ``geom`` and
+        ``psi`` are passed on to jacobian().
 
         The error is measured row-relative (against sum_q |J_mq v_q|
         per row, floored by the global scale): rows touching the pole
@@ -376,6 +375,9 @@ class ContinuationSolver:
         """
         u = self.grid.check_field(u)
         v = 1.0 + 0.5 * np.cos(self.coords[0]) * np.ones(self.grid.shape)
+        if self.grid.dim == 2:
+            phi, theta = self.coords
+            v = v + 0.3 * np.sin(phi) * np.cos(theta)
         eps = JACOBIAN_CHECK_EPS
         jac = self.jacobian(u, t, geom, psi)
         vflat = v.ravel()
@@ -477,7 +479,7 @@ class ContinuationSolver:
         coarser = self.grid.coarsened()
         if t_final == 0.0 or not coarser:
             return self._homotopy(t_final)
-        # coarsest first; a level's grid, with its cached operators, is
+        # coarsest first; a level's grid, with its cached stencil pattern, is
         # released once the next level has its start
         level, solver = 0, ContinuationSolver(coarser.pop(), self.target,
                                               self.config, self.barriers)

@@ -1,5 +1,7 @@
 """Sphere grids and finite-difference operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,21 +145,46 @@ def test_laplace_beltrami_eigenvalue_oracle(s2_32x64):
         assert 3.4 <= _ratio(coarse, fine) <= 4.6
 
 
-def test_difference_operators_match_array_stencils(s1_64, s2_16x32, rng):
-    # a random field puts weight on every node, the pole rings included
-    for g in (s1_64, s2_16x32):
+def test_stencil_terms_match_array_stencils(rng):
+    # each term of assemble() alone, with unit coefficient, is the array
+    # stencil; a random field puts weight on every node, the pole rings
+    # included
+    for dim, res in ((1, 8), (1, 64), (2, (8, 16)), (2, (16, 32))):
+        g = build_grid(dim, res)
         f = rng.standard_normal(g.shape)
-        grads, hessians = g.difference_operators()
-        assert sorted(hessians) == [(i, j) for i in range(g.dim)
-                                    for j in range(i, g.dim)]
+        pattern = g.stencil_pattern()
+
+        def term(a_u=0.0, p=None, H=None):
+            a_p = np.zeros(g.shape + (dim,))
+            a_H = np.zeros(g.shape + (dim, dim))
+            if p is not None:
+                a_p[..., p] = 1.0
+            if H is not None:
+                a_H[(..., *H)] = 1.0
+            mat = pattern.assemble(np.full(g.shape, a_u), a_p, a_H)
+            return (mat @ f.ravel()).reshape(g.shape)
+
+        assert np.array_equal(term(a_u=1.0), f)
         want = g.partial_gradient(f)
-        for i, D in enumerate(grads):
-            got = (D @ f.ravel()).reshape(g.shape)
-            assert np.max(np.abs(got - want[..., i])) <= 1e-12 * np.max(np.abs(want))
+        for i in range(dim):
+            assert np.max(np.abs(term(p=i) - want[..., i])) <= 1e-12 * np.max(np.abs(want))
         want = g.partial_hessian(f)
-        for (i, j), D in hessians.items():
-            got = (D @ f.ravel()).reshape(g.shape)
-            assert np.max(np.abs(got - want[..., i, j])) <= 1e-12 * np.max(np.abs(want))
+        for i in range(dim):
+            for j in range(i, dim):
+                got = term(H=(i, j))
+                assert np.max(np.abs(got - want[..., i, j])) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_stencil_pattern_retains_bounded_memory():
+    # 32768 nodes x 9 neighbours: one int32 array over the pattern is 1.1 MB
+    grid = build_grid(2, (128, 256))
+    tracemalloc.start()
+    try:
+        grid.stencil_pattern()
+        retained_mb = tracemalloc.get_traced_memory()[0] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert retained_mb <= 8.0
 
 
 def test_coarsened_chain():

@@ -107,25 +107,27 @@ def test_jacobian_matches_dense_differencing():
     assert np.max(np.abs(jac - dense)) / np.max(np.abs(dense)) < 1e-6
 
 
-def test_jacobian_sparsity_matches_stencil(s2_16x32):
-    grid = s2_16x32
-    solver = _solver(grid, 2)
-    phi, theta = grid.coords()
-    u = solver.start_radius + 0.02 * np.cos(phi) + 0.01 * np.sin(phi) * np.cos(theta)
-    jac = solver.jacobian(u, 0.5).tocsr()
-    nlat, nlon = grid.shape
-    for m in range(grid.node_count):
-        j, i = divmod(m, nlon)
-        allowed = set()
-        for dj in (-1, 0, 1):
-            for di in (-1, 0, 1):
-                jj, ii = j + dj, (i + di) % nlon
-                if not 0 <= jj < nlat:
-                    # across a pole: the same ring, half a turn away
-                    jj, ii = j, (ii + nlon // 2) % nlon
-                allowed.add(jj * nlon + ii)
-        cols = jac.indices[jac.indptr[m]:jac.indptr[m + 1]]
-        assert set(cols) <= allowed
+def test_jacobian_sparsity_matches_stencil():
+    # every row holds exactly its 3x3 neighbourhood, reading across a pole
+    # from the antipodal ring; 8x16 has the tightest pole neighbourhoods
+    for res in ((8, 16), (16, 32)):
+        grid = build_grid(2, res)
+        solver = _solver(grid, 2)
+        jac = solver.jacobian(_nonzonal_state(grid, solver), 0.5).tocsr()
+        nlat, nlon = grid.shape
+        for m in range(grid.node_count):
+            j, i = divmod(m, nlon)
+            allowed = set()
+            for dj in (-1, 0, 1):
+                for di in (-1, 0, 1):
+                    jj, ii = j + dj, (i + di) % nlon
+                    if not 0 <= jj < nlat:
+                        # across a pole: the same ring, half a turn away
+                        jj, ii = j, (ii + nlon // 2) % nlon
+                    allowed.add(jj * nlon + ii)
+            cols = jac.indices[jac.indptr[m]:jac.indptr[m + 1]]
+            assert len(cols) == len(allowed) == 9
+            assert set(cols) == allowed
 
 
 def _nonzonal_state(grid, solver):
@@ -203,6 +205,26 @@ def test_jacobian_linearity_and_directional_check(s2_16x32):
     row_scale = np.abs(jac).dot(np.abs(3.0 * v.ravel()))
     assert np.max(diff / np.maximum(row_scale, 1e-30)) < 1e-14
     assert solver.directional_derivative_check(u, 0.0) <= 1e-5
+
+
+def test_jacobian_check_sees_theta_columns(monkeypatch):
+    # a zonal direction has D_thth v = 0 exactly, so only the direction's
+    # theta dependence exposes a wrong D_thth term
+    grid = build_grid(2, (16, 32))
+    solver = _solver(grid, 2)
+    u = _nonzonal_state(grid, solver)
+    assert solver.directional_derivative_check(u, 0.5) <= 1e-5
+    pattern = grid.stencil_pattern()
+    assemble = pattern.assemble
+
+    def scaled(a_u, a_p, a_H):
+        a_H = a_H.copy()
+        a_H[..., 1, 1] *= 1.1
+        return assemble(a_u, a_p, a_H)
+
+    monkeypatch.setattr(pattern, "assemble", scaled)
+    with pytest.raises(InternalConsistencyError):
+        solver.directional_derivative_check(u, 0.5)
 
 
 def test_jacobian_constant_mode_sign_and_value(s1_64):
