@@ -385,17 +385,14 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    overrides = {}
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.k is not None:
-        overrides["k"] = args.k
-    if args.out:
-        overrides["out"] = args.out
+    # parse_config skips the None values of flags not given
+    overrides = {"mode": args.mode, "k": args.k, "out": args.out}
     try:
-        if args.resolution:
+        if args.out is not None and not args.out.strip():
+            raise ConfigError(f"--out must name a directory, got {args.out!r}")
+        if args.resolution is not None:
             parts = args.resolution.lower().split("x")
-            if len(parts) > 2:
+            if len(parts) > 2 or not all(part.strip() for part in parts):
                 raise ConfigError("--resolution must be N or NLATxNLON, got "
                                   f"{args.resolution!r}")
             if len(parts) == 2:

@@ -60,7 +60,11 @@ class InducedGeometry:
 
 
 def _check_inverse(g, g_inv):
-    ident = np.einsum("...ij,...jk->...ik", g, g_inv)
+    # the sum over j as broadcast products: an einsum over the trailing
+    # length-n axes takes numpy's slow path
+    ident = g[..., :, 0, None] * g_inv[..., None, 0, :]
+    for j in range(1, g.shape[-1]):
+        ident += g[..., :, j, None] * g_inv[..., None, j, :]
     ident -= np.eye(g.shape[-1])
     err = np.max(np.abs(ident))
     if err > METRIC_INVERSE_TOL:

@@ -23,6 +23,14 @@ for smooth non-constant graphs they decrease at second order in the
 spacing.  The first and third identities are implemented with the -eta
 terms: with +eta they fail the umbilic anchor by 2 sinh(u) cosh^2(u)
 times the metric, which the tests pin down.
+
+The identity monitor works on component-first tensors: T[i, j, ...]
+with the index axes first and the grid axes last, contiguous, so each
+contraction is an einsum over whole grid arrays (numpy's einsum is slow
+on trailing length-2 axes).  The covariant Hessians still come from
+the one grid.covariant_hessian, which reads the symbols through a
+node-major view.  Intermediates are freed once their sup-norm is taken,
+so a call holds about 44 grid-sized arrays at its peak.
 """
 
 from dataclasses import dataclass, field
@@ -124,40 +132,53 @@ def _component_parity(i, j=None):
     return -1.0 if flips % 2 else 1.0
 
 
-def _tensor_partials(grid, T):
-    """d_l T_ij for a symmetric 2-tensor field, parity-aware across poles.
+def _components(T):
+    """Component-first contiguous copy of a 2-tensor field:
+    T[..., i, j] -> out[i, j, ...]."""
+    return np.ascontiguousarray(np.moveaxis(T, (-2, -1), (0, 1)))
 
-    Returns an array with the derivative index first: out[..., l, i, j].
+
+def _tensor_partials(grid, T):
+    """d_l T_ij of a symmetric 2-tensor field given component-first,
+    T[i, j, ...], parity-aware across poles.
+
+    Returns out[l, i, j, ...], the derivative index first.
     """
     n = grid.dim
-    out = np.empty(grid.shape + (n, n, n))
+    out = np.empty((n, n, n) + grid.shape)
     for i in range(n):
         for j in range(i, n):
-            d = grid.partial_gradient(T[..., i, j], phi_parity=_component_parity(i, j))
-            out[..., :, i, j] = d
+            d = grid.partial_gradient(T[i, j], phi_parity=_component_parity(i, j))
+            out[:, i, j] = np.moveaxis(d, -1, 0)
             if i != j:
-                out[..., :, j, i] = d
+                out[:, j, i] = out[:, i, j]
     return out
 
 
-def induced_christoffel(geom):
-    """Christoffel symbols of the induced metric, Gamma[..., m, i, j],
-    assembled by differencing the metric components."""
-    dg = _tensor_partials(geom.grid, geom.g)
+def induced_christoffel(grid, g, g_inv):
+    """Christoffel symbols of the induced metric, Gamma[m, i, j, ...],
+    assembled by differencing the component-first metric g[i, j, ...]."""
+    dg = _tensor_partials(grid, g)
     # lowered symbols: 0.5 (d_i g_jk + d_j g_ik - d_k g_ij)
-    low = 0.5 * (np.einsum("...ijk->...kij", dg)
-                 + np.einsum("...jik->...kij", dg)
-                 - np.einsum("...kij->...kij", dg))
-    return np.einsum("...mk,...kij->...mij", geom.g_inv, low)
+    low = np.einsum("ijk...->kij...", dg) + np.einsum("jik...->kij...", dg)
+    low -= dg
+    low *= 0.5
+    del dg
+    return np.einsum("mk...,kij...->mij...", g_inv, low)
 
 
-def covariant_derivative_A(geom, christoffel):
-    """grad_k A_ij in the connection with Christoffel symbols christoffel
-    (induced_christoffel(geom)), index order (..., k, i, j)."""
-    dA = _tensor_partials(geom.grid, geom.A)
-    t1 = np.einsum("...mki,...mj->...kij", christoffel, geom.A)
-    t2 = np.einsum("...mkj,...im->...kij", christoffel, geom.A)
-    return dA - t1 - t2
+def covariant_derivative_A(grid, A, christoffel):
+    """grad_k A_ij of the component-first A[i, j, ...] in the connection
+    with Christoffel symbols christoffel[m, i, j, ...]
+    (induced_christoffel), index order [k, i, j, ...]."""
+    cov_a = _tensor_partials(grid, A)
+    cov_a -= np.einsum("mki...,mj...->kij...", christoffel, A)
+    cov_a -= np.einsum("mkj...,im...->kij...", christoffel, A)
+    return cov_a
+
+
+def _sup(x):
+    return float(np.max(np.abs(x)))
 
 
 def identity_residuals(u, grid):
@@ -168,35 +189,43 @@ def identity_residuals(u, grid):
     permute).
     """
     geom = induced_geometry(u, grid)
-    christoffel = induced_christoffel(geom)
-    tau, eta, g, A = geom.tau, geom.eta, geom.g, geom.A
+    tau, eta = geom.tau, geom.eta
+    g, g_inv, A = _components(geom.g), _components(geom.g_inv), _components(geom.A)
+    del geom
+    christoffel = induced_christoffel(grid, g, g_inv)
+    # the one covariant Hessian reads the symbols node-major, as a view
+    chr_nodes = np.moveaxis(christoffel, (0, 1, 2), (-3, -2, -1))
 
     deta = grid.partial_gradient(eta)
+    hess_eta = covariant_hessian(grid.partial_hessian(eta), deta, chr_nodes)
+    res = np.moveaxis(hess_eta, (-2, -1), (0, 1)) - (tau * A - eta * g)
+    r_eta = _sup(res)
+    del g, hess_eta, res
+    deta = np.moveaxis(deta, -1, 0)
+
     dtau = grid.partial_gradient(tau)
-    hess_eta = covariant_hessian(grid.partial_hessian(eta), deta, christoffel)
-    res_eta = hess_eta - (tau[..., None, None] * A - eta[..., None, None] * g)
-    r_eta = float(np.max(np.abs(res_eta)))
+    shape_mixed = np.einsum("ik...,kj...->ij...", g_inv, A)
+    res = np.moveaxis(dtau, -1, 0) - np.einsum("ij...,i...->j...", shape_mixed, deta)
+    r_tau1 = _sup(res)
+    del shape_mixed, res
 
-    shape_mixed = np.einsum("...ik,...kj->...ij", geom.g_inv, A)
-    res_tau1 = dtau - np.einsum("...ij,...i->...j", shape_mixed, deta)
-    r_tau1 = float(np.max(np.abs(res_tau1)))
-
-    cov_a = covariant_derivative_A(geom, christoffel)
-    deta_raised = np.einsum("...kl,...l->...k", geom.g_inv, deta)
-    transport = np.einsum("...kij,...k->...ij", cov_a, deta_raised)
-    a_sq = np.einsum("...ik,...kl,...lj->...ij", A, geom.g_inv, A)
-    hess_tau = covariant_hessian(grid.partial_hessian(tau), dtau, christoffel)
-    res_tau2 = hess_tau - (transport
-                           + tau[..., None, None] * a_sq
-                           - eta[..., None, None] * A)
-    r_tau2 = float(np.max(np.abs(res_tau2)))
+    cov_a = covariant_derivative_A(grid, A, christoffel)
+    deta_raised = np.einsum("kl...,l...->k...", g_inv, deta)
+    res = np.einsum("kij...,k...->ij...", cov_a, deta_raised)
+    del deta, deta_raised
+    res += tau * np.einsum("ik...,kl...,lj...->ij...", A, g_inv, A)
+    res -= eta * A
+    hess_tau = covariant_hessian(grid.partial_hessian(tau), dtau, chr_nodes)
+    res = np.moveaxis(hess_tau, (-2, -1), (0, 1)) - res
+    r_tau2 = _sup(res)
+    del christoffel, chr_nodes, hess_tau, res
 
     if grid.dim == 1:
         codazzi = 0.0
     else:
         # grad A is symmetric in (i, j) by construction, so one swap
         # generates the full permutation group
-        codazzi = float(np.max(np.abs(cov_a - np.swapaxes(cov_a, -3, -2))))
+        codazzi = _sup(cov_a - np.swapaxes(cov_a, 0, 1))
 
     return IdentityResiduals(r_eta, r_tau1, r_tau2, codazzi, grid.h)
 

@@ -77,12 +77,16 @@ S1 = BASE.replace("grid.dim = 2\ngrid.nlat = 16\ngrid.nlon = 32\nk = 2",
     (S1, ["--resolution", "4"], "grid.n"),
     (S1, ["--resolution", "16x32"], "grid.nlat"),
     (BASE, ["--resolution", "32x64x2"], "--resolution"),
+    (BASE, ["--resolution", "32x"], "--resolution"),
+    (BASE, ["--resolution", ""], "--resolution"),
+    (BASE, ["--out", ""], "--out"),
     (BASE + "audit.n_tau = 1\n", [], "n_tau"),
     (BASE + "audit.n_r = 0\n", [], "n_r"),
     (BASE + "audit.n_xi = 0\n", [], "n_xi"),
     (BASE + "audit.scan_resolution = 0\n", [], "scan_resolution"),
 ], ids=["s2-too-few", "s2-odd-nlon", "s2-grid.n", "s1-too-few", "s1-grid.nlat",
-        "s2-three-parts", "n_tau", "n_r", "n_xi", "scan_resolution"])
+        "s2-three-parts", "s2-empty-part", "empty-resolution", "empty-out",
+        "n_tau", "n_r", "n_xi", "scan_resolution"])
 def test_invalid_grid_and_sample_counts_exit_2(tmp_path, capsys, text, argv,
                                               key):
     path = write_config(tmp_path, text + f"out = {tmp_path / 'out'}\n")

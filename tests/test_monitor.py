@@ -1,13 +1,15 @@
 """Bound monitors and discrete identity validators."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dscurv import (AdmissibilityError, AuditBox, SpaceTiltPower, check_bounds,
-                    identity_residuals, induced_geometry, maclaurin_monitor,
-                    scan_barriers)
+from dscurv import (AdmissibilityError, AuditBox, SpaceTiltPower, build_grid,
+                    check_bounds, identity_residuals, induced_geometry,
+                    maclaurin_monitor, scan_barriers)
+from dscurv.grid import covariant_hessian
 
 UMBILIC_TOL = 1e-12
 
@@ -120,6 +122,72 @@ def test_identity_residuals_converge_s2(s2_16x32):
 def test_identity_residuals_record_spacing(s1_64):
     res = identity_residuals(np.full(s1_64.shape, 0.8), s1_64)
     assert res.h == s1_64.h
+
+
+def _node_major_residuals(u, grid):
+    """The identity residuals with the index axes last, (..., i, j): the
+    formulation the component-first monitor must reproduce bit for bit."""
+    geom = induced_geometry(u, grid)
+    tau, eta, g, g_inv, A = geom.tau, geom.eta, geom.g, geom.g_inv, geom.A
+
+    def partials(T):
+        out = np.empty(grid.shape + (grid.dim,) * 3)
+        for i in range(grid.dim):
+            for j in range(grid.dim):
+                parity = -1.0 if (int(i == 0) + int(j == 0)) % 2 else 1.0
+                out[..., :, i, j] = grid.partial_gradient(T[..., i, j], parity)
+        return out
+
+    dg = partials(g)
+    low = 0.5 * (np.einsum("...ijk->...kij", dg) + np.einsum("...jik->...kij", dg)
+                 - dg)
+    gamma = np.einsum("...mk,...kij->...mij", g_inv, low)
+    deta, dtau = grid.partial_gradient(eta), grid.partial_gradient(tau)
+    t, e = tau[..., None, None], eta[..., None, None]
+    res_eta = (covariant_hessian(grid.partial_hessian(eta), deta, gamma)
+               - (t * A - e * g))
+    mixed = np.einsum("...ik,...kj->...ij", g_inv, A)
+    res_tau1 = dtau - np.einsum("...ij,...i->...j", mixed, deta)
+    cov_a = (partials(A) - np.einsum("...mki,...mj->...kij", gamma, A)
+             - np.einsum("...mkj,...im->...kij", gamma, A))
+    transport = np.einsum("...kij,...k->...ij", cov_a,
+                          np.einsum("...kl,...l->...k", g_inv, deta))
+    a_sq = np.einsum("...ik,...kl,...lj->...ij", A, g_inv, A)
+    res_tau2 = (covariant_hessian(grid.partial_hessian(tau), dtau, gamma)
+                - (transport + t * a_sq - e * A))
+    codazzi = (0.0 if grid.dim == 1 else
+               float(np.max(np.abs(cov_a - np.swapaxes(cov_a, -3, -2)))))
+    return tuple(float(np.max(np.abs(r))) for r in (res_eta, res_tau1, res_tau2)
+                 ) + (codazzi,)
+
+
+def test_identity_residuals_equal_node_major_reference(s1_64, s2_16x32):
+    phi, theta = s2_16x32.coords()
+    p2 = 1.5 * np.cos(phi) ** 2 - 0.5
+    cases = [
+        (s1_64, np.full(s1_64.shape, 0.85)),
+        (s1_64, 0.8 + 0.1 * np.cos(s1_64.theta)),
+        (s2_16x32, np.full(s2_16x32.shape, 0.85)),
+        (s2_16x32, 0.8 + 0.1 * p2),
+        (s2_16x32, 0.8 + 0.1 * p2 + 0.05 * np.sin(phi) * np.cos(phi) * np.cos(theta)
+         + 0.04 * np.sin(phi) * np.sin(theta)),
+    ]
+    for grid, u in cases:
+        assert identity_residuals(u, grid).as_tuple() == _node_major_residuals(u, grid)
+
+
+def test_identity_residuals_memory_bound():
+    grid = build_grid(2, (64, 128))
+    phi, _ = grid.coords()
+    u = 0.8 + 0.1 * (1.5 * np.cos(phi) ** 2 - 0.5)
+    identity_residuals(u, grid)         # warm call: caches and imports
+    tracemalloc.start()
+    try:
+        identity_residuals(u, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60 * 8 * grid.node_count
 
 
 def test_maclaurin_umbilic_margin_zero(s2_16x32):
