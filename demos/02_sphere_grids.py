@@ -2,6 +2,9 @@
 
 Builds S^1 and S^2 grids, shows the pole-free staggering, and tabulates
 the second-order convergence of the gradient and the covariant Hessian.
+Tensors put their index axes first: partial_gradient(f)[i] and
+covariant_hessian(...)[i, j] are grid-shaped, and the round metric
+sigma[i, j] holds one row per ring.
 """
 
 import numpy as np
@@ -31,7 +34,7 @@ grid = g2
 for _ in range(3):
     phi, _ = grid.coords()
     f = 1.5 * np.cos(phi) ** 2 - 0.5
-    lap = np.einsum("...ij,...ij->...", grid.sigma_inv, round_hessian(f, grid))
+    lap = np.einsum("ij...,ij...->...", grid.sigma_inv, round_hessian(f, grid))
     err = np.max(np.abs(lap + 6.0 * f))
     ratio = "" if prev is None else f"{prev / err:7.2f}"
     print(f"{grid.n_lat:>5}x{grid.n_lon:<4} {err:12.3e} {ratio:>7}")
@@ -44,6 +47,6 @@ print(f"{'nodes':>6} {'grad error':>12} {'hess error':>12}")
 for n in (64, 128, 256):
     g = build_grid(1, n)
     u = np.cos(g.theta)
-    eg = np.max(np.abs(g.partial_gradient(u)[:, 0] + np.sin(g.theta)))
-    eh = np.max(np.abs(round_hessian(u, g)[:, 0, 0] + np.cos(g.theta)))
+    eg = np.max(np.abs(g.partial_gradient(u)[0] + np.sin(g.theta)))
+    eh = np.max(np.abs(round_hessian(u, g)[0, 0] + np.cos(g.theta)))
     print(f"{n:>6} {eg:12.3e} {eh:12.3e}")

@@ -21,8 +21,8 @@ print(f"  tau   = {geom.tau.max():.12f}   (cosh r = {np.cosh(r):.12f})")
 print(f"  eta   = {geom.eta.max():.12f}   (sinh r = {np.sinh(r):.12f})")
 print(f"  eigs  = {geom.shape_eigs.min():.12f} .. {geom.shape_eigs.max():.12f}"
       f"   (tanh r = {np.tanh(r):.12f})")
-print(f"  |g g^-1 - I| = "
-      f"{np.max(np.abs(np.einsum('...ij,...jk->...ik', geom.g, geom.g_inv) - np.eye(2))):.2e}")
+ident = np.einsum("ij...,jk...->ik...", geom.g, geom.g_inv) - np.eye(2)[..., None, None]
+print(f"  |g g^-1 - I| = {np.max(np.abs(ident)):.2e}")
 
 print()
 phi, theta = g.coords()

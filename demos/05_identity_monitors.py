@@ -40,8 +40,8 @@ print()
 print("=== sign anchor on the umbilic slice r = 0.9 ===")
 g = build_grid(2, (16, 32))
 geom = induced_geometry(np.full(g.shape, 0.9), g)
-minus = geom.tau[..., None, None] * geom.A - geom.eta[..., None, None] * geom.g
-plus = geom.tau[..., None, None] * geom.A + geom.eta[..., None, None] * geom.g
+minus = geom.tau * geom.A - geom.eta * geom.g
+plus = geom.tau * geom.A + geom.eta * geom.g
 print(f"|tau A - eta g| = {np.max(np.abs(minus)):.3e}   (vanishes: Hess eta = 0 here)")
 print(f"|tau A + eta g| = {np.max(np.abs(plus)):.3e}   "
       f"(= 2 sinh cosh^2 max|sigma| = {2 * np.sinh(0.9) * np.cosh(0.9) ** 2:.6f})")

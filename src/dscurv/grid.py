@@ -44,9 +44,13 @@ class SphereGrid:
     """Nodes, round metric, Christoffel symbols, and difference operators.
 
     Fields on the grid are plain ndarrays of shape ``grid.shape``
-    ((n_theta,) on S^1, (n_lat, n_lon) on S^2).  Covector/tensor fields
-    carry trailing coordinate axes.  Instances are immutable after
-    construction and safe to share between workers.
+    ((n_theta,) on S^1, (n_lat, n_lon) on S^2).  Covector and tensor
+    fields put their index axes first: T[i, j, ...] over the grid axes.
+    The round metric ``sigma``, its inverse and the Christoffel symbols
+    ``christoffel[k, i, j]`` depend on phi alone, so their grid axes are
+    one row per ring, (n_lat, 1) on S^2 and (1,) on S^1, which broadcast
+    over theta.  Instances are immutable after construction and safe to
+    share between workers.
     """
 
     def __init__(self, dim, resolution):
@@ -58,9 +62,9 @@ class SphereGrid:
             self.dtheta = 2.0 * np.pi / n
             self.theta = self.dtheta * np.arange(n)
             self.h = self.dtheta
-            self.sigma = np.ones((n, 1, 1))
-            self.sigma_inv = np.ones((n, 1, 1))
-            self.christoffel = np.zeros((n, 1, 1, 1))
+            self.sigma = np.ones((1, 1, 1))
+            self.sigma_inv = np.ones((1, 1, 1))
+            self.christoffel = np.zeros((1, 1, 1, 1))
         else:
             nlat, nlon = self.shape
             self.n_lat, self.n_lon = nlat, nlon
@@ -71,20 +75,14 @@ class SphereGrid:
             sin_phi = np.sin(self.phi)
             cos_phi = np.cos(self.phi)
             self.h = float(max(self.dphi, self.dtheta * sin_phi.max()))
-            sigma = np.zeros((nlat, nlon, 2, 2))
-            sigma[..., 0, 0] = 1.0
-            sigma[..., 1, 1] = (sin_phi ** 2)[:, None]
-            self.sigma = sigma
-            sigma_inv = np.zeros_like(sigma)
-            sigma_inv[..., 0, 0] = 1.0
-            sigma_inv[..., 1, 1] = (sin_phi ** -2)[:, None]
-            self.sigma_inv = sigma_inv
-            gamma = np.zeros((nlat, nlon, 2, 2, 2))
-            gamma[..., 0, 1, 1] = (-sin_phi * cos_phi)[:, None]
-            cot = (cos_phi / sin_phi)[:, None]
-            gamma[..., 1, 0, 1] = cot
-            gamma[..., 1, 1, 0] = cot
-            self.christoffel = gamma
+            ones, zeros = np.ones(nlat), np.zeros(nlat)
+            self.sigma = np.array([[ones, zeros], [zeros, sin_phi ** 2]])[..., None]
+            self.sigma_inv = np.array([[ones, zeros],
+                                       [zeros, sin_phi ** -2]])[..., None]
+            cot = cos_phi / sin_phi
+            self.christoffel = np.array(
+                [[[zeros, zeros], [zeros, -sin_phi * cos_phi]],
+                 [[zeros, cot], [cot, zeros]]])[..., None]
         self.node_count = int(np.prod(self.shape))
         self._pattern = None
 
@@ -171,7 +169,7 @@ class SphereGrid:
         return np.concatenate([top[None], f, bot[None]], axis=0)
 
     def partial_gradient(self, f, phi_parity=1.0):
-        """Centered-difference partials d_i f, shape ``(*shape, dim)``.
+        """Centered-difference partials d_i f, shape ``(dim, *shape)``.
 
         phi_parity is the sign the component field picks up when read
         through a pole (-1 for one phi index, +1 otherwise); it only
@@ -180,30 +178,25 @@ class SphereGrid:
         f = self.check_field(f)
         if self.dim == 1:
             d = (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * self.dtheta)
-            return d[:, None]
+            return d[None]
         pad = self._pad_phi(f, phi_parity)
         dphi = (pad[2:] - pad[:-2]) / (2.0 * self.dphi)
         dtheta = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * self.dtheta)
-        return np.stack([dphi, dtheta], axis=-1)
+        return np.array([dphi, dtheta])
 
     def partial_hessian(self, f, phi_parity=1.0):
-        """Centered second partials d_ij f, shape ``(*shape, dim, dim)``,
+        """Centered second partials d_ij f, shape ``(dim, dim, *shape)``,
         symmetric by construction (one mixed stencil serves both slots)."""
         f = self.check_field(f)
         if self.dim == 1:
             d2 = (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / self.dtheta ** 2
-            return d2[:, None, None]
+            return d2[None, None]
         pad = self._pad_phi(f, phi_parity)
         d2phi = (pad[2:] - 2.0 * f + pad[:-2]) / self.dphi ** 2
         d2theta = (np.roll(f, -1, axis=1) - 2.0 * f + np.roll(f, 1, axis=1)) / self.dtheta ** 2
         dtheta_pad = (np.roll(pad, -1, axis=1) - np.roll(pad, 1, axis=1)) / (2.0 * self.dtheta)
         mixed = (dtheta_pad[2:] - dtheta_pad[:-2]) / (2.0 * self.dphi)
-        hess = np.empty(self.shape + (2, 2))
-        hess[..., 0, 0] = d2phi
-        hess[..., 0, 1] = mixed
-        hess[..., 1, 0] = mixed
-        hess[..., 1, 1] = d2theta
-        return hess
+        return np.array([[d2phi, mixed], [mixed, d2theta]])
 
     # -- the same stencils as one neighbour table -----------------------
 
@@ -288,13 +281,12 @@ class StencilPattern:
     def assemble(self, a_u, a_p, a_H):
         """CSR matrix diag(a_u) + sum_i diag(a_p_i) D_i + sum_ij
         diag(a_H_ij) D_ij on the fixed pattern, from coefficient fields
-        a_u (n values), a_p (..., dim) and a_H (..., dim, dim); the mixed
+        a_u (n values), a_p (dim, ...) and a_H (dim, dim, ...); the mixed
         partial D_01 = D_10 takes a_H_01 + a_H_10.  Each entry sums its
         terms in that order."""
-        coefs = [a_u, *np.moveaxis(a_p, -1, 0),
-                 *(a_H[..., i, i] for i in range(self.dim))]
+        coefs = [a_u, *a_p, *(a_H[i, i] for i in range(self.dim))]
         if self.dim == 2:
-            coefs.append(a_H[..., 0, 1] + a_H[..., 1, 0])
+            coefs.append(a_H[0, 1] + a_H[1, 0])
         data = np.zeros((self.shape[0], self.width))
         for coef, term in zip(coefs, self._terms):
             coef = np.ravel(coef)
@@ -339,7 +331,7 @@ def build_grid(dim, resolution):
 
 def covariant_hessian(d2f, df, christoffel):
     """Covariant Hessian d_ij f - Gamma^k_ij d_k f of a scalar f from its
-    partials d2f = d_ij f, shape (..., n, n), and df = d_k f, shape
-    (..., n), in the connection with Christoffel symbols
-    christoffel[..., k, i, j]: grid.christoffel for the round metric."""
-    return d2f - np.einsum("...kij,...k->...ij", christoffel, df)
+    partials d2f = d_ij f, shape (n, n, ...), and df = d_k f, shape
+    (n, ...), in the connection with Christoffel symbols
+    christoffel[k, i, j, ...]: grid.christoffel for the round metric."""
+    return d2f - np.einsum("kij...,k...->ij...", christoffel, df)

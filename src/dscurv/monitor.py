@@ -24,13 +24,11 @@ spacing.  The first and third identities are implemented with the -eta
 terms: with +eta they fail the umbilic anchor by 2 sinh(u) cosh^2(u)
 times the metric, which the tests pin down.
 
-The identity monitor works on component-first tensors: T[i, j, ...]
-with the index axes first and the grid axes last, contiguous, so each
-contraction is an einsum over whole grid arrays (numpy's einsum is slow
-on trailing length-2 axes).  The covariant Hessians still come from
-the one grid.covariant_hessian, which reads the symbols through a
-node-major view.  Intermediates are freed once their sup-norm is taken,
-so a call holds about 44 grid-sized arrays at its peak.
+Tensors are component-first, as everywhere in the package: T[i, j, ...]
+with the index axes first and the grid axes last, so each contraction
+is an einsum over whole grid arrays.  The covariant Hessians come from
+the one grid.covariant_hessian.  Intermediates are freed once their
+sup-norm is taken.
 """
 
 from dataclasses import dataclass, field
@@ -132,12 +130,6 @@ def _component_parity(i, j=None):
     return -1.0 if flips % 2 else 1.0
 
 
-def _components(T):
-    """Component-first contiguous copy of a 2-tensor field:
-    T[..., i, j] -> out[i, j, ...]."""
-    return np.ascontiguousarray(np.moveaxis(T, (-2, -1), (0, 1)))
-
-
 def _tensor_partials(grid, T):
     """d_l T_ij of a symmetric 2-tensor field given component-first,
     T[i, j, ...], parity-aware across poles.
@@ -148,8 +140,8 @@ def _tensor_partials(grid, T):
     out = np.empty((n, n, n) + grid.shape)
     for i in range(n):
         for j in range(i, n):
-            d = grid.partial_gradient(T[i, j], phi_parity=_component_parity(i, j))
-            out[:, i, j] = np.moveaxis(d, -1, 0)
+            out[:, i, j] = grid.partial_gradient(
+                T[i, j], phi_parity=_component_parity(i, j))
             if i != j:
                 out[:, j, i] = out[:, i, j]
     return out
@@ -189,23 +181,19 @@ def identity_residuals(u, grid):
     permute).
     """
     geom = induced_geometry(u, grid)
-    tau, eta = geom.tau, geom.eta
-    g, g_inv, A = _components(geom.g), _components(geom.g_inv), _components(geom.A)
+    tau, eta, g, g_inv, A = geom.tau, geom.eta, geom.g, geom.g_inv, geom.A
     del geom
     christoffel = induced_christoffel(grid, g, g_inv)
-    # the one covariant Hessian reads the symbols node-major, as a view
-    chr_nodes = np.moveaxis(christoffel, (0, 1, 2), (-3, -2, -1))
 
     deta = grid.partial_gradient(eta)
-    hess_eta = covariant_hessian(grid.partial_hessian(eta), deta, chr_nodes)
-    res = np.moveaxis(hess_eta, (-2, -1), (0, 1)) - (tau * A - eta * g)
+    res = (covariant_hessian(grid.partial_hessian(eta), deta, christoffel)
+           - (tau * A - eta * g))
     r_eta = _sup(res)
-    del g, hess_eta, res
-    deta = np.moveaxis(deta, -1, 0)
+    del g, res
 
     dtau = grid.partial_gradient(tau)
     shape_mixed = np.einsum("ik...,kj...->ij...", g_inv, A)
-    res = np.moveaxis(dtau, -1, 0) - np.einsum("ij...,i...->j...", shape_mixed, deta)
+    res = dtau - np.einsum("ij...,i...->j...", shape_mixed, deta)
     r_tau1 = _sup(res)
     del shape_mixed, res
 
@@ -215,10 +203,9 @@ def identity_residuals(u, grid):
     del deta, deta_raised
     res += tau * np.einsum("ik...,kl...,lj...->ij...", A, g_inv, A)
     res -= eta * A
-    hess_tau = covariant_hessian(grid.partial_hessian(tau), dtau, chr_nodes)
-    res = np.moveaxis(hess_tau, (-2, -1), (0, 1)) - res
+    res = covariant_hessian(grid.partial_hessian(tau), dtau, christoffel) - res
     r_tau2 = _sup(res)
-    del christoffel, chr_nodes, hess_tau, res
+    del christoffel, res
 
     if grid.dim == 1:
         codazzi = 0.0

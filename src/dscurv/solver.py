@@ -53,7 +53,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (AdmissibilityError, ContinuationError,
                      InternalConsistencyError, NewtonError, SpacelikeError)
-from .geometry import induced_geometry_unchecked
+from .geometry import _contract, induced_geometry_unchecked
 from .monitor import check_bounds
 from .prescription import (AuditBox, HomotopyPrescription,
                            ReferencePrescription, scan_barriers)
@@ -221,25 +221,24 @@ def curvature_derivative_matrix(geom, k):
     g_inv = geom.g_inv
     if k == 1:
         return g_inv / geom.grid.dim
-    s1 = geom.sums[..., 0, None, None]
-    f = np.sqrt(geom.sums[..., 1, None, None])
-    return (s1 * g_inv - g_inv @ geom.A @ g_inv) / (2.0 * f)
+    s1, f = geom.sums[..., 0], np.sqrt(geom.sums[..., 1])
+    return (s1 * g_inv - _product(_product(g_inv, geom.A), g_inv)) / (2.0 * f)
 
 
-def _contract(X, Y):
-    """X:Y = X_ij Y_ij per node."""
-    return np.einsum("...ij,...ij->...", X, Y)
+def _product(X, Y):
+    """The matrix product XY per node."""
+    return np.einsum("ik...,kj...->ij...", X, Y)
 
 
 def _smallest_eigenvalue(F):
     """Smallest eigenvalue over all nodes of the symmetric part of the
     1x1 or 2x2 blocks F, in closed form: the least value of zeta.F.zeta
     over unit covectors zeta."""
-    if F.shape[-1] == 1:
+    if len(F) == 1:
         return float(F.min())
-    half_trace = 0.5 * (F[..., 0, 0] + F[..., 1, 1])
-    half_gap = 0.5 * (F[..., 0, 0] - F[..., 1, 1])
-    off = 0.5 * (F[..., 0, 1] + F[..., 1, 0])
+    half_trace = 0.5 * (F[0, 0] + F[1, 1])
+    half_gap = 0.5 * (F[0, 0] - F[1, 1])
+    off = 0.5 * (F[0, 1] + F[1, 0])
     return float(np.min(half_trace - np.hypot(half_gap, off)))
 
 
@@ -335,28 +334,26 @@ class ContinuationSolver:
             raise InternalConsistencyError(
                 f"non-elliptic second-order block (margin {margin:.3e}) "
                 "at an admissible node")
-        p, sigma = geom.du, grid.sigma
-        c, s, th = np.cosh(geom.u), np.sinh(geom.u), np.tanh(geom.u)
-        q = np.einsum("...ij,...j->...i", grid.sigma_inv, p)
+        p, q, sigma = geom.du, geom.du_raised, grid.sigma
+        c, s, th = np.cosh(geom.u), geom.eta, np.tanh(geom.u)
         m = c ** 2 - geom.grad_norm2
         rm, m32 = np.sqrt(m), m ** 1.5
         ratio = c / rm                                   # tau / c
         FK = _contract(F, geom.A) / ratio
-        F_gamma = np.einsum("...ij,...kij->...k", F, grid.christoffel)
-        Fp = np.einsum("...ij,...j->...i", F, p)
-        G = -F @ geom.A @ geom.g_inv
-        Gp = np.einsum("...ij,...j->...i", G, p)
-        dK = ((-2.0 / c ** 2)[..., None, None] * p[..., :, None] * p[..., None, :]
-              + (c ** 2 + s ** 2)[..., None, None] * sigma)
-        a_p = ((c * FK - psi.psi_tau * c ** 2)[..., None] / m32[..., None] * q
-               - ratio[..., None] * (F_gamma + 4.0 * th[..., None] * Fp)
+        F_gamma = np.einsum("ij...,kij...->k...", F, grid.christoffel)
+        Fp = np.einsum("ij...,j...->i...", F, p)
+        G = -_product(_product(F, geom.A), geom.g_inv)
+        Gp = np.einsum("ij...,j...->i...", G, p)
+        dK = (-2.0 / c ** 2) * p[:, None] * p[None, :] + (c ** 2 + s ** 2) * sigma
+        a_p = ((c * FK - psi.psi_tau * c ** 2) / m32 * q
+               - ratio * (F_gamma + 4.0 * th * Fp)
                - 2.0 * Gp)
         a_u = ((s / rm - c ** 2 * s / m32) * FK
                + ratio * _contract(F, dK)
                + 2.0 * c * s * _contract(G, sigma)
                - psi.psi_r
                - psi.psi_tau * (2.0 * c * s / rm - c ** 3 * s / m32))
-        a_H = ratio[..., None, None] * F
+        a_H = ratio * F
         return grid.stencil_pattern().assemble(a_u, a_p, a_H)
 
     def directional_derivative_check(self, u, t, geom=None, psi=None):
@@ -516,12 +513,12 @@ class ContinuationSolver:
         solution and reuses its LU factor."""
         cfg = self.config
         result = self.newton_solve(u_start, t, reuse_factor=level > 0)
-        u, geom = result.u, result.geometry
-        monitor = check_bounds(geom, u, self.barriers, cfg.c_tau, cfg.c_a, cfg.k)
+        monitor = check_bounds(result.geometry, result.u, self.barriers,
+                               cfg.c_tau, cfg.c_a, cfg.k)
         record = StepRecord(
             t=t, iters=result.iterations, residual=result.residual_norm,
-            min_u=float(u.min()), max_u=float(u.max()),
-            max_tau=float(geom.tau.max()), max_abs_A=float(geom.abs_A.max()),
+            min_u=monitor.min_u, max_u=monitor.max_u, max_tau=monitor.max_tau,
+            max_abs_A=monitor.max_abs_A,
             lu_factorizations=result.lu_factorizations, level=level)
         return result, monitor, record
 

@@ -18,7 +18,8 @@ def test_s1_construction(s1_64):
     g = s1_64
     assert g.dim == 1 and g.node_count == 64
     assert np.allclose(np.diff(g.theta), 2 * np.pi / 64)
-    assert np.all(g.sigma[..., 0, 0] == 1.0)
+    assert g.sigma.shape == g.sigma_inv.shape == (1, 1, 1)
+    assert np.all(g.sigma[0, 0] == 1.0)
     assert np.all(g.christoffel == 0.0)
 
 
@@ -27,8 +28,24 @@ def test_s2_construction(s2_32x64):
     assert g.shape == (32, 64)
     # staggered rings: no node at the poles
     assert g.phi[0] > 0.0 and g.phi[-1] < np.pi
-    assert np.allclose(g.sigma[..., 1, 1], np.sin(g.phi[:, None]) ** 2)
-    assert np.allclose(g.sigma_inv[..., 1, 1] * g.sigma[..., 1, 1], 1.0)
+    assert np.allclose(g.sigma[1, 1], np.sin(g.phi[:, None]) ** 2)
+    assert np.allclose(g.sigma_inv[1, 1] * g.sigma[1, 1], 1.0)
+    # the round metric and its symbols depend on phi alone: one row per
+    # ring, broadcast over theta, each nonzero entry in closed form
+    assert g.sigma.shape == g.sigma_inv.shape == (2, 2, 32, 1)
+    assert g.christoffel.shape == (2, 2, 2, 32, 1)
+    sin, cos = np.sin(g.phi)[:, None], np.cos(g.phi)[:, None]
+    nonzero = {
+        "sigma": {(0, 0): 1.0, (1, 1): sin ** 2},
+        "sigma_inv": {(0, 0): 1.0, (1, 1): sin ** -2},
+        "christoffel": {(0, 1, 1): -sin * cos, (1, 0, 1): cos / sin,
+                        (1, 1, 0): cos / sin},
+    }
+    for name, entries in nonzero.items():
+        T = getattr(g, name)
+        for index in np.ndindex(T.shape[:-2]):
+            want = np.broadcast_to(entries.get(index, 0.0), (32, 1))
+            assert np.array_equal(T[index], want)
 
 
 def test_refine_halves_spacing(s2_32x64):
@@ -60,22 +77,22 @@ def test_s1_cosine_derivatives(s1_64):
     u = np.cos(g.theta)
     du = g.partial_gradient(u)
     hess = round_hessian(u, g)
-    assert np.max(np.abs(du[:, 0] + np.sin(g.theta))) < 2e-3
-    assert np.max(np.abs(hess[:, 0, 0] + np.cos(g.theta))) < 1e-3
+    assert np.max(np.abs(du[0] + np.sin(g.theta))) < 2e-3
+    assert np.max(np.abs(hess[0, 0] + np.cos(g.theta))) < 1e-3
 
 
 def test_s2_zonal_gradient(s2_32x64):
     g = s2_32x64
     phi, _ = g.coords()
     du = g.partial_gradient(np.cos(phi))
-    assert np.max(np.abs(du[..., 0] + np.sin(phi))) < 2e-3
-    assert np.max(np.abs(du[..., 1])) == 0.0
+    assert np.max(np.abs(du[0] + np.sin(phi))) < 2e-3
+    assert np.max(np.abs(du[1])) == 0.0
 
 
 def test_hessian_symmetry_exact(s2_32x64, rng):
     u = rng.normal(size=s2_32x64.shape)
     hess = round_hessian(u, s2_32x64)
-    assert np.array_equal(hess[..., 0, 1], hess[..., 1, 0])
+    assert np.array_equal(hess[0, 1], hess[1, 0])
 
 
 def test_linearity(s2_16x32, rng):
@@ -96,8 +113,8 @@ def test_s1_operator_convergence_order():
     for n in (64, 128):
         g = build_grid(1, n)
         u = np.cos(g.theta)
-        e_grad = np.max(np.abs(g.partial_gradient(u)[:, 0] + np.sin(g.theta)))
-        e_hess = np.max(np.abs(round_hessian(u, g)[:, 0, 0] + np.cos(g.theta)))
+        e_grad = np.max(np.abs(g.partial_gradient(u)[0] + np.sin(g.theta)))
+        e_hess = np.max(np.abs(round_hessian(u, g)[0, 0] + np.cos(g.theta)))
         errs.append((e_grad, e_hess))
     for i in range(2):
         assert 3.4 <= _ratio(errs[0][i], errs[1][i]) <= 4.6
@@ -117,11 +134,11 @@ def test_s2_component_convergence_order(s2_32x64):
                 - np.cos(phi) / np.sin(phi) * dtheta)
         h_tt = (-np.sin(phi) * np.cos(phi) * np.cos(theta)
                 + np.sin(phi) * np.cos(phi) * dphi)
-        return (np.max(np.abs(grad[..., 0] - dphi)),
-                np.max(np.abs(grad[..., 1] - dtheta)),
-                np.max(np.abs(hess[..., 0, 0] - h_pp)),
-                np.max(np.abs(hess[..., 0, 1] - h_pt)),
-                np.max(np.abs(hess[..., 1, 1] - h_tt)))
+        return (np.max(np.abs(grad[0] - dphi)),
+                np.max(np.abs(grad[1] - dtheta)),
+                np.max(np.abs(hess[0, 0] - h_pp)),
+                np.max(np.abs(hess[0, 1] - h_pt)),
+                np.max(np.abs(hess[1, 1] - h_tt)))
 
     coarse = errors(s2_32x64)
     fine = errors(s2_32x64.refine())
@@ -135,7 +152,7 @@ def test_laplace_beltrami_eigenvalue_oracle(s2_32x64):
     def lap_err(g, f_of_phi, l):
         phi, _ = g.coords()
         f = f_of_phi(phi)
-        lap = np.einsum("...ij,...ij->...", g.sigma_inv, round_hessian(f, g))
+        lap = np.einsum("ij...,ij...->...", g.sigma_inv, round_hessian(f, g))
         return np.max(np.abs(lap + l * (l + 1) * f))
 
     cases = [(np.cos, 1), (lambda p: 1.5 * np.cos(p) ** 2 - 0.5, 2)]
@@ -155,24 +172,24 @@ def test_stencil_terms_match_array_stencils(rng):
         pattern = g.stencil_pattern()
 
         def term(a_u=0.0, p=None, H=None):
-            a_p = np.zeros(g.shape + (dim,))
-            a_H = np.zeros(g.shape + (dim, dim))
+            a_p = np.zeros((dim,) + g.shape)
+            a_H = np.zeros((dim, dim) + g.shape)
             if p is not None:
-                a_p[..., p] = 1.0
+                a_p[p] = 1.0
             if H is not None:
-                a_H[(..., *H)] = 1.0
+                a_H[H] = 1.0
             mat = pattern.assemble(np.full(g.shape, a_u), a_p, a_H)
             return (mat @ f.ravel()).reshape(g.shape)
 
         assert np.array_equal(term(a_u=1.0), f)
         want = g.partial_gradient(f)
         for i in range(dim):
-            assert np.max(np.abs(term(p=i) - want[..., i])) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(term(p=i) - want[i])) <= 1e-12 * np.max(np.abs(want))
         want = g.partial_hessian(f)
         for i in range(dim):
             for j in range(i, dim):
                 got = term(H=(i, j))
-                assert np.max(np.abs(got - want[..., i, j])) <= 1e-12 * np.max(np.abs(want))
+                assert np.max(np.abs(got - want[i, j])) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_stencil_pattern_retains_bounded_memory():

@@ -9,7 +9,6 @@ import pytest
 from dscurv import (AdmissibilityError, AuditBox, SpaceTiltPower, build_grid,
                     check_bounds, identity_residuals, induced_geometry,
                     maclaurin_monitor, scan_barriers)
-from dscurv.grid import covariant_hessian
 
 UMBILIC_TOL = 1e-12
 
@@ -87,8 +86,7 @@ def test_printed_sign_variant_fails_umbilic_anchor(s2_16x32):
     r = 0.9
     u = np.full(s2_16x32.shape, r)
     geom = induced_geometry(u, s2_16x32)
-    plus_variant = (geom.tau[..., None, None] * geom.A
-                    + geom.eta[..., None, None] * geom.g)
+    plus_variant = geom.tau * geom.A + geom.eta * geom.g
     expected = 2.0 * np.sinh(r) * np.cosh(r) ** 2 * np.max(np.abs(s2_16x32.sigma))
     assert np.max(np.abs(plus_variant)) == pytest.approx(expected, rel=1e-12)
     assert expected > 1.0   # far from zero: the anchor separates the signs
@@ -124,27 +122,40 @@ def test_identity_residuals_record_spacing(s1_64):
     assert res.h == s1_64.h
 
 
+def _node_major(T, n_index):
+    """T with its n_index leading index axes moved last: T[..., i, j]."""
+    return np.moveaxis(T, range(n_index), range(-n_index, 0))
+
+
 def _node_major_residuals(u, grid):
     """The identity residuals with the index axes last, (..., i, j): the
     formulation the component-first monitor must reproduce bit for bit."""
     geom = induced_geometry(u, grid)
-    tau, eta, g, g_inv, A = geom.tau, geom.eta, geom.g, geom.g_inv, geom.A
+    tau, eta = geom.tau, geom.eta
+    g, g_inv, A = (_node_major(T, 2) for T in (geom.g, geom.g_inv, geom.A))
+
+    def gradient(f, parity=1.0):
+        return _node_major(grid.partial_gradient(f, parity), 1)
+
+    def covariant_hessian(f, df, christoffel):
+        return (_node_major(grid.partial_hessian(f), 2)
+                - np.einsum("...kij,...k->...ij", christoffel, df))
 
     def partials(T):
         out = np.empty(grid.shape + (grid.dim,) * 3)
         for i in range(grid.dim):
             for j in range(grid.dim):
                 parity = -1.0 if (int(i == 0) + int(j == 0)) % 2 else 1.0
-                out[..., :, i, j] = grid.partial_gradient(T[..., i, j], parity)
+                out[..., :, i, j] = gradient(T[..., i, j], parity)
         return out
 
     dg = partials(g)
     low = 0.5 * (np.einsum("...ijk->...kij", dg) + np.einsum("...jik->...kij", dg)
                  - dg)
     gamma = np.einsum("...mk,...kij->...mij", g_inv, low)
-    deta, dtau = grid.partial_gradient(eta), grid.partial_gradient(tau)
+    deta, dtau = gradient(eta), gradient(tau)
     t, e = tau[..., None, None], eta[..., None, None]
-    res_eta = (covariant_hessian(grid.partial_hessian(eta), deta, gamma)
+    res_eta = (covariant_hessian(eta, deta, gamma)
                - (t * A - e * g))
     mixed = np.einsum("...ik,...kj->...ij", g_inv, A)
     res_tau1 = dtau - np.einsum("...ij,...i->...j", mixed, deta)
@@ -153,7 +164,7 @@ def _node_major_residuals(u, grid):
     transport = np.einsum("...kij,...k->...ij", cov_a,
                           np.einsum("...kl,...l->...k", g_inv, deta))
     a_sq = np.einsum("...ik,...kl,...lj->...ij", A, g_inv, A)
-    res_tau2 = (covariant_hessian(grid.partial_hessian(tau), dtau, gamma)
+    res_tau2 = (covariant_hessian(tau, dtau, gamma)
                 - (transport + t * a_sq - e * A))
     codazzi = (0.0 if grid.dim == 1 else
                float(np.max(np.abs(cov_a - np.swapaxes(cov_a, -3, -2)))))

@@ -219,7 +219,7 @@ def test_jacobian_check_sees_theta_columns(monkeypatch):
 
     def scaled(a_u, a_p, a_H):
         a_H = a_H.copy()
-        a_H[..., 1, 1] *= 1.1
+        a_H[1, 1] *= 1.1
         return assemble(a_u, a_p, a_H)
 
     monkeypatch.setattr(pattern, "assemble", scaled)
@@ -248,6 +248,7 @@ def test_ellipticity_margin_is_exact(s2_16x32, monkeypatch):
     geom = induced_geometry(np.full(s2_16x32.shape, 0.8), s2_16x32)
     for k in (1, 2):
         F = dscurv.solver.curvature_derivative_matrix(geom, k)
+        F = np.moveaxis(F, (0, 1), (-2, -1))
         least = np.linalg.eigvalsh(0.5 * (F + np.swapaxes(F, -1, -2))).min()
         assert ellipticity_margin(geom, k) == pytest.approx(least, rel=1e-13)
     # F = R diag(-0.01, 1) R^T with R a rotation by 18 degrees is
@@ -255,8 +256,8 @@ def test_ellipticity_margin_is_exact(s2_16x32, monkeypatch):
     # (-0.6, 0.8) and (0.36, -0.933)
     c, s = np.cos(np.radians(18.0)), np.sin(np.radians(18.0))
     rot = np.array([[c, -s], [s, c]])
-    doctored = np.broadcast_to(rot @ np.diag([-0.01, 1.0]) @ rot.T,
-                               s2_16x32.shape + (2, 2))
+    block = rot @ np.diag([-0.01, 1.0]) @ rot.T
+    doctored = np.broadcast_to(block[..., None, None], (2, 2) + s2_16x32.shape)
     monkeypatch.setattr(dscurv.solver, "curvature_derivative_matrix",
                         lambda geom, k: doctored)
     assert ellipticity_margin(geom, 2) == pytest.approx(-0.01, rel=1e-12)
