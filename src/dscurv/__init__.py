@@ -13,7 +13,7 @@ from .errors import (AdmissibilityError, ConfigError, ContinuationError,
                      InternalConsistencyError, NewtonError, SpacelikeError)
 from .geometry import induced_geometry, shape_eigenvalues
 from .grid import SphereGrid, build_grid, covariant_hessian
-from .monitor import check_bounds, identity_residuals, maclaurin_monitor
+from .monitor import check_bounds, identity_residuals
 from .prescription import (AuditBox, ConstantPrescription,
                            HomotopyPrescription, ReferencePrescription,
                            SpaceTiltPower, TiltConcave, TiltPower,

@@ -15,7 +15,6 @@ refinement.
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 def grid_shape(dim, resolution):
@@ -214,8 +213,8 @@ class SphereGrid:
 
     def stencil_pattern(self):
         """StencilPattern of partial_gradient and partial_hessian (scalar
-        parity): the pattern and ordering of every Jacobian on this grid.
-        Built on first use and shared afterwards."""
+        parity): the pattern of every Jacobian on this grid.  Built on
+        first use and shared afterwards."""
         if self._pattern is None:
             self._pattern = StencilPattern(self)
         return self._pattern
@@ -224,17 +223,14 @@ class SphereGrid:
 class StencilPattern:
     """The centered stencils of a grid as one fixed sparsity pattern, for
     every matrix of the form diag(a_u) + sum_i diag(a_p_i) D_i
-    + sum_ij diag(a_H_ij) D_ij, with one fill-reducing ordering.
+    + sum_ij diag(a_H_ij) D_ij.
 
     Row m holds node m's neighbours at the stencil offsets (the 3x3
     neighbourhood on S^2, 3 nodes on S^1), in offset order; across a
     pole they lie on the antipodal ring, and they stay distinct on every
     grid grid_shape accepts, so every row has ``width`` entries and all
     assembled matrices share ``indptr`` and ``indices`` (entries that
-    cancel stay as stored zeros).  ``order`` is a multiple-minimum-degree
-    ordering of the pattern's A^T + A, computed once: ``ordered``
-    permutes an assembled matrix symmetrically into it, ready for a
-    factorization that adds no column ordering of its own.
+    cancel stay as stored zeros).
     """
 
     def __init__(self, grid):
@@ -263,21 +259,6 @@ class StencilPattern:
         self._terms = [[(column[off], w) for off, w in term.items()]
                        for term in terms]
 
-        self.order = _minimum_degree_order(self.indptr, self.indices, n)
-        # the pattern in ordered CSC, rows sorted in each column: entry e
-        # is data[take[e]] of the CSR.  P A P^T in CSR holds in row a the
-        # CSR positions of row order[a], and SciPy's CSR-to-CSC transpose
-        # visits rows in order.  The pattern is symmetric, so every column
-        # has width entries too.
-        rank = np.empty(n, dtype=np.int32)
-        rank[self.order] = np.arange(n)
-        table = self.indices.reshape(n, self.width)[self.order]
-        positions = self.order[:, None] * self.width + np.arange(self.width)
-        permuted = sp.csr_matrix((positions.ravel(), rank[table].ravel(),
-                                  self.indptr), shape=self.shape).tocsc()
-        self._take = permuted.data.astype(np.int32)
-        self._ordered_indices = permuted.indices.astype(np.int32)
-
     def assemble(self, a_u, a_p, a_H):
         """CSR matrix diag(a_u) + sum_i diag(a_p_i) D_i + sum_ij
         diag(a_H_ij) D_ij on the fixed pattern, from coefficient fields
@@ -295,33 +276,6 @@ class StencilPattern:
         # copies: scipy may sort or prune a matrix's index arrays in place
         return sp.csr_matrix((data.ravel(), self.indices.copy(),
                               self.indptr.copy()), shape=self.shape)
-
-    def ordered(self, mat):
-        """P mat P^T as CSC, row and column a of it being ``order[a]`` of
-        mat, for a CSR ``mat`` returned by assemble()."""
-        return sp.csc_matrix((mat.data[self._take],
-                              self._ordered_indices.copy(),
-                              self.indptr.copy()), shape=self.shape)
-
-
-def _minimum_degree_order(indptr, indices, n):
-    """Multiple-minimum-degree ordering of A^T + A for a CSR pattern with
-    a full diagonal, as the list of old indices in elimination order.
-
-    SciPy reaches SuperLU's orderings only through a factorization.  The
-    cheapest one is an incomplete factorization that drops every entry
-    it may, of a matrix on the pattern whose diagonal dominates every
-    column, so no pivot leaves the diagonal; its column permutation is
-    the MMD ordering postordered by SuperLU, of which order is the
-    inverse.  The factor is dropped on return.
-    """
-    data = np.ones(indices.size)
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    data[indices == rows] = float(indices.size)
-    surrogate = sp.csr_matrix((data, indices, indptr), shape=(n, n)).tocsc()
-    perm_c = spla.spilu(surrogate, drop_tol=np.inf, fill_factor=1.0,
-                        permc_spec="MMD_AT_PLUS_A").perm_c
-    return np.argsort(perm_c).astype(np.int32)
 
 
 def build_grid(dim, resolution):

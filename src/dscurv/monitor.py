@@ -37,7 +37,6 @@ import numpy as np
 
 from .geometry import induced_geometry
 from .grid import covariant_hessian
-from .symmetric import normalized_root, normalized_root_gradient
 
 
 @dataclass
@@ -215,20 +214,3 @@ def identity_residuals(u, grid):
         codazzi = _sup(cov_a - np.swapaxes(cov_a, 0, 1))
 
     return IdentityResiduals(r_eta, r_tau1, r_tau2, codazzi, grid.h)
-
-
-def maclaurin_monitor(eigs, k, psi=None):
-    """Worst node margin of sum_i f_i lam_i^2 - f^2 (>= 0 on Gamma_k) for
-    principal curvatures eigs of shape (..., n), such as
-    InducedGeometry.shape_eigs.
-
-    With psi supplied (the on-shell curvature value per node) the
-    square uses psi instead of f.  Raises AdmissibilityError if any
-    node left the cone.
-    """
-    eigs = np.asarray(eigs, dtype=float)
-    f = normalized_root(eigs, k)
-    grad = normalized_root_gradient(eigs, k)
-    lhs = np.einsum("...i,...i->...", grad, eigs ** 2)
-    rhs = (np.asarray(psi, dtype=float) if psi is not None else f) ** 2
-    return float(np.min(lhs - rhs))

@@ -253,14 +253,20 @@ class HomotopyPrescription:
 # -- sampling lattices -------------------------------------------------
 
 def sphere_lattice(dim, n_xi):
-    """Flat tuple of coordinate sample arrays covering S^dim."""
+    """Flat tuple of coordinate sample arrays covering S^dim.
+
+    On S^2: n_xi longitudes on each of max(6, n_xi // 2) rings at cell
+    midpoints in phi, then the two poles (phi = 0 and pi, theta = 0),
+    where a prescription zonal in phi takes its extremes.
+    """
     if dim == 1:
         return (2.0 * np.pi * np.arange(n_xi) / n_xi,)
     n_phi = max(6, n_xi // 2)
     phi = (np.arange(n_phi) + 0.5) * np.pi / n_phi
     theta = 2.0 * np.pi * np.arange(n_xi) / n_xi
     pm, tm = np.meshgrid(phi, theta, indexing="ij")
-    return (pm.ravel(), tm.ravel())
+    return (np.append(pm.ravel(), (0.0, np.pi)),
+            np.append(tm.ravel(), (0.0, 0.0)))
 
 
 @dataclass

@@ -16,11 +16,10 @@ a node depends on u only through u and its centered first and second
 partials there, so the chain rule with closed-form 2x2 coefficients
 times the grid's centered stencils gives the matrix.  The grid builds
 the stencils' pattern, each node's 3x3 neighbourhood with the antipodal
-pole closure, and a multiple-minimum-degree ordering of it once
-(SphereGrid.stencil_pattern); every Jacobian fills that fixed pattern
-with the coefficients times the stencil weights, and Newton factors it
-permuted into the ordering, so SuperLU adds no column ordering of its
-own and keeps its threshold partial pivoting.
+pole closure, once (SphereGrid.stencil_pattern); every Jacobian fills
+that fixed pattern with the coefficients times the stencil weights.
+SuperLU orders each factorization by multiple minimum degree on
+A^T + A (MMD_AT_PLUS_A), with threshold partial pivoting.
 
 Each Newton trial step must be spacelike, node-wise admissible, and
 reduce the residual sup-norm, otherwise the step is backtracked; each
@@ -411,19 +410,16 @@ class ContinuationSolver:
             raise NewtonError(f"initial iterate infeasible: {exc}") from exc
         rnorm = float(np.max(np.abs(res)))
         history = [rnorm]
-        pattern = self.grid.stencil_pattern()
         lu, factorizations = None, 0
         for iteration in range(1, cfg.max_newton + 1):
             if rnorm <= cfg.tol_newton:
                 return NewtonResult(u, iteration - 1, rnorm, history, geom,
                                     psi, factorizations)
             if lu is None:
-                lu = spla.splu(pattern.ordered(self.jacobian(u, t, geom, psi)),
-                               permc_spec="NATURAL")
+                lu = spla.splu(self.jacobian(u, t, geom, psi).tocsc(),
+                               permc_spec="MMD_AT_PLUS_A")
                 factorizations += 1
-            delta = np.empty(self.grid.node_count)
-            delta[pattern.order] = lu.solve(-res.ravel()[pattern.order])
-            delta = delta.reshape(self.grid.shape)
+            delta = lu.solve(-res.ravel()).reshape(self.grid.shape)
             alpha = 1.0
             while True:
                 trial = u + alpha * delta

@@ -6,9 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dscurv import (AdmissibilityError, AuditBox, SpaceTiltPower, build_grid,
-                    check_bounds, identity_residuals, induced_geometry,
-                    maclaurin_monitor, scan_barriers)
+from dscurv import (AuditBox, SpaceTiltPower, build_grid, check_bounds,
+                    identity_residuals, induced_geometry, scan_barriers)
 
 UMBILIC_TOL = 1e-12
 
@@ -199,31 +198,3 @@ def test_identity_residuals_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak <= 60 * 8 * grid.node_count
-
-
-def test_maclaurin_umbilic_margin_zero(s2_16x32):
-    geom = induced_geometry(np.full(s2_16x32.shape, 0.8814), s2_16x32)
-    assert abs(maclaurin_monitor(geom.shape_eigs, 2)) < 1e-12
-    # on-shell variant: psi equals the curvature value on the slice
-    psi = np.full(s2_16x32.shape, np.tanh(0.8814))
-    assert abs(maclaurin_monitor(geom.shape_eigs, 2, psi=psi)) < 1e-12
-
-
-def test_maclaurin_direct_arithmetic(s1_64):
-    # n = 2, k = 1, lam = (1, 3): sum f_i lam_i^2 = 5, f^2 = 4, margin 1
-    eigs = np.broadcast_to(np.array([1.0, 3.0]), (s1_64.node_count, 2))
-    assert maclaurin_monitor(eigs, 1) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_maclaurin_nonnegative_on_perturbations(s2_16x32):
-    phi, theta = s2_16x32.coords()
-    u = 0.85 + 0.05 * np.cos(phi) + 0.03 * np.sin(phi) * np.sin(theta)
-    geom = induced_geometry(u, s2_16x32)
-    assert maclaurin_monitor(geom.shape_eigs, 2) >= -1e-10
-
-
-def test_maclaurin_rejects_inadmissible(s1_64):
-    u = 0.9 + 0.3 * np.cos(4 * s1_64.theta)
-    geom = induced_geometry(u, s1_64)
-    with pytest.raises(AdmissibilityError):
-        maclaurin_monitor(geom.shape_eigs, 1)

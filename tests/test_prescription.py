@@ -149,6 +149,19 @@ def test_scan_finds_closed_form_crossing():
     assert scan.R2 - R_STAR <= 2 * step
 
 
+def test_scan_sees_the_poles():
+    # a0 + a1 cos(phi) takes its extremes at the poles, so the trap radii
+    # are the slice crossings acosh((a0 +- a1)^(-1/p)); ring midpoints
+    # alone put R2 more than one radius step below its closed form
+    a0, a1, p = 0.40731, 0.19759, 1.50587
+    box = AuditBox(dim=2)
+    scan = scan_barriers(SpaceTiltPower(a0=a0, a1=a1, p=p), box)
+    assert scan.found
+    step = (box.r_hi - box.r_lo) / (box.scan_resolution - 1)
+    assert abs(scan.R1 - np.arccosh((a0 + a1) ** (-1.0 / p))) <= step
+    assert abs(scan.R2 - np.arccosh((a0 - a1) ** (-1.0 / p))) <= step
+
+
 def test_reference_slice_bracket_and_barriers():
     # the slice function x cosh^p(x) vanishes at 0 and exceeds 1 at x = 1,
     # so the reference prescription has barrier radii inside (0, 1]
@@ -202,7 +215,7 @@ def _traced_peak_mb(fn, *args):
                                  ConstantPrescription(), TiltConcave()),
                          ids=lambda psi: psi.name)
 def test_audit_and_scan_allocate_bounded_memory(psi):
-    # the default S^2 box holds 40 x 288 x 40 samples, 3.5 MB per field
+    # the default S^2 box holds 40 x 290 x 40 samples, 3.7 MB per field
     box = AuditBox(dim=2)
     assert _traced_peak_mb(audit_structural, psi, box) <= 5.0
     assert _traced_peak_mb(scan_barriers, psi, box) <= 2.5
