@@ -29,7 +29,9 @@ Each radius is independent of the others, so the audit and the scan
 evaluate their boxes one slab of radii (about SLAB_ELEMENTS samples) at
 a time and reduce as they go: running minima and maxima, and each
 condition's worst samples.  Their memory is that of one slab (at least
-one radius), not of the box.
+one radius), not of the box.  The audit reduces each field at its closed
+form's broadcast shape, so a field that depends on neither r nor xi
+costs one tau-line per slab.
 """
 
 from dataclasses import asdict, dataclass, field, fields
@@ -52,13 +54,19 @@ SLAB_ELEMENTS = 2 ** 15
 class PsiEval:
     """Value and partial derivatives of a prescription at sample points,
     psi_xi holding one array per intrinsic sphere coordinate; all of one
-    shape."""
+    shape.  The homotopy leaves psi_tautau and psi_xi unset (None): the
+    solver reads only psi, psi_r and psi_tau."""
 
     psi: np.ndarray
     psi_r: np.ndarray
     psi_tau: np.ndarray
-    psi_tautau: np.ndarray
-    psi_xi: tuple
+    psi_tautau: np.ndarray = None
+    psi_xi: tuple = None
+
+
+def _common_shape(r, xi, tau):
+    return np.broadcast_shapes(np.shape(r), np.shape(tau),
+                               *(np.shape(c) for c in xi))
 
 
 @dataclass
@@ -82,15 +90,20 @@ class Prescription:
     def _check(self):
         pass
 
+    def _fields(self, r, xi, tau):
+        """psi, psi_r, psi_tau, psi_tautau and d psi/d xi_1 at the sample
+        points, each a float array at its closed form's own shape."""
+        return tuple(np.asarray(a, dtype=float) for a in self._closed_form(
+            np.asarray(r, dtype=float),
+            tuple(np.asarray(c, dtype=float) for c in xi),
+            np.asarray(tau, dtype=float)))
+
     def evaluate(self, r, xi, tau):
         """PsiEval at the sample points, every field a read-only view at
         the common shape of r, xi and tau."""
-        r = np.asarray(r, dtype=float)
-        xi = tuple(np.asarray(c, dtype=float) for c in xi)
-        tau = np.asarray(tau, dtype=float)
-        shape = np.broadcast_shapes(r.shape, tau.shape, *(c.shape for c in xi))
+        shape = _common_shape(r, xi, tau)
         *parts, dxi1 = (np.broadcast_to(a, shape)
-                        for a in self._closed_form(r, xi, tau))
+                        for a in self._fields(r, xi, tau))
         zero = np.broadcast_to(0.0, shape)
         return PsiEval(*parts, (dxi1,) + (zero,) * (len(xi) - 1))
 
@@ -232,22 +245,19 @@ class HomotopyPrescription:
         self.reference = ReferencePrescription(p)
 
     def evaluate(self, t, r, xi, tau):
-        """PsiEval of the deformation at homotopy parameter t in [0, 1]."""
+        """PsiEval of the deformation at homotopy parameter t in [0, 1]:
+        psi, psi_r and psi_tau at the common shape of r, xi and tau."""
         if not 0.0 <= t <= 1.0:
             raise ValueError("homotopy parameter t must lie in [0, 1]")
         u = np.asarray(r, dtype=float)
         if np.any(u <= 0.0):
             raise ValueError("graph value must be positive for an admissible graph")
-        tv = self.target.evaluate(r, xi, tau)
-        rv = self.reference.evaluate(u, xi, tau)
+        shape = _common_shape(u, xi, tau)
         s = 1.0 - t
-        return PsiEval(
-            t * tv.psi + s * rv.psi,
-            t * tv.psi_r + s * rv.psi_r,
-            t * tv.psi_tau + s * rv.psi_tau,
-            t * tv.psi_tautau + s * rv.psi_tautau,
-            tuple(t * c for c in tv.psi_xi),
-        )
+        return PsiEval(*(
+            np.broadcast_to(t * a + s * b, shape) for a, b in zip(
+                self.target._fields(u, xi, tau)[:3],
+                self.reference._fields(u, xi, tau)[:3])))
 
 
 # -- sampling lattices -------------------------------------------------
@@ -439,7 +449,9 @@ def audit_structural(psi, box):
     The box is evaluated one slab of radii at a time (at most
     SLAB_ELEMENTS samples, or one radius), keeping only running minima,
     the running maximum for D and each condition's worst samples, so
-    memory does not grow with n_r.  A failed condition's witnesses are
+    memory does not grow with n_r.  Each field is reduced at its closed
+    form's broadcast shape, so one that depends on neither r nor xi
+    costs one tau-line per slab.  A failed condition's witnesses are
     its WITNESS_COUNT lowest margins; among equal margins the lowest
     (i_r, i_xi, i_tau) sample index comes first.
     """
@@ -453,8 +465,9 @@ def audit_structural(psi, box):
     worst = {key: [] for key in _THRESHOLDS}
     max_d = 0.0
     for rows in _row_slabs(box.n_r, xi[0].size * box.n_tau):
-        ev = psi.evaluate(r[rows, None, None], xi_cols, TAU)
-        vals = ev.psi
+        rr = r[rows, None, None]
+        slab = (rr.shape[0], xi[0].size, box.n_tau)
+        vals, psi_r, psi_tau, psi_tautau, dxi1 = psi._fields(rr, xi_cols, TAU)
         ratio = vals / TAU
         diffs = np.diff(ratio, axis=-1)
         scale = 1.0 + np.abs(ratio[..., :-1])
@@ -462,16 +475,17 @@ def audit_structural(psi, box):
         slope = diffs[..., -1]
         lows["monotone"] = min(lows["monotone"], monotone.min())
         lows["slope"] = min(lows["slope"], slope.min())
+        # each margin at its natural shape, with the slab shape it stands for
         margins = {
-            "positive": vals,
-            "B": ev.psi_tau * TAU - vals,
-            "E": ev.psi_tautau,
+            "positive": (vals, slab),
+            "B": (psi_tau * TAU - vals, slab),
+            "E": (psi_tautau, slab),
             # per-(r, xi) margin: negative iff psi/tau dips, zero-or-negative
             # iff it also fails to keep growing at tau_max; its witnesses
             # sit at tau = 1
-            "C": np.minimum(monotone, slope)[..., None],
+            "C": (np.minimum(monotone, slope)[..., None], slab[:2] + (1,)),
         }
-        for key, margin in margins.items():
+        for key, (margin, shape) in margins.items():
             low = margin.min()
             lows[key] = min(lows[key], low)
             kept = worst[key]
@@ -480,9 +494,11 @@ def audit_structural(psi, box):
             if low <= _THRESHOLDS[key] and (len(kept) < WITNESS_COUNT
                                             or low < kept[-1][0]):
                 worst[key] = sorted(kept + _slab_witnesses(
-                    margin, rows.start, _THRESHOLDS[key]))[:WITNESS_COUNT]
+                    np.broadcast_to(margin, shape), rows.start,
+                    _THRESHOLDS[key]))[:WITNESS_COUNT]
+        # S^2's zero d psi/d xi_2 adds |0| / psi = 0, max_d's starting value
         if lows["positive"] > 0.0:
-            for c in (ev.psi_r, *ev.psi_xi):
+            for c in (psi_r, dxi1):
                 max_d = max(max_d, float(np.max(np.abs(c) / vals)))
 
     def witnesses_of(key):

@@ -400,7 +400,7 @@ class ContinuationSolver:
         leaves more than CHORD_CONTRACTION of the residual sup-norm; the
         next iteration then factors the Jacobian at its iterate.  Raises
         NewtonError (carrying the best iterate) when the iteration cap
-        or the minimal damping is hit.
+        or the minimal damping is hit, or when the Jacobian is singular.
         """
         cfg = self.config
         u = self.grid.check_field(u0).copy()
@@ -416,8 +416,14 @@ class ContinuationSolver:
                 return NewtonResult(u, iteration - 1, rnorm, history, geom,
                                     psi, factorizations)
             if lu is None:
-                lu = spla.splu(self.jacobian(u, t, geom, psi).tocsc(),
-                               permc_spec="MMD_AT_PLUS_A")
+                # one expression, so the CSC copy is freed once factored
+                try:
+                    lu = spla.splu(self.jacobian(u, t, geom, psi).tocsc(),
+                                   permc_spec="MMD_AT_PLUS_A")
+                except RuntimeError as exc:     # SuperLU: exactly singular
+                    raise NewtonError(f"singular Jacobian at t = {t:.6f}: {exc}",
+                                      best_u=u, residual_norm=rnorm,
+                                      iterations=iteration - 1) from exc
                 factorizations += 1
             delta = lu.solve(-res.ravel()).reshape(self.grid.shape)
             alpha = 1.0

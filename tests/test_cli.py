@@ -378,6 +378,19 @@ def test_internal_consistency_failure_exit_code(tmp_path, monkeypatch):
     assert "Jacobian directional check failed" in summary["continuation"]["message"]
 
 
+def test_singular_jacobian_exit_code(tmp_path, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(dscurv.solver.spla, "splu", singular)
+    out = tmp_path / "singular"
+    path = write_config(tmp_path, BASE + f"out = {out}\n")
+    assert cli.main(["--config", path, "--quiet"]) == cli.EXIT_CONTINUATION
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["continuation"]["failed"] is True
+    assert "singular Jacobian at t = " in summary["continuation"]["message"]
+
+
 def test_config_error_exit_code(tmp_path):
     path = write_config(tmp_path, "grid.dim = 2\ngrid.nlat = 16\n"
                                   "grid.nlon = 32\nprescription.name = constant\n"

@@ -10,7 +10,7 @@ from dscurv import (AuditBox, ConstantPrescription, HomotopyPrescription,
                     ReferencePrescription, SpaceTiltPower, TiltConcave,
                     TiltPower, audit_structural, build_grid,
                     make_prescription, scan_barriers)
-from dscurv.prescription import sphere_lattice
+from dscurv.prescription import Prescription, sphere_lattice
 
 R_STAR = np.log(1.0 + np.sqrt(2.0))   # root of 0.5 cosh^2(r) = 1
 
@@ -202,6 +202,54 @@ def test_tied_witnesses_take_the_lowest_index():
         for i in range(3)]
 
 
+class _TiltShift(Prescription):
+    """psi = tau - 2: a tau-line that is not positive for tau <= 2."""
+
+    name = "tilt_shift"
+
+    def _closed_form(self, r, xi, tau):
+        return tau - 2.0, 0.0, 1.0, 0.0, 0.0
+
+
+class _FullBox(Prescription):
+    """A family whose closed form copies every field out to the common
+    shape of the samples, so the audit reduces it over the full box."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def _closed_form(self, r, xi, tau):
+        shape = np.broadcast_shapes(r.shape, tau.shape, *(c.shape for c in xi))
+        return tuple(np.broadcast_to(a, shape).copy()
+                     for a in self.inner._closed_form(r, xi, tau))
+
+
+def test_audit_at_natural_shape_matches_the_full_box():
+    # the default box, and one reaching r = 1e-7, where psi_r / psi ~ 1/r
+    # breaks the D cap of the families that vanish at r = 0
+    boxes = [AuditBox(dim=dim, **extra) for dim in (1, 2)
+             for extra in ({}, {"r_lo": 1e-7, "n_r": 7, "n_tau": 9})]
+    failed = set()
+    for psi in FAMILIES + (_TiltShift(),):
+        for box in boxes:
+            audit = audit_structural(psi, box).to_dict()
+            assert audit == audit_structural(_FullBox(psi), box).to_dict()
+            failed.update(audit["witnesses"])
+    assert failed == {"positive", "A", "B", "C", "D", "E"}
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_constant_D_reads_the_xi_derivative(dim):
+    # away from r = 0, |d psi/d xi_1| / psi = a1 |sin xi_1| / (a0 + a1 cos xi_1)
+    # exceeds |psi_r| / psi = 2 / sinh(2 r) <= 0.2
+    a0, a1 = 0.5, 0.45
+    box = AuditBox(r_lo=1.5, r_hi=2.0, dim=dim)
+    xi_1 = sphere_lattice(dim, box.n_xi)[0]
+    expected = np.max(a1 * np.abs(np.sin(xi_1)) / (a0 + a1 * np.cos(xi_1)))
+    audit = audit_structural(SpaceTiltPower(a0, a1, 2.0), box)
+    assert audit.constant_D == pytest.approx(expected, rel=1e-12)
+
+
 def _traced_peak_mb(fn, *args):
     tracemalloc.start()
     try:
@@ -219,6 +267,14 @@ def test_audit_and_scan_allocate_bounded_memory(psi):
     box = AuditBox(dim=2)
     assert _traced_peak_mb(audit_structural, psi, box) <= 5.0
     assert _traced_peak_mb(scan_barriers, psi, box) <= 2.5
+
+
+@pytest.mark.parametrize("psi", (TiltPower(), ConstantPrescription(),
+                                 TiltConcave()), ids=lambda psi: psi.name)
+def test_audit_of_a_tilt_only_field_allocates_one_slab_of_tau_lines(psi):
+    # fields that depend on tau alone are reduced at shape (1, 1, n_tau);
+    # reducing them over the full slab peaks at 1.24 MB
+    assert _traced_peak_mb(audit_structural, psi, AuditBox(dim=2)) <= 0.6
 
 
 def test_scan_range_validation():
@@ -267,6 +323,24 @@ def test_homotopy_affine_in_t(rng):
     direct = (target.evaluate(r, xi, tau).psi
               - ReferencePrescription(2.0).evaluate(r, xi, tau).psi)
     assert np.allclose(slope, direct, rtol=1e-12, atol=1e-14)
+
+
+def test_homotopy_fields_are_the_public_fields_combined(rng):
+    target = SpaceTiltPower(a0=0.5, a1=0.1, p=2.0)
+    h = HomotopyPrescription(target, 2.0)
+    r = rng.uniform(0.3, 1.2, size=(6, 8))
+    tau = np.cosh(r) + rng.uniform(0.0, 1.0, size=r.shape)
+    xi = (rng.uniform(0, np.pi, size=r.shape),
+          rng.uniform(0, 2 * np.pi, size=r.shape))
+    tv = target.evaluate(r, xi, tau)
+    rv = ReferencePrescription(2.0).evaluate(r, xi, tau)
+    for t in (0.0, 0.3, 0.7, 1.0):
+        ev = h.evaluate(t, r, xi, tau)
+        for name in ("psi", "psi_r", "psi_tau"):
+            expected = t * getattr(tv, name) + (1.0 - t) * getattr(rv, name)
+            assert getattr(ev, name).tobytes() == expected.tobytes()
+        # the solver reads no other field
+        assert ev.psi_tautau is None and ev.psi_xi is None
 
 
 def test_homotopy_rejects_nonpositive_graph():

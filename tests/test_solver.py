@@ -315,6 +315,22 @@ def test_newton_failure_carries_best_iterate(s1_64):
     assert err.value.residual_norm is not None
 
 
+def test_singular_jacobian_is_a_newton_error(s1_64, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(dscurv.solver.spla, "splu", singular)
+    solver = _solver(s1_64, 1)
+    u0 = np.full(s1_64.shape, 0.75)
+    with pytest.raises(NewtonError, match=r"singular Jacobian at t = 0\.500000"
+                       r": Factor is exactly singular") as err:
+        solver.newton_solve(u0, 0.5)
+    assert np.array_equal(err.value.best_u, u0)
+    assert err.value.residual_norm == float(np.max(np.abs(
+        solver.residual(u0, 0.5))))
+    assert err.value.iterations == 0
+
+
 def test_run_homotopy_closed_form_s1():
     grid = build_grid(1, 128)
     state = run_homotopy(MODEL, grid, SolverConfig(k=1, p=2.0))
