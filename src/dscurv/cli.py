@@ -2,9 +2,12 @@
 
 Configuration is a flat key = value text file ('#' comments allowed);
 unknown and duplicate keys are rejected so a config echoed into a run
-summary reproduces the run exactly.  All numeric output is written with
-17 significant digits, which round-trips float64 exactly: every number
-in the artifacts can be checked against a recomputation.
+summary reproduces the run exactly.  parse_config validates by building
+the run objects: the RunConfig it returns exposes ``grid``, ``target``,
+``solver`` and ``box``, built once, and run uses them as they are.  All
+numeric output is written with 17 significant digits, which round-trips
+float64 exactly: every number in the artifacts can be checked against a
+recomputation.
 
 Exit codes: 0 success, 2 config error, 3 structural-audit failure,
 4 barrier-scan failure, 5 continuation failure.
@@ -21,7 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigError, ContinuationError, InternalConsistencyError,
                      NewtonError)
-from .grid import build_grid, grid_shape
+from .grid import build_grid
 from .monitor import identity_residuals
 from .prescription import (AuditBox, PRESCRIPTIONS, audit_structural,
                            make_prescription)
@@ -66,44 +69,59 @@ _GRID_KEYS = {1: ("grid.n",), 2: ("grid.nlat", "grid.nlon")}
 
 
 class RunConfig:
-    """Validated flat configuration with defaults filled in."""
+    """Validated flat configuration with defaults filled in, and the run
+    objects built from it once each: ``grid``, ``target`` (the
+    prescription), ``solver`` (a SolverConfig) and ``box`` (an AuditBox).
+    Building them is the validation; a refused value raises ConfigError."""
 
     def __init__(self, values):
         self.values = values
+        if values["mode"] not in _MODES:
+            raise ConfigError(f"mode must be one of {_MODES}")
+        dim = values["grid.dim"]
+        if dim not in _GRID_KEYS:
+            raise ConfigError("grid.dim must be 1 or 2")
+        for key_dim, keys in _GRID_KEYS.items():
+            for key in keys:
+                if key_dim == dim and values[key] is None:
+                    raise ConfigError(f"{key} is required for grid.dim = {dim}")
+                if key_dim != dim and values[key] is not None:
+                    raise ConfigError(f"{key} does not apply to grid.dim = {dim}")
+        resolution = [values[key] for key in _GRID_KEYS[dim]]
+        try:
+            self.grid = build_grid(dim, resolution if dim == 2 else resolution[0])
+        except ValueError as exc:
+            raise ConfigError(f"{' x '.join(_GRID_KEYS[dim])} invalid: {exc}")
+        if not 1 <= values["k"] <= dim:
+            raise ConfigError(f"k = {values['k']} invalid: "
+                              f"1 <= k <= n = {dim} required")
+        name = values["prescription.name"]
+        if name not in PRESCRIPTIONS:
+            raise ConfigError(f"unknown prescription.name {name!r}; "
+                              f"choices: {sorted(PRESCRIPTIONS)}")
+        try:
+            # prescription.name is make_prescription's name argument
+            self.target = make_prescription(**self._section("prescription."))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"prescription parameters invalid for {name!r}: {exc}")
+        try:
+            self.solver = SolverConfig(k=values["k"], **self._section("solver."))
+            self.box = AuditBox(dim=dim, **self._section("audit."))
+        except ValueError as exc:
+            raise ConfigError(str(exc))
 
     def __getitem__(self, key):
         return self.values[key]
 
     def echo_lines(self):
-        lines = []
-        for key in sorted(self.values):
-            value = self.values[key]
-            if value is None:
-                continue
-            lines.append(f"{key} = {value!r}" if isinstance(value, str)
-                         else f"{key} = {value}")
-        return lines
-
-    def grid_resolution(self):
-        if self["grid.dim"] == 1:
-            return self["grid.n"]
-        return (self["grid.nlat"], self["grid.nlon"])
+        # repr quotes a str and writes an int or float as str does
+        return [f"{key} = {value!r}" for key, value in sorted(self.values.items())
+                if value is not None]
 
     def _section(self, prefix):
         return {key[len(prefix):]: value
                 for key, value in self.values.items()
                 if key.startswith(prefix) and value is not None}
-
-    def prescription_params(self):
-        params = self._section("prescription.")
-        del params["name"]
-        return params
-
-    def solver_config(self):
-        return SolverConfig(k=self["k"], **self._section("solver."))
-
-    def audit_box(self):
-        return AuditBox(dim=self["grid.dim"], **self._section("audit."))
 
 
 def _parse_scalar(key, text, caster):
@@ -118,9 +136,9 @@ def _parse_scalar(key, text, caster):
 def parse_config(path, overrides=None):
     """Read and validate a key = value config file.
 
-    Unknown keys, duplicate keys, missing required keys, and
-    cross-field violations (like k > n) all raise ConfigError naming
-    the offending key.
+    Unknown keys, duplicate keys, missing required keys, and every
+    value RunConfig cannot build its run objects from (like k > n) raise
+    ConfigError naming the offending key.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -149,46 +167,7 @@ def parse_config(path, overrides=None):
             if default is _REQUIRED:
                 raise ConfigError(f"missing required key {key!r}")
             values[key] = default
-    _validate(values)
     return RunConfig(values)
-
-
-def _validate(values):
-    if values["mode"] not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}")
-    dim = values["grid.dim"]
-    if dim not in _GRID_KEYS:
-        raise ConfigError("grid.dim must be 1 or 2")
-    for key_dim, keys in _GRID_KEYS.items():
-        for key in keys:
-            if key_dim == dim and values[key] is None:
-                raise ConfigError(f"{key} is required for grid.dim = {dim}")
-            if key_dim != dim and values[key] is not None:
-                raise ConfigError(f"{key} does not apply to grid.dim = {dim}")
-    cfg = RunConfig(values)
-    try:
-        grid_shape(dim, cfg.grid_resolution())
-    except ValueError as exc:
-        raise ConfigError(f"{' x '.join(_GRID_KEYS[dim])} invalid: {exc}")
-    if not 1 <= values["k"] <= dim:
-        raise ConfigError(f"k = {values['k']} invalid: 1 <= k <= n = {dim} required")
-    name = values["prescription.name"]
-    if name not in PRESCRIPTIONS:
-        raise ConfigError(f"unknown prescription.name {name!r}; "
-                          f"choices: {sorted(PRESCRIPTIONS)}")
-    try:
-        make_prescription(name, **cfg.prescription_params())
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"prescription parameters invalid for {name!r}: {exc}")
-    try:
-        cfg.solver_config()
-        cfg.audit_box()
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def _write_fields_csv(path, grid, geom, residual):
@@ -200,8 +179,8 @@ def _write_fields_csv(path, grid, geom, residual):
     eigs = geom.shape_eigs
     columns += [eigs[..., i].ravel() for i in range(grid.dim)]
     columns += [np.asarray(residual).ravel()]
-    # %.17g of a Python float is _fmt's text; one template per row and
-    # columns converted once keep the per-value calls out of the loop
+    # one template per row and columns converted once keep the per-value
+    # calls out of the loop
     columns = [np.asarray(c, dtype=float).tolist() for c in columns]
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
@@ -213,11 +192,10 @@ def _write_trace_csv(path, history):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("t,newton_iters,residual,min_u,max_u,max_tau,max_abs_A,"
                      "level\n")
-        for rec in history:
-            handle.write(",".join([
-                _fmt(rec.t), str(rec.iters), _fmt(rec.residual),
-                _fmt(rec.min_u), _fmt(rec.max_u),
-                _fmt(rec.max_tau), _fmt(rec.max_abs_A), str(rec.level)]) + "\n")
+        handle.writelines(
+            "%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
+            % (rec.t, rec.iters, rec.residual, rec.min_u, rec.max_u,
+               rec.max_tau, rec.max_abs_A, rec.level) for rec in history)
 
 
 def _level_summaries(levels):
@@ -233,25 +211,24 @@ def _level_summaries(levels):
     return rows
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_summary(outdir, summary):
     path = os.path.join(outdir, "summary.json")
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True, default=_json_default)
+        json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return path
 
 
-def _identity_check(grid, summary, outdir, quiet):
+def _finish(outdir, summary, quiet, code, message):
+    """Every stage's exit: summary.json, then message unless quiet."""
+    _write_summary(outdir, summary)
+    if not quiet:
+        print(message)
+    return code
+
+
+def _identity_check(grid):
+    """(summary entry, report lines) of the identity residuals of a
+    smooth profile on grid and on its refinement."""
     if grid.dim == 1:
         profile = lambda g: 0.8 + 0.1 * np.cos(g.coords()[0])
     else:
@@ -261,15 +238,12 @@ def _identity_check(grid, summary, outdir, quiet):
     fine = dataclasses.asdict(identity_residuals(profile(fine_grid), fine_grid))
     ratios = {name: coarse[name] / fine[name] if fine[name] > 0 else None
               for name in ("r_eta", "r_tau1", "r_tau2", "codazzi")}
-    summary["identity_check"] = {"coarse": coarse, "fine": fine,
-                                 "ratios": ratios}
-    _write_summary(outdir, summary)
-    if not quiet:
-        for name, ratio in ratios.items():
-            shown = "exact" if ratio is None else f"{ratio:.2f}"
-            print(f"identity {name}: coarse {coarse[name]:.3e} "
-                  f"fine {fine[name]:.3e} ratio {shown}")
-    return EXIT_OK
+    lines = []
+    for name, ratio in ratios.items():
+        shown = "exact" if ratio is None else f"{ratio:.2f}"
+        lines.append(f"identity {name}: coarse {coarse[name]:.3e} "
+                     f"fine {fine[name]:.3e} ratio {shown}")
+    return {"coarse": coarse, "fine": fine, "ratios": ratios}, "\n".join(lines)
 
 
 def run(config, quiet=False):
@@ -283,54 +257,46 @@ def run(config, quiet=False):
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output directory {outdir!r} not writable: {exc}")
+    grid = config.grid
     summary = {
         "code_version": __version__,
         "mode": config["mode"],
-        "grid": {"dim": config["grid.dim"],
-                 "resolution": list(np.atleast_1d(config.grid_resolution()).tolist())},
+        "grid": {"dim": grid.dim, "resolution": list(grid.shape)},
         "config_echo": config.echo_lines(),
+        "prescription": config.target.describe(),
     }
-    grid = build_grid(config["grid.dim"], config.grid_resolution())
-    target = make_prescription(config["prescription.name"],
-                               **config.prescription_params())
-    summary["prescription"] = target.describe()
 
     if config["mode"] == "identity-check":
-        return _identity_check(grid, summary, outdir, quiet)
+        summary["identity_check"], message = _identity_check(grid)
+        return _finish(outdir, summary, quiet, EXIT_OK, message)
 
-    box = config.audit_box()
-    audit = audit_structural(target, box)
+    audit = audit_structural(config.target, config.box)
     summary["audit"] = audit.to_dict()
     core_ok = (audit.positive and audit.pass_B and audit.pass_C
                and audit.pass_D and audit.pass_E)
     if not core_ok:
-        _write_summary(outdir, summary)
-        if not quiet:
-            print("structural audit failed; see summary.json for witnesses")
-        return EXIT_AUDIT
+        return _finish(outdir, summary, quiet, EXIT_AUDIT, "structural audit "
+                       "failed; see summary.json for witnesses")
 
-    solver_config = config.solver_config()
-    barriers, scans = combined_barriers(audit.scan, solver_config.p, box)
+    barriers, scans = combined_barriers(audit.scan, config.solver.p,
+                                        config.box)
     if barriers is None:
         summary["barriers"] = {
             "found": False,
             "target_sign_pattern": scans[0].sign_pattern(),
             "reference_sign_pattern": scans[1].sign_pattern(),
         }
-        _write_summary(outdir, summary)
-        if not quiet:
-            print("barrier scan failed; see summary.json for the sign pattern")
-        return EXIT_BARRIER
+        return _finish(outdir, summary, quiet, EXIT_BARRIER, "barrier scan "
+                       "failed; see summary.json for the sign pattern")
     summary["barriers"] = {"found": True, "R1": barriers[0], "R2": barriers[1]}
 
     if config["mode"] == "audit-only":
-        _write_summary(outdir, summary)
-        if not quiet:
-            print(f"audit passed; barriers R1 = {barriers[0]:.6g}, "
-                  f"R2 = {barriers[1]:.6g}")
-        return EXIT_OK
+        return _finish(outdir, summary, quiet, EXIT_OK,
+                       f"audit passed; barriers R1 = {barriers[0]:.6g}, "
+                       f"R2 = {barriers[1]:.6g}")
 
-    solver = ContinuationSolver(grid, target, solver_config, barriers=barriers)
+    solver = ContinuationSolver(grid, config.target, config.solver,
+                                barriers=barriers)
     try:
         state = solver.run()
     except (ContinuationError, NewtonError, InternalConsistencyError) as exc:
@@ -339,10 +305,8 @@ def run(config, quiet=False):
         if partial is not None:
             _write_trace_csv(os.path.join(outdir, "trace.csv"),
                              partial.step_history)
-        _write_summary(outdir, summary)
-        if not quiet:
-            print(f"continuation failed: {exc}")
-        return EXIT_CONTINUATION
+        return _finish(outdir, summary, quiet, EXIT_CONTINUATION,
+                       f"continuation failed: {exc}")
 
     residual, geom, _ = solver.residual_with_geometry(state.u, state.t)
     _write_fields_csv(os.path.join(outdir, "fields.csv"), grid, geom, residual)
@@ -359,11 +323,9 @@ def run(config, quiet=False):
     summary["levels"] = _level_summaries(state.levels)
     summary["fallback"] = state.fallback
     summary["monitor"] = state.monitor.to_dict()
-    _write_summary(outdir, summary)
-    if not quiet:
-        print(f"solved: t = {state.t}, residual = {state.residual_norm:.3e}, "
-              f"u in [{state.u.min():.8f}, {state.u.max():.8f}]")
-    return EXIT_OK
+    return _finish(outdir, summary, quiet, EXIT_OK,
+                   f"solved: t = {state.t}, residual = {state.residual_norm:.3e}, "
+                   f"u in [{state.u.min():.8f}, {state.u.max():.8f}]")
 
 
 def _build_parser():

@@ -88,10 +88,10 @@ class IdentityResiduals:
         return (self.r_eta, self.r_tau1, self.r_tau2, self.codazzi)
 
 
-def check_bounds(geom, u, barriers, c_tau, c_a, k):
-    """Pure report on the graph's a priori bounds; never raises, never
-    mutates: the solver decides what to do with a failed flag."""
-    u = np.asarray(u, dtype=float)
+def check_bounds(geom, barriers, c_tau, c_a, k):
+    """Pure report on the a priori bounds of geom's graph u; never raises,
+    never mutates: the solver decides what to do with a failed flag."""
+    u = geom.u
     r1, r2 = barriers
     min_u, max_u = float(u.min()), float(u.max())
     c0_bad = (u < r1) | (u > r2)

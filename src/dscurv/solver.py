@@ -58,8 +58,8 @@ from .prescription import (AuditBox, HomotopyPrescription,
                            ReferencePrescription, scan_barriers)
 from .symmetric import root_of_sums
 
-# The in-run Jacobian check runs on the first accepted step and then on
-# every JACOBIAN_CHECK_INTERVAL-th.
+# The in-run Jacobian check runs on the homotopy's first accepted state,
+# its exact start, and then on every JACOBIAN_CHECK_INTERVAL-th.
 JACOBIAN_CHECK_INTERVAL = 10
 
 # A homotopy step accepted in at most FAST_ITERS Newton iterations grows
@@ -515,8 +515,8 @@ class ContinuationSolver:
         solution and reuses its LU factor."""
         cfg = self.config
         result = self.newton_solve(u_start, t, reuse_factor=level > 0)
-        monitor = check_bounds(result.geometry, result.u, self.barriers,
-                               cfg.c_tau, cfg.c_a, cfg.k)
+        monitor = check_bounds(result.geometry, self.barriers, cfg.c_tau,
+                               cfg.c_a, cfg.k)
         record = StepRecord(
             t=t, iters=result.iterations, residual=result.residual_norm,
             min_u=monitor.min_u, max_u=monitor.max_u, max_tau=monitor.max_tau,
@@ -536,28 +536,21 @@ class ContinuationSolver:
         """
         cfg = self.config
         history = []
-        accepted = 0
-
-        def attempt(u_start, t):
-            nonlocal accepted
-            result, monitor, record = self._attempt(u_start, t)
-            accepted += 1
-            if accepted == 1 or accepted % JACOBIAN_CHECK_INTERVAL == 0:
-                self.directional_derivative_check(
-                    result.u, t, geom=result.geometry, psi=result.psi)
-            return result.u, monitor, record
 
         def state(u, t, monitor, history):
             return HomotopyState(u, t, history[-1].residual, monitor, history)
 
-        u, monitor, record = attempt(np.full(self.grid.shape, self.start_radius),
-                                     0.0)
+        start, monitor, record = self._attempt(
+            np.full(self.grid.shape, self.start_radius), 0.0)
+        u = start.u
         if not monitor.all_ok:
             raise ContinuationError(
                 "bound monitors failed at the homotopy start: "
                 + _monitor_failures(monitor),
                 state=state(u, 0.0, monitor, [record]))
         history.append(record)
+        self.directional_derivative_check(u, 0.0, geom=start.geometry,
+                                          psi=start.psi)
         t = 0.0
 
         dt = cfg.dt_init
@@ -568,7 +561,7 @@ class ContinuationSolver:
             if t_final - t_next < cfg.dt_min:
                 t_next = t_final
             try:
-                trial_u, trial_monitor, record = attempt(u, t_next)
+                trial, trial_monitor, record = self._attempt(u, t_next)
             except NewtonError as exc:
                 cause = f"Newton failed: {exc}"
                 if exc.residual_norm is not None:
@@ -585,8 +578,11 @@ class ContinuationSolver:
                         f"t = {t_next:.6f}, was rejected: {cause}",
                         state=state(u, t, monitor, history))
                 continue
-            u, t, monitor = trial_u, t_next, trial_monitor
+            u, t, monitor = trial.u, t_next, trial_monitor
             history.append(record)
+            if len(history) % JACOBIAN_CHECK_INTERVAL == 0:
+                self.directional_derivative_check(
+                    u, t, geom=trial.geometry, psi=trial.psi)
             if record.iters <= FAST_ITERS:
                 dt = min(dt * GROW_FACTOR, cfg.dt_max)
         result = state(u, t, monitor, history)

@@ -109,7 +109,7 @@ def test_solver_and_audit_keys_reach_their_fields(tmp_path):
                              if key.startswith(("solver.", "audit."))}
     text = BASE + "".join(f"{key} = {value}\n" for key, value in values.items())
     config = cli.parse_config(write_config(tmp_path, text))
-    built = {"solver": config.solver_config(), "audit": config.audit_box()}
+    built = {"solver": config.solver, "audit": config.box}
     defaults = {"solver": SolverConfig(), "audit": AuditBox()}
     for key, value in values.items():
         section, name = key.split(".")
@@ -139,13 +139,31 @@ def test_prescription_keys_reach_their_fields(tmp_path):
                 + "".join(f"prescription.{name} = {value}\n"
                           for name, value in params.items()))
         config = cli.parse_config(write_config(tmp_path, text))
-        built = make_prescription(family, **config.prescription_params())
+        built = config.target
         default = PRESCRIPTIONS[family]()
         for name, value in params.items():
             assert getattr(default, name) != value
             got = getattr(built, name)
             assert got == value and type(got) is float, (family, name)
         assert built.describe() == {"name": family, "params": params}
+
+
+def test_solve_builds_each_run_object_once(tmp_path, monkeypatch):
+    built = {}
+
+    def counting(name, build):
+        def counted(*args, **kwargs):
+            built[name] = built.get(name, 0) + 1
+            return build(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+
+    for name in ("build_grid", "make_prescription", "SolverConfig",
+                 "AuditBox"):
+        counting(name, getattr(cli, name))
+    path = write_config(tmp_path, BASE + f"out = {tmp_path / 'out'}\n")
+    assert cli.main(["--config", path, "--quiet"]) == cli.EXIT_OK
+    assert built == {"build_grid": 1, "make_prescription": 1,
+                     "SolverConfig": 1, "AuditBox": 1}
 
 
 def test_library_and_cli_agree_on_barriers(tmp_path):

@@ -23,7 +23,7 @@ def test_check_bounds_umbilic_passes(s2_16x32):
     barriers = _model_barriers()
     u = np.full(s2_16x32.shape, 0.8814)
     geom = induced_geometry(u, s2_16x32)
-    report = check_bounds(geom, u, barriers, c_tau=50.0, c_a=50.0, k=2)
+    report = check_bounds(geom, barriers, c_tau=50.0, c_a=50.0, k=2)
     assert report.all_ok
     assert report.min_u == report.max_u == pytest.approx(0.8814)
     assert report.max_tau == pytest.approx(np.cosh(0.8814), rel=1e-14)
@@ -35,7 +35,7 @@ def test_check_bounds_c0_violation(s2_16x32):
     r1, r2 = _model_barriers()
     u = np.full(s2_16x32.shape, r2 + 0.1)
     geom = induced_geometry(u, s2_16x32)
-    report = check_bounds(geom, u, (r1, r2), c_tau=50.0, c_a=50.0, k=2)
+    report = check_bounds(geom, (r1, r2), c_tau=50.0, c_a=50.0, k=2)
     assert not report.c0_ok
     assert not report.all_ok
     assert len(report.node_violations["c0"]) == s2_16x32.node_count
@@ -48,7 +48,7 @@ def test_check_bounds_cone_violation(s2_16x32):
     sums = geom.sums.copy()
     sums[0, 0] = (1.0, -2.0)    # S_1 = 1, S_2 = -2 at one node
     doctored = dataclasses.replace(geom, sums=sums)
-    report = check_bounds(doctored, u, (r1, r2), c_tau=50.0, c_a=50.0, k=2)
+    report = check_bounds(doctored, (r1, r2), c_tau=50.0, c_a=50.0, k=2)
     assert not report.curv_ok
     assert report.min_sigma_margin == pytest.approx(-2.0)
     assert 0 in report.node_violations["curv"]
@@ -57,7 +57,7 @@ def test_check_bounds_cone_violation(s2_16x32):
 def test_check_bounds_tilt_violation(s1_64):
     u = 0.8 + 0.1 * np.cos(s1_64.theta)
     geom = induced_geometry(u, s1_64)
-    report = check_bounds(geom, u, (0.5, 1.2), c_tau=1.0, c_a=50.0, k=1)
+    report = check_bounds(geom, (0.5, 1.2), c_tau=1.0, c_a=50.0, k=1)
     assert not report.tilt_ok
     assert report.node_violations["tilt"]
 
@@ -65,8 +65,8 @@ def test_check_bounds_tilt_violation(s1_64):
 def test_monitor_purity(s1_64):
     u = 0.8 + 0.1 * np.cos(s1_64.theta)
     geom = induced_geometry(u, s1_64)
-    a = check_bounds(geom, u, (0.5, 1.2), 50.0, 50.0, 1)
-    b = check_bounds(geom, u, (0.5, 1.2), 50.0, 50.0, 1)
+    a = check_bounds(geom, (0.5, 1.2), 50.0, 50.0, 1)
+    b = check_bounds(geom, (0.5, 1.2), 50.0, 50.0, 1)
     assert a == b
 
 

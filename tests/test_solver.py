@@ -438,6 +438,34 @@ def test_nested_levels_factor_once(monkeypatch):
         assert checked.count(nodes) == 1
 
 
+def test_jacobian_check_counts_accepted_states(monkeypatch):
+    # with interval 2 the check runs on accepted states 1, 2, 4, 6, ...;
+    # a step the monitors reject is neither checked nor counted
+    checked, monitored = [], []
+    check = ContinuationSolver.directional_derivative_check
+    bounds = dscurv.solver.check_bounds
+
+    def counted_check(self, u, t, **kwargs):
+        checked.append(t)
+        return check(self, u, t, **kwargs)
+
+    def reject_first_step(geom, *args):
+        report = bounds(geom, *args)
+        monitored.append(report)
+        if len(monitored) == 2:
+            report = dataclasses.replace(report, c0_ok=False,
+                                         node_violations={"c0": [0]})
+        return report
+
+    monkeypatch.setattr(dscurv.solver, "JACOBIAN_CHECK_INTERVAL", 2)
+    monkeypatch.setattr(ContinuationSolver, "directional_derivative_check",
+                        counted_check)
+    monkeypatch.setattr(dscurv.solver, "check_bounds", reject_first_step)
+    history = _solver(build_grid(1, 32), 1)._homotopy(1.0).step_history
+    assert len(monitored) == len(history) + 1
+    assert checked == [history[i].t for i in (0, 1, 3, 5)]
+
+
 def test_nested_level_refactors_when_contraction_is_slow(monkeypatch):
     # a start far from the level's solution: 0.1 Re((x + iy)^4) added to
     # every prolonged field makes some chord step leave more than
