@@ -3,7 +3,9 @@
 check_bounds() reports whether a graph sits between its barrier radii,
 keeps its tilt under the configured cap, stays node-wise admissible,
 and keeps |A| bounded: the discrete analogue of membership in the
-bounded solution set the continuation argument relies on.
+bounded solution set the continuation argument relies on.  The report
+lists, per check, the ids of the nodes that fail it; a flag fails
+exactly when its list names nodes.
 
 identity_residuals() validates the discretization against identities
 that couple the height eta = sinh(u) and tilt tau to the second
@@ -31,7 +33,7 @@ the one grid.covariant_hessian.  Intermediates are freed once their
 sup-norm is taken.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,11 +43,10 @@ from .grid import covariant_hessian
 
 @dataclass
 class BoundReport:
-    """Per-run snapshot of the a priori bound checks."""
+    """Per-run snapshot of the a priori bound checks.  node_violations
+    maps each check ("c0", "tilt", "curv") to the ids of its failing
+    nodes; a flag fails exactly when its check names nodes."""
 
-    c0_ok: bool
-    tilt_ok: bool
-    curv_ok: bool
     min_u: float
     max_u: float
     R1: float
@@ -57,19 +58,16 @@ class BoundReport:
     min_sigma_margin: float     # worst min_j S_j over nodes, j = 1..k
     node_violations: dict = field(default_factory=dict)
 
-    @property
-    def all_ok(self):
-        return self.c0_ok and self.tilt_ok and self.curv_ok
+    c0_ok = property(lambda self: not self.node_violations.get("c0"))
+    tilt_ok = property(lambda self: not self.node_violations.get("tilt"))
+    curv_ok = property(lambda self: not self.node_violations.get("curv"))
+    all_ok = property(lambda self: not any(self.node_violations.values()))
 
     def to_dict(self):
         return {
             "all_ok": self.all_ok,
             "c0_ok": self.c0_ok, "tilt_ok": self.tilt_ok, "curv_ok": self.curv_ok,
-            "min_u": self.min_u, "max_u": self.max_u,
-            "R1": self.R1, "R2": self.R2,
-            "max_tau": self.max_tau, "C_tau": self.C_tau,
-            "max_abs_A": self.max_abs_A, "C_A": self.C_A,
-            "min_sigma_margin": self.min_sigma_margin,
+            **asdict(self),
             "node_violations": {k: v for k, v in self.node_violations.items() if v},
         }
 
@@ -91,34 +89,19 @@ class IdentityResiduals:
 def check_bounds(geom, barriers, c_tau, c_a, k):
     """Pure report on the a priori bounds of geom's graph u; never raises,
     never mutates: the solver decides what to do with a failed flag."""
-    u = geom.u
+    u, tau, abs_a = geom.u, geom.tau, geom.abs_A
     r1, r2 = barriers
-    min_u, max_u = float(u.min()), float(u.max())
-    c0_bad = (u < r1) | (u > r2)
-    c0_ok = not bool(c0_bad.any())
-
-    max_tau = float(geom.tau.max())
-    tilt_bad = geom.tau > c_tau
-    tilt_ok = not bool(tilt_bad.any())
-
     sig = geom.sums[..., :k]
-    member = np.all(sig > 0.0, axis=-1)
-    abs_a = geom.abs_A
-    max_abs_a = float(abs_a.max())
-    curv_bad = (~member) | (abs_a > c_a)
-    curv_ok = not bool(curv_bad.any())
-
+    bad = {"c0": (u < r1) | (u > r2),
+           "tilt": tau > c_tau,
+           "curv": ~np.all(sig > 0.0, axis=-1) | (abs_a > c_a)}
     return BoundReport(
-        c0_ok=c0_ok, tilt_ok=tilt_ok, curv_ok=curv_ok,
-        min_u=min_u, max_u=max_u, R1=float(r1), R2=float(r2),
-        max_tau=max_tau, C_tau=float(c_tau),
-        max_abs_A=max_abs_a, C_A=float(c_a),
+        min_u=float(u.min()), max_u=float(u.max()), R1=float(r1), R2=float(r2),
+        max_tau=float(tau.max()), C_tau=float(c_tau),
+        max_abs_A=float(abs_a.max()), C_A=float(c_a),
         min_sigma_margin=float(sig.min()),
-        node_violations={
-            "c0": np.flatnonzero(c0_bad.ravel()).tolist(),
-            "tilt": np.flatnonzero(tilt_bad.ravel()).tolist(),
-            "curv": np.flatnonzero(curv_bad.ravel()).tolist(),
-        },
+        node_violations={name: np.flatnonzero(mask.ravel()).tolist()
+                         for name, mask in bad.items()},
     )
 
 

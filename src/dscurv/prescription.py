@@ -25,6 +25,12 @@ the slice scan, which looks for radii R1 < R2 with
 at every sampled xi.  tanh(r) is the curvature of the umbilic slice of
 radius r, so these inequalities trap solutions between the two radii.
 
+A condition fails exactly when the audit holds witnesses for it: the
+samples with the lowest margins, the empirical constant for D, or the
+scan's sign pattern for A.  A NaN margin (an overflowed closed form)
+fails its condition, and so does a NaN constant for D.  Prescriptions
+and audit boxes refuse non-finite parameters.
+
 Each radius is independent of the others, so the audit and the scan
 evaluate their boxes one slab of radii (about SLAB_ELEMENTS samples) at
 a time and reduce as they go: running minima and maxima, and each
@@ -34,6 +40,7 @@ form's broadcast shape, so a field that depends on neither r nor xi
 costs one tau-line per slab.
 """
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -48,6 +55,14 @@ D_CAP = 1e6
 # on the default S^1 and S^2 audit boxes (Xeon, 2 MB L2 per core); the
 # temporaries of a larger slab no longer fit in L2.
 SLAB_ELEMENTS = 2 ** 15
+
+
+def _check_finite(obj):
+    """Raise ValueError naming the first attribute of the dataclass obj
+    that is not a finite number: NaN passes every ``x <= bound`` test."""
+    for name, value in vars(obj).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -85,6 +100,7 @@ class Prescription:
     def __post_init__(self):
         for f in fields(self):
             setattr(self, f.name, float(getattr(self, f.name)))
+        _check_finite(self)
         self._check()
 
     def _check(self):
@@ -295,6 +311,7 @@ class AuditBox:
     scan_resolution: int = 400
 
     def __post_init__(self):
+        _check_finite(self)
         if self.r_lo <= 0.0 or self.r_hi <= self.r_lo:
             raise ValueError("need 0 < r_lo < r_hi")
         if self.tau_max < 2.0:
@@ -310,14 +327,16 @@ class AuditBox:
 
 @dataclass
 class BarrierScan:
-    """Result of the slice-inequality scan."""
+    """Result of the slice-inequality scan; R1 and R2 are None when no
+    trap pair exists."""
 
-    found: bool
-    R1: float = None
-    R2: float = None
-    r_values: np.ndarray = None
-    lo_margin: np.ndarray = None   # tanh(r) - max_xi psi(r, xi, cosh r)
-    hi_margin: np.ndarray = None   # min_xi psi(r, xi, cosh r) - tanh(r)
+    R1: float
+    R2: float
+    r_values: np.ndarray
+    lo_margin: np.ndarray   # tanh(r) - max_xi psi(r, xi, cosh r)
+    hi_margin: np.ndarray   # min_xi psi(r, xi, cosh r) - tanh(r)
+
+    found = property(lambda self: self.R1 is not None)
 
     def sign_pattern(self):
         """String per lattice point: '<' below, '>' above, '0' mixed."""
@@ -342,7 +361,7 @@ def scan_barriers(psi, box):
 
     Returns the largest R1 and smallest R2 such that the strict slice
     inequalities hold at every scanned radius on the respective side
-    and every sampled xi; found=False (with the margin arrays for
+    and every sampled xi; R1 = R2 = None (with the margin arrays for
     diagnosis) when no such pair exists.  The radii are evaluated one
     slab of rows at a time.
     """
@@ -363,49 +382,46 @@ def scan_barriers(psi, box):
     r1_idx = np.flatnonzero(lo_prefix)
     r2_idx = np.flatnonzero(hi_suffix)
     if r1_idx.size and r2_idx.size and r[r1_idx[-1]] < r[r2_idx[0]]:
-        return BarrierScan(True, float(r[r1_idx[-1]]), float(r[r2_idx[0]]),
+        return BarrierScan(float(r[r1_idx[-1]]), float(r[r2_idx[0]]),
                            r, lo_margin, hi_margin)
-    return BarrierScan(False, None, None, r, lo_margin, hi_margin)
+    return BarrierScan(None, None, r, lo_margin, hi_margin)
+
+
+# The summary key of each condition's verdict in StructuralAudit.to_dict.
+_SUMMARY_KEYS = {"positive": "positive", "A": "A_barriers",
+                 "B": "B_tilt_inequality", "C": "C_growth_surrogate",
+                 "D": "D_space_derivative", "E": "E_tilt_convexity"}
 
 
 @dataclass
 class StructuralAudit:
     """Outcome of the structural audit over a sample box; condition A
-    and the barrier radii are those of its barrier scan."""
+    and the barrier radii are those of its barrier scan.  A condition
+    fails exactly when ``witnesses`` holds its key."""
 
     box: AuditBox
-    positive: bool
-    pass_B: bool
-    pass_C: bool
-    pass_D: bool
-    pass_E: bool
     constant_D: float
     scan: BarrierScan
     witnesses: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def pass_A(self):
-        return self.scan.found
+    positive = property(lambda self: "positive" not in self.witnesses)
+    pass_A = property(lambda self: "A" not in self.witnesses)
+    pass_B = property(lambda self: "B" not in self.witnesses)
+    pass_C = property(lambda self: "C" not in self.witnesses)
+    pass_D = property(lambda self: "D" not in self.witnesses)
+    pass_E = property(lambda self: "E" not in self.witnesses)
+    passed = property(lambda self: not self.witnesses)
 
     @property
     def barriers(self):
         return (self.scan.R1, self.scan.R2) if self.scan.found else None
 
-    @property
-    def passed(self):
-        return (self.positive and self.pass_A and self.pass_B
-                and self.pass_C and self.pass_D and self.pass_E)
-
     def to_dict(self):
         return {
             "passed": self.passed,
-            "positive": self.positive,
-            "A_barriers": self.pass_A,
-            "B_tilt_inequality": self.pass_B,
-            "C_growth_surrogate": self.pass_C,
-            "D_space_derivative": self.pass_D,
-            "E_tilt_convexity": self.pass_E,
+            **{name: key not in self.witnesses
+               for key, name in _SUMMARY_KEYS.items()},
             "constant_D": self.constant_D,
             "barriers": list(self.barriers) if self.barriers else None,
             "witnesses": self.witnesses,
@@ -413,8 +429,10 @@ class StructuralAudit:
         }
 
 
-# A sample witnesses a failed condition when its margin is at or below
-# the condition's threshold; the audit reports the WITNESS_COUNT worst.
+# A condition fails when its least margin is not above its threshold
+# (so a NaN margin fails it), and a sample with a margin at or below the
+# threshold witnesses the failure; the audit reports the WITNESS_COUNT
+# worst.
 _THRESHOLDS = {"positive": 0.0, "B": -MARGIN_TOL, "E": -MARGIN_TOL, "C": 0.0}
 WITNESS_COUNT = 3
 
@@ -422,8 +440,9 @@ WITNESS_COUNT = 3
 def _slab_witnesses(margin, i_r0, threshold):
     """The first WITNESS_COUNT samples of one slab in (margin, index)
     order with margin <= threshold, as (margin, (i_r, i_xi, i_tau)),
-    i_r counted from the slab's first row i_r0."""
-    flat = margin.ravel()
+    i_r counted from the slab's first row i_r0.  A NaN margin (an
+    overflowed closed form) ranks and is reported as -inf."""
+    flat = np.where(np.isnan(margin), -np.inf, margin).ravel()
     k = min(WITNESS_COUNT, flat.size)
     cut = min(np.partition(flat, k - 1)[k - 1], threshold)
     below = np.flatnonzero(flat < cut)      # fewer than k samples
@@ -460,8 +479,7 @@ def audit_structural(psi, box):
     xi = sphere_lattice(box.dim, box.n_xi)
     xi_cols = tuple(c[None, :, None] for c in xi)
     TAU = tau[None, None, :]
-    lows = dict.fromkeys(("positive", "B", "E", "C", "monotone", "slope"),
-                         np.inf)
+    lows = dict.fromkeys(_THRESHOLDS, np.inf)
     worst = {key: [] for key in _THRESHOLDS}
     max_d = 0.0
     for rows in _row_slabs(box.n_r, xi[0].size * box.n_tau):
@@ -473,8 +491,6 @@ def audit_structural(psi, box):
         scale = 1.0 + np.abs(ratio[..., :-1])
         monotone = np.min(diffs + MARGIN_TOL * scale, axis=-1)
         slope = diffs[..., -1]
-        lows["monotone"] = min(lows["monotone"], monotone.min())
-        lows["slope"] = min(lows["slope"], slope.min())
         # each margin at its natural shape, with the slab shape it stands for
         margins = {
             "positive": (vals, slab),
@@ -486,20 +502,21 @@ def audit_structural(psi, box):
             "C": (np.minimum(monotone, slope)[..., None], slab[:2] + (1,)),
         }
         for key, (margin, shape) in margins.items():
+            # numpy's min and minimum keep a NaN, Python's min may drop it
             low = margin.min()
-            lows[key] = min(lows[key], low)
+            lows[key] = np.minimum(lows[key], low)
             kept = worst[key]
             # later slabs hold higher indices, so a tie with the last
             # kept witness cannot displace it
-            if low <= _THRESHOLDS[key] and (len(kept) < WITNESS_COUNT
-                                            or low < kept[-1][0]):
+            if not low > _THRESHOLDS[key] and (len(kept) < WITNESS_COUNT
+                                               or not low >= kept[-1][0]):
                 worst[key] = sorted(kept + _slab_witnesses(
                     np.broadcast_to(margin, shape), rows.start,
                     _THRESHOLDS[key]))[:WITNESS_COUNT]
         # S^2's zero d psi/d xi_2 adds |0| / psi = 0, max_d's starting value
         if lows["positive"] > 0.0:
             for c in (psi_r, dxi1):
-                max_d = max(max_d, float(np.max(np.abs(c) / vals)))
+                max_d = np.maximum(max_d, np.max(np.abs(c) / vals))
 
     def witnesses_of(key):
         picks = []
@@ -511,34 +528,18 @@ def audit_structural(psi, box):
             picks.append(sample)
         return picks
 
-    witnesses = {}
-    positive = bool(lows["positive"] > 0.0)
-    if not positive:
-        witnesses["positive"] = witnesses_of("positive")
-    pass_b = bool(lows["B"] >= -MARGIN_TOL)
-    if not pass_b:
-        witnesses["B"] = witnesses_of("B")
-    pass_e = bool(lows["E"] >= -MARGIN_TOL)
-    if not pass_e:
-        witnesses["E"] = witnesses_of("E")
-
-    constant_d = max_d if positive else float("inf")
-    pass_d = bool(np.isfinite(constant_d) and constant_d <= D_CAP)
-    if not pass_d:
+    witnesses = {key: witnesses_of(key)
+                 for key, threshold in _THRESHOLDS.items()
+                 if not lows[key] > threshold}
+    constant_d = float("inf") if "positive" in witnesses else float(max_d)
+    if not constant_d <= D_CAP:
         witnesses["D"] = [{"constant_D": constant_d, "cap": D_CAP}]
-
-    pass_c = bool(lows["monotone"] >= 0.0) and bool(lows["slope"] > 0.0)
-    if not pass_c:
-        witnesses["C"] = witnesses_of("C")
-
     scan = scan_barriers(psi, box)
     if not scan.found:
         witnesses["A"] = [{"sign_pattern": scan.sign_pattern()}]
 
     return StructuralAudit(
         box=box,
-        positive=positive,
-        pass_B=pass_b, pass_C=pass_c, pass_D=pass_d, pass_E=pass_e,
         constant_D=constant_d,
         scan=scan,
         witnesses=witnesses,

@@ -55,7 +55,8 @@ from .errors import (AdmissibilityError, ContinuationError,
 from .geometry import _contract, induced_geometry_unchecked
 from .monitor import check_bounds
 from .prescription import (AuditBox, HomotopyPrescription,
-                           ReferencePrescription, scan_barriers)
+                           ReferencePrescription, _check_finite,
+                           scan_barriers)
 from .symmetric import root_of_sums
 
 # The in-run Jacobian check runs on the homotopy's first accepted state,
@@ -95,6 +96,7 @@ class SolverConfig:
     c_a: float = 50.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.tol_newton <= 0.0:
             raise ValueError("tol_newton must be positive")
         if self.max_newton < 1:
@@ -153,15 +155,17 @@ class LevelRecord:
 
 @dataclass
 class HomotopyState:
-    """Solution and full trace of a continuation run."""
+    """Solution and full trace of a continuation run; t and
+    residual_norm are those of the last record in step_history."""
 
     u: np.ndarray
-    t: float
-    residual_norm: float
     monitor: object
     step_history: list = field(default_factory=list)
     levels: list = field(default_factory=list)      # LevelRecord, coarsest first
     fallback: str = None    # why the nested iteration was abandoned, if it was
+
+    t = property(lambda self: self.step_history[-1].t)
+    residual_norm = property(lambda self: self.step_history[-1].residual)
 
 
 def initial_constant(p):
@@ -170,7 +174,7 @@ def initial_constant(p):
     Existence bracket: x cosh^p(x) vanishes at 0 and exceeds 1 at x = 1;
     the function is strictly increasing, so the root is unique.
     """
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError("reference power p must be >= 1")
 
     def phi(x):
@@ -186,7 +190,7 @@ def initial_constant(p):
         else:
             hi = mid
     lam = 0.5 * (lo + hi)
-    if abs(phi(lam)) > 1e-14:
+    if not abs(phi(lam)) <= 1e-14:
         raise InternalConsistencyError(
             f"bisection for the start radius stalled at residual {phi(lam):.3e}")
     return lam
@@ -204,7 +208,7 @@ def zeroth_coefficient_at_start(p):
     ch, sh, th = np.cosh(u), np.sinh(u), np.tanh(u)
     c = (ch ** -2.0 - ch ** p * th - u * ch ** (p - 2.0)
          - p * ch ** (p - 1.0) * u * th * sh)
-    if c >= 0.0:
+    if not c < 0.0:
         raise InternalConsistencyError(
             f"start linearization coefficient c = {c:.6g} is not negative")
     return float(c)
@@ -411,10 +415,13 @@ class ContinuationSolver:
         rnorm = float(np.max(np.abs(res)))
         history = [rnorm]
         lu, factorizations = None, 0
-        for iteration in range(1, cfg.max_newton + 1):
+        # iteration counts the accepted steps so far
+        for iteration in range(cfg.max_newton + 1):
             if rnorm <= cfg.tol_newton:
-                return NewtonResult(u, iteration - 1, rnorm, history, geom,
-                                    psi, factorizations)
+                return NewtonResult(u, iteration, rnorm, history, geom, psi,
+                                    factorizations)
+            if iteration == cfg.max_newton:
+                break
             if lu is None:
                 # one expression, so the CSC copy is freed once factored
                 try:
@@ -423,7 +430,7 @@ class ContinuationSolver:
                 except RuntimeError as exc:     # SuperLU: exactly singular
                     raise NewtonError(f"singular Jacobian at t = {t:.6f}: {exc}",
                                       best_u=u, residual_norm=rnorm,
-                                      iterations=iteration - 1) from exc
+                                      iterations=iteration) from exc
                 factorizations += 1
             delta = lu.solve(-res.ravel()).reshape(self.grid.shape)
             alpha = 1.0
@@ -441,15 +448,12 @@ class ContinuationSolver:
                 if alpha < BACKTRACK_MIN:
                     raise NewtonError("line search stalled below minimal step",
                                       best_u=u, residual_norm=rnorm,
-                                      iterations=iteration - 1)
+                                      iterations=iteration)
             if not reuse_factor or trial_norm > CHORD_CONTRACTION * rnorm:
                 lu = None
             u, res, geom, psi, rnorm = (trial, trial_res, trial_geom,
                                         trial_psi, trial_norm)
             history.append(rnorm)
-        if rnorm <= cfg.tol_newton:
-            return NewtonResult(u, cfg.max_newton, rnorm, history, geom, psi,
-                                factorizations)
         raise NewtonError(f"no convergence in {cfg.max_newton} iterations",
                           best_u=u, residual_norm=rnorm,
                           iterations=cfg.max_newton)
@@ -497,8 +501,7 @@ class ContinuationSolver:
                 solver.directional_derivative_check(
                     u, t_final, geom=result.geometry, psi=result.psi)
                 state = HomotopyState(
-                    u, t_final, record.residual, monitor,
-                    state.step_history + [record],
+                    u, monitor, state.step_history + [record],
                     state.levels + [_level_record(solver.grid, [record], u)])
             return state
         except (NewtonError, ContinuationError) as exc:
@@ -535,20 +538,14 @@ class ContinuationSolver:
         and all bound monitors.
         """
         cfg = self.config
-        history = []
-
-        def state(u, t, monitor, history):
-            return HomotopyState(u, t, history[-1].residual, monitor, history)
-
         start, monitor, record = self._attempt(
             np.full(self.grid.shape, self.start_radius), 0.0)
-        u = start.u
+        u, history = start.u, [record]
         if not monitor.all_ok:
             raise ContinuationError(
                 "bound monitors failed at the homotopy start: "
                 + _monitor_failures(monitor),
-                state=state(u, 0.0, monitor, [record]))
-        history.append(record)
+                state=HomotopyState(u, monitor, history))
         self.directional_derivative_check(u, 0.0, geom=start.geometry,
                                           psi=start.psi)
         t = 0.0
@@ -576,7 +573,7 @@ class ContinuationSolver:
                         f"stalled at t = {t:.6f}: step size fell below "
                         f"dt_min = {cfg.dt_min}; the last step, to "
                         f"t = {t_next:.6f}, was rejected: {cause}",
-                        state=state(u, t, monitor, history))
+                        state=HomotopyState(u, monitor, history))
                 continue
             u, t, monitor = trial.u, t_next, trial_monitor
             history.append(record)
@@ -585,7 +582,7 @@ class ContinuationSolver:
                     u, t, geom=trial.geometry, psi=trial.psi)
             if record.iters <= FAST_ITERS:
                 dt = min(dt * GROW_FACTOR, cfg.dt_max)
-        result = state(u, t, monitor, history)
+        result = HomotopyState(u, monitor, history)
         result.levels.append(_level_record(self.grid, history, u))
         return result
 

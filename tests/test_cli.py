@@ -95,6 +95,26 @@ def test_invalid_grid_and_sample_counts_exit_2(tmp_path, capsys, text, argv,
     assert not (tmp_path / "out").exists()
 
 
+_FLOAT_KEYS = [key for key, (kind, _) in cli._SCHEMA.items() if kind is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_non_finite_float_keys_exit_2(tmp_path, capsys, key, value):
+    section, name = key.split(".")
+    # the first family, or the first with the key if it is a prescription key
+    family = next(family for family, cls in PRESCRIPTIONS.items()
+                  if section != "prescription"
+                  or name in {f.name for f in dataclasses.fields(cls)})
+    path = write_config(tmp_path, (
+        "grid.dim = 2\ngrid.nlat = 16\ngrid.nlon = 32\n"
+        f"prescription.name = {family}\n{key} = {value}\n"
+        f"out = {tmp_path / 'out'}\n"))
+    assert cli.main(["--config", path, "--quiet"]) == cli.EXIT_CONFIG
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solver_and_audit_keys_reach_their_fields(tmp_path):
     # one non-default value per key; the key list guards the schema that
     # cli builds from the SolverConfig and AuditBox fields
@@ -215,6 +235,44 @@ def test_solve_mode_closed_form_oracle(tmp_path):
     assert summary["audit"]["passed"] is True
     assert summary["monitor"]["all_ok"] is True
     assert summary["continuation"]["failed"] is False
+
+
+# each summary verdict flag of the audit, with its witnesses key
+_AUDIT_FLAGS = {"positive": "positive", "A_barriers": "A",
+                "B_tilt_inequality": "B", "C_growth_surrogate": "C",
+                "D_space_derivative": "D", "E_tilt_convexity": "E"}
+_MONITOR_FLAGS = ("all_ok", "c0_ok", "tilt_ok", "curv_ok")
+TILT_POWER = BASE.replace("space_tilt_power", "tilt_power").replace(
+    "prescription.a0 = 0.5\nprescription.p = 2.0", "prescription.q = 0.4")
+
+
+@pytest.mark.parametrize("text, code, failed", [
+    (BASE, cli.EXIT_OK, []),
+    (TILT_POWER, cli.EXIT_AUDIT, ["A", "B", "C", "E"]),
+], ids=["solve", "failed-audit"])
+def test_summary_verdict_blocks(tmp_path, text, code, failed):
+    out = tmp_path / "verdicts"
+    path = write_config(tmp_path, text + f"out = {out}\n")
+    assert cli.main(["--config", path, "--quiet"]) == code
+    summary = json.loads((out / "summary.json").read_text())
+    audit = summary["audit"]
+    assert audit.keys() == {"passed", *_AUDIT_FLAGS, "constant_D", "barriers",
+                            "witnesses", "diagnostics"}
+    assert audit["passed"] is (not failed)
+    for flag, key in _AUDIT_FLAGS.items():
+        assert audit[flag] is (key not in failed), flag
+    assert sorted(audit["witnesses"]) == failed
+    assert audit["diagnostics"].keys() == {"min_B_margin", "min_E_value",
+                                           "C_surrogate_tau_max", "min_psi"}
+    if failed:
+        assert "monitor" not in summary
+        return
+    monitor = summary["monitor"]
+    assert monitor.keys() == {*_MONITOR_FLAGS, "min_u", "max_u", "R1", "R2",
+                              "max_tau", "C_tau", "max_abs_A", "C_A",
+                              "min_sigma_margin", "node_violations"}
+    assert all(monitor[flag] is True for flag in _MONITOR_FLAGS)
+    assert monitor["node_violations"] == {}
 
 
 def test_summary_residual_matches_artifact_recomputation(tmp_path):

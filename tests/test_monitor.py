@@ -62,6 +62,17 @@ def test_check_bounds_tilt_violation(s1_64):
     assert report.node_violations["tilt"]
 
 
+def test_flags_read_the_node_lists(s2_16x32):
+    # a flag fails exactly when its check names nodes
+    u = np.full(s2_16x32.shape, 0.8814)
+    report = check_bounds(induced_geometry(u, s2_16x32), _model_barriers(),
+                          c_tau=50.0, c_a=50.0, k=2)
+    doctored = dataclasses.replace(report, node_violations={"c0": [0]})
+    assert not doctored.c0_ok and not doctored.all_ok
+    assert doctored.tilt_ok and doctored.curv_ok
+    assert doctored.to_dict()["node_violations"] == {"c0": [0]}
+
+
 def test_monitor_purity(s1_64):
     u = 0.8 + 0.1 * np.cos(s1_64.theta)
     geom = induced_geometry(u, s1_64)

@@ -137,6 +137,25 @@ def test_constant_prescription_fails_lower_barrier():
     assert audit.witnesses["A"]
 
 
+@pytest.mark.parametrize("psi, failed", [
+    (TiltPower(coef=1.0, q=300.0), {"A", "B", "C"}),
+    (SpaceTiltPower(a0=0.5, a1=0.1, p=300.0), {"B", "C", "D"}),
+], ids=["tilt_power", "space_tilt_power"])
+def test_overflowed_margins_fail_their_conditions(psi, failed):
+    # tau^300 overflows past tau = 10.7: there psi_tau tau - psi and the
+    # differences of psi/tau along tau are inf - inf = NaN, while the
+    # finite samples hold B with margin 299 psi
+    with np.errstate(over="ignore", invalid="ignore"):
+        audit = audit_structural(psi, AuditBox(dim=2))
+    assert set(audit.witnesses) == failed and not audit.passed
+    assert np.isnan(audit.diagnostics["min_B_margin"])
+    # an overflowed sample ranks and is reported as margin -inf
+    assert all(w["margin"] == -np.inf and w["tau"] > 10.7
+               for w in audit.witnesses["B"])
+    assert audit.witnesses["C"][0]["margin"] == -np.inf
+    assert np.isnan(audit.constant_D) == ("D" in failed)
+
+
 def test_scan_finds_closed_form_crossing():
     psi = SpaceTiltPower(a0=0.5, a1=0.0, p=2.0)
     res = 500

@@ -41,6 +41,13 @@ def test_initial_constant_against_independent_root():
         assert lam == pytest.approx(approx, abs=1e-3)
 
 
+def test_start_constants_reject_nan_power():
+    # a NaN power fails each start check instead of passing it
+    for start in (initial_constant, zeroth_coefficient_at_start):
+        with pytest.raises(ValueError):
+            start(float("nan"))
+
+
 def test_zeroth_coefficient_values():
     c2 = zeroth_coefficient_at_start(2.0)
     assert c2 == pytest.approx(-1.55, abs=0.01)
@@ -315,6 +322,27 @@ def test_newton_failure_carries_best_iterate(s1_64):
     assert err.value.residual_norm is not None
 
 
+def test_newton_error_counts_accepted_steps(s1_64, monkeypatch):
+    u0 = initial_constant(2.0) + 0.05 * np.cos(s1_64.theta)
+    with pytest.raises(NewtonError, match="no convergence in 2") as err:
+        _solver(s1_64, 1, max_newton=2).newton_solve(u0, 0.0)
+    assert err.value.iterations == 2
+    # every trial after the first accepted step is infeasible
+    residual, calls = ContinuationSolver.residual_with_geometry, []
+
+    def infeasible_after_one_step(self, u, t):
+        calls.append(t)
+        if len(calls) > 2:
+            raise AdmissibilityError([0], "doctored")
+        return residual(self, u, t)
+
+    monkeypatch.setattr(ContinuationSolver, "residual_with_geometry",
+                        infeasible_after_one_step)
+    with pytest.raises(NewtonError, match="line search stalled") as err:
+        _solver(s1_64, 1).newton_solve(u0, 0.0)
+    assert err.value.iterations == 1
+
+
 def test_singular_jacobian_is_a_newton_error(s1_64, monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
@@ -453,8 +481,7 @@ def test_jacobian_check_counts_accepted_states(monkeypatch):
         report = bounds(geom, *args)
         monitored.append(report)
         if len(monitored) == 2:
-            report = dataclasses.replace(report, c0_ok=False,
-                                         node_violations={"c0": [0]})
+            report = dataclasses.replace(report, node_violations={"c0": [0]})
         return report
 
     monkeypatch.setattr(dscurv.solver, "JACOBIAN_CHECK_INTERVAL", 2)
@@ -507,7 +534,7 @@ def test_nested_run_falls_back_to_single_grid(monkeypatch, failure):
             report = check_bounds(geom, *args)
             if geom.grid is grid and not failed:
                 failed.append(True)
-                report = dataclasses.replace(report, c0_ok=False,
+                report = dataclasses.replace(report,
                                              node_violations={"c0": [7]})
             return report
 
