@@ -214,7 +214,7 @@ def _level_summaries(levels):
 def _write_summary(outdir, summary):
     path = os.path.join(outdir, "summary.json")
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
+        json.dump(summary, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
 

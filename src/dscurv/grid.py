@@ -11,10 +11,43 @@ with a sign flip per phi index, for tensor components.
 All differential operators are second-order centered differences; for
 smooth fields the truncation error decreases as O(h^2) under grid
 refinement.
+
+Linear solves with the stencils' matrices (StencilPattern.solve) are
+SuperLU's on S^1.  On S^2 they factor the matrix's average over each
+ring instead: a matrix whose coefficients depend on phi alone
+splits, under a real FFT in theta, into one tridiagonal system in phi
+per Fourier mode m, and the pole closure, a shift by half a turn, adds
+(-1)^m times the ghost coefficient to the first and last diagonal
+entries (P. N. Swarztrauber, J. Comput. Phys. 15, 1974).  That factor
+solves a zonal matrix directly and preconditions any other (Concus &
+Golub, SIAM J. Numer. Anal. 10, 1973); defect correction against the
+exact matrix then finishes the solve, each correction a few GMRES steps
+preconditioned by that factor (Saad & Schultz, SIAM J. Sci. Stat.
+Comput. 7, 1986), so strongly non-zonal matrices need about as many
+factor solves on every grid.
 """
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+# StencilPattern.solve stops when every row's defect is at most
+# BACKWARD_ERROR_TOL times (|J| |x| + |b|)_i, a row-wise backward error.
+# Defect correction floors near 1 eps from 64x128 to 256x512; a non-zonal
+# 64x128 solve stopped at 47 eps, as 64 eps would allow, was 2e-12 from
+# SuperLU's answer, against 4e-14 one sweep later.  Each correction
+# sweep is a cycle of at most KRYLOV_STEPS preconditioned GMRES steps:
+# the plain sweep x += P^-1 (b - J x) contracts by the spectral radius of
+# I - P^-1 J, which far from zonal grows with the grid (0.60 per sweep at
+# 32x64, 0.76 at 64x128; 31, 62 and 115 factor solves from 16x32 to
+# 64x128), where the GMRES cycles took 22, 28, 33 and 35 from 16x32 to
+# 128x256.  The solve gives up after CORRECTION_SWEEPS sweeps, or after
+# STALL_SWEEPS in a row that leave the worst ratio above its lowest so
+# far (the ratio need not fall on every sweep).
+BACKWARD_ERROR_TOL = 16.0 * np.finfo(float).eps
+KRYLOV_STEPS = 8
+CORRECTION_SWEEPS = 20
+STALL_SWEEPS = 4
 
 
 def grid_shape(dim, resolution):
@@ -243,6 +276,14 @@ class StencilPattern:
         self.indices = np.stack([grid._neighbours(*off) for off in offsets],
                                 axis=1).ravel().astype(np.int32)
         self.indptr = (self.width * np.arange(n + 1)).astype(np.int32)
+        if grid.dim == 2:
+            # mode m's phase exp(i m di dtheta) at each theta offset di,
+            # and the sign (-1)^m of a shift by half a turn
+            modes = np.arange(grid.n_lon // 2 + 1)
+            self._rings = grid.shape
+            self._ring_mean = np.full(grid.n_lon, 1.0 / grid.n_lon)
+            self._phases = np.exp(1j * grid.dtheta * np.outer(steps, modes))
+            self._fold = (-1.0) ** modes
 
         # the stencil of each term, as (offset column, weight) pairs, in
         # the order assemble() sums them: the identity, D_i, D_ii, D_01
@@ -276,6 +317,140 @@ class StencilPattern:
         # copies: scipy may sort or prune a matrix's index arrays in place
         return sp.csr_matrix((data.ravel(), self.indices.copy(),
                               self.indptr.copy()), shape=self.shape)
+
+    def table(self, jac):
+        """The (n, width) entries of a matrix assemble() built, row m
+        holding node m's stencil in offset order.  Raises ValueError when
+        jac's index arrays no longer hold that layout: SciPy sorts them in
+        place in some operations, np.abs(jac) among them."""
+        if jac.shape != self.shape or not np.array_equal(jac.indices,
+                                                         self.indices):
+            raise ValueError("matrix is not in the stencil pattern's layout")
+        return jac.data.reshape(-1, self.width)
+
+    def abs_product(self, jac, x):
+        """(|jac| |x|)_m per row, from a matrix of np.abs(table(jac)) on
+        the pattern's own index arrays, so jac itself is never touched."""
+        return self._magnitude(self.table(jac)) @ np.abs(x)
+
+    def _magnitude(self, table):
+        # only multiplied, so it may share the pattern's index arrays
+        return sp.csr_matrix((np.abs(table).ravel(), self.indices,
+                              self.indptr), shape=self.shape)
+
+    def solve(self, jac, b):
+        """The x with jac x = b, for a matrix assemble() built.
+
+        On S^1 this is SuperLU's solve, whose partial pivoting is
+        backward stable by itself.  On S^2 the first solve is the Fourier
+        factor of jac's ring-averaged table (the module docstring), exact
+        when jac is zonal.  Defect corrections x += d, with d from at
+        most KRYLOV_STEPS GMRES steps on jac d = b - jac x preconditioned
+        by that factor, follow until every row satisfies
+        |b - jac x|_m <= BACKWARD_ERROR_TOL (|jac| |x| + |b|)_m.  Raises
+        numpy.linalg.LinAlgError on a singular factor (SuperLU's, or a
+        zero pivot) or when the corrections stall or run out of sweeps
+        (STALL_SWEEPS, CORRECTION_SWEEPS).
+        """
+        if self.dim == 1:
+            try:
+                return spla.splu(jac.tocsc()).solve(b)
+            except RuntimeError as exc:     # SuperLU: exactly singular
+                raise np.linalg.LinAlgError(str(exc)) from exc
+        table = self.table(jac)
+        magnitude = self._magnitude(table)
+        inverse = self._fourier_inverse(table)
+        x, best, stalled = inverse(b), np.inf, 0
+        for _ in range(CORRECTION_SWEEPS):
+            defect = b - jac @ x
+            scale = magnitude @ np.abs(x) + np.abs(b)
+            # |defect| <= scale up to rounding, so the ratio cannot overflow
+            ratio = float(np.max(np.abs(defect)
+                                 / np.maximum(scale, np.finfo(float).tiny)))
+            if ratio <= BACKWARD_ERROR_TOL:
+                return x
+            # a NaN ratio is never a new low
+            best, stalled = (ratio, 0) if ratio < best else (best, stalled + 1)
+            if stalled == STALL_SWEEPS:
+                raise np.linalg.LinAlgError(
+                    f"defect correction stopped contracting at backward "
+                    f"error {best:.3e}")
+            x = x + _gmres_correction(jac, inverse, defect,
+                                      BACKWARD_ERROR_TOL / ratio)
+        raise np.linalg.LinAlgError(
+            f"defect correction left backward error {best:.3e} after "
+            f"{CORRECTION_SWEEPS} sweeps")
+
+    def _fourier_inverse(self, table):
+        """The solve with the Fourier factor of table's ring average: one
+        Thomas elimination per mode, all modes at once, ring by ring."""
+        nlat, nlon = self._rings
+        # each ring's first row plus the mean deviation from it: exact on a
+        # zonal ring, where a plain mean's rounding of the large pole-ring
+        # theta weights would spoil their cancellation in the low modes
+        nodes = table.reshape(nlat, nlon, self.width)
+        first = nodes[:, 0]
+        rings = (first + self._ring_mean @ (nodes - first[:, None])).reshape(
+            nlat, 3, 3)
+        # symbol[j, dj + 1, m]: ring j's coupling to ring j + dj in mode m
+        symbol = rings @ self._phases
+        lower, pivot, upper = symbol[:, 0], symbol[:, 1], symbol[:, 2]
+        pivot[0] += self._fold * lower[0]
+        pivot[-1] += self._fold * upper[-1]
+        # LU without pivoting, every mode at once: the diagonal becomes the
+        # pivots diag_j - lower_j upper_{j-1} / pivot_{j-1}; a zero pivot
+        # is reported below, and only makes the later ones non-finite
+        coupling = lower[1:] * upper[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j in range(1, nlat):
+                pivot[j] -= coupling[j - 1] / pivot[j - 1]
+        zero = np.argwhere(pivot == 0)
+        if zero.size:
+            raise np.linalg.LinAlgError(
+                "zero pivot in ring {}, mode {}".format(*zero[0]))
+        inv_pivot = 1.0 / pivot
+        multiplier = lower[1:] * inv_pivot[:-1]
+        ratio = upper * inv_pivot
+
+        def inverse(b):
+            y = np.fft.rfft(b.reshape(nlat, nlon), axis=1)
+            for j in range(1, nlat):
+                y[j] -= multiplier[j - 1] * y[j - 1]
+            y *= inv_pivot
+            for j in range(nlat - 2, -1, -1):
+                y[j] -= ratio[j] * y[j + 1]
+            return np.fft.irfft(y, nlon, axis=1).ravel()
+        return inverse
+
+
+def _gmres_correction(jac, inverse, defect, reduction):
+    """The d in inverse(span of the Arnoldi vectors of jac inverse from
+    defect) that minimises ||defect - jac d||_2: one cycle of
+    right-preconditioned GMRES from zero, orthogonalising twice.  The
+    cycle ends after KRYLOV_STEPS steps, or once that minimum is at most
+    reduction times ||defect||_2, the cut the caller's row-wise test
+    still needs."""
+    basis = np.empty((KRYLOV_STEPS + 1, defect.size))
+    directions = np.empty((KRYLOV_STEPS, defect.size))
+    hessenberg = np.zeros((KRYLOV_STEPS + 1, KRYLOV_STEPS))
+    rhs = np.zeros(KRYLOV_STEPS + 1)
+    rhs[0] = np.linalg.norm(defect)
+    basis[0] = defect / rhs[0]
+    for j in range(KRYLOV_STEPS):
+        directions[j] = inverse(basis[j])
+        w = jac @ directions[j]
+        for _ in range(2):
+            h = basis[:j + 1] @ w
+            w -= h @ basis[:j + 1]
+            hessenberg[:j + 1, j] += h
+        hessenberg[j + 1, j] = np.linalg.norm(w)
+        small, target = hessenberg[:j + 2, :j + 1], rhs[:j + 2]
+        y = np.linalg.lstsq(small, target, rcond=None)[0]
+        if (hessenberg[j + 1, j] == 0.0     # an invariant space: exact
+                or np.linalg.norm(small @ y - target) <= reduction * rhs[0]):
+            break
+        basis[j + 1] = w / hessenberg[j + 1, j]
+    return y @ directions[:j + 1]
 
 
 def build_grid(dim, resolution):

@@ -418,7 +418,10 @@ class StructuralAudit:
         return (self.scan.R1, self.scan.R2) if self.scan.found else None
 
     def to_dict(self):
-        return {
+        """The audit as JSON-ready values; a non-finite number (an
+        overflowed margin, an infinite constant_D) is its name as a
+        string: "nan", "inf" or "-inf"."""
+        return _named_non_finite({
             "passed": self.passed,
             **{name: key not in self.witnesses
                for key, name in _SUMMARY_KEYS.items()},
@@ -426,7 +429,19 @@ class StructuralAudit:
             "barriers": list(self.barriers) if self.barriers else None,
             "witnesses": self.witnesses,
             "diagnostics": self.diagnostics,
-        }
+        })
+
+
+def _named_non_finite(value):
+    """value with every non-finite float in its dicts and lists replaced
+    by str(float): "nan", "inf" or "-inf"."""
+    if isinstance(value, dict):
+        return {key: _named_non_finite(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_named_non_finite(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
 
 
 # A condition fails when its least margin is not above its threshold
@@ -456,6 +471,9 @@ def _slab_witnesses(margin, i_r0, threshold):
     return picks
 
 
+# a closed form may overflow on the box (tau^q for a large q); its NaN
+# margins fail their conditions, so the overflow has nothing to warn of
+@np.errstate(over="ignore", invalid="ignore")
 def audit_structural(psi, box):
     """Audit conditions B-E pointwise over the box, delegate A to the
     barrier scan, and report the empirical derivative constant for D.

@@ -18,8 +18,11 @@ times the grid's centered stencils gives the matrix.  The grid builds
 the stencils' pattern, each node's 3x3 neighbourhood with the antipodal
 pole closure, once (SphereGrid.stencil_pattern); every Jacobian fills
 that fixed pattern with the coefficients times the stencil weights.
-SuperLU orders each factorization by multiple minimum degree on
-A^T + A (MMD_AT_PLUS_A), with threshold partial pivoting.
+Each Newton step solves with the pattern's factor (StencilPattern.solve):
+on S^2 a Fourier-in-theta tridiagonal factor of the Jacobian's ring
+average, exact at a zonal state, followed by defect correction against
+the exact Jacobian, each correction a few GMRES steps preconditioned by
+that factor, to a row-wise backward error of 16 eps; on S^1 SuperLU.
 
 Each Newton trial step must be spacelike, node-wise admissible, and
 reduce the residual sup-norm, otherwise the step is backtracked; each
@@ -33,12 +36,8 @@ A solve is a nested iteration over the grid's refinement chain
 runs on the coarsest grid only, and each finer grid starts Newton at
 the final t from the prolonged solution of the grid below
 (SphereGrid.prolong), then checks the bound monitors and the Jacobian.
-The prolonged start is second-order close to the fine solution, so a
-level factors its Jacobian once, at that start, and reuses the factor
-for the later corrections (a chord iteration); it factors again only
-after a step that leaves more than half the residual.  The homotopy
-steps keep full Newton, because their step growth keys on the Newton
-iteration count.
+Every level and every homotopy step runs full Newton: a factor costs
+less than one residual evaluation, so reusing one saves nothing.
 If the coarse homotopy or a level fails, the solve falls back to the
 homotopy on the target grid and records why.  Everything on the solve
 path is deterministic: same config, grid, and prescription reproduce
@@ -48,7 +47,6 @@ bit-identical traces.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import (AdmissibilityError, ContinuationError,
                      InternalConsistencyError, NewtonError, SpacelikeError)
@@ -71,10 +69,6 @@ GROW_FACTOR = 1.5
 # The line search halves a rejected Newton step down to BACKTRACK_MIN.
 BACKTRACK_FACTOR = 0.5
 BACKTRACK_MIN = 1e-4
-
-# A nested level's Newton keeps its LU factor while every accepted step
-# cuts the residual sup-norm to at most this fraction of its last value.
-CHORD_CONTRACTION = 0.5
 
 # Difference step and relative error bound of the Jacobian check.
 JACOBIAN_CHECK_EPS = 1e-6
@@ -122,7 +116,6 @@ class NewtonResult:
     history: list
     geometry: object        # induced geometry of u
     psi: object             # the prescription's PsiEval at u
-    lu_factorizations: int  # Jacobians factored on the way
 
 
 @dataclass
@@ -134,7 +127,6 @@ class StepRecord:
     max_u: float
     max_tau: float
     max_abs_A: float
-    lu_factorizations: int
     level: int = 0          # index of the step's grid in HomotopyState.levels
 
 
@@ -146,7 +138,6 @@ class LevelRecord:
     resolution: str         # "n" on S^1, "n_latxn_lon" on S^2
     steps: int              # accepted states on this grid
     newton_iters: int
-    lu_factorizations: int  # made by the accepted states' Newton solves
     residual: float
     min_u: float
     max_u: float
@@ -370,7 +361,9 @@ class ContinuationSolver:
         per row, floored by the global scale): rows touching the pole
         rings legitimately carry stencil weights hundreds of times the
         interior scale, and a single global normalization would only
-        measure those rows.  Returns the worst relative error; raises
+        measure those rows.  The row scale reads the Jacobian's table
+        (StencilPattern.abs_product), which leaves the matrix's layout
+        as assemble() made it.  Returns the worst relative error; raises
         InternalConsistencyError beyond JACOBIAN_CHECK_TOL.
         """
         u = self.grid.check_field(u)
@@ -384,7 +377,7 @@ class ContinuationSolver:
         jv = jac.dot(vflat)
         fd = (self.residual(u + eps * v, t) - self.residual(u - eps * v, t)).ravel()
         fd /= 2.0 * eps
-        row_scale = np.abs(jac).dot(np.abs(vflat))
+        row_scale = self.grid.stencil_pattern().abs_product(jac, vflat)
         row_scale = np.maximum(row_scale, max(np.max(np.abs(jv)), 1e-30))
         err = float(np.max(np.abs(jv - fd) / row_scale))
         if err > JACOBIAN_CHECK_TOL:
@@ -394,17 +387,17 @@ class ContinuationSolver:
 
     # -- Newton ----------------------------------------------------------
 
-    def newton_solve(self, u0, t, *, reuse_factor=False):
+    def newton_solve(self, u0, t):
         """Damped Newton with backtracking from u0 at fixed t.
 
-        A trial step is accepted only if it is spacelike, node-wise
-        admissible, and reduces the residual sup-norm.  With
-        reuse_factor, the LU factor of the Jacobian at u0 also serves the
-        later corrections (a chord iteration), until an accepted step
-        leaves more than CHORD_CONTRACTION of the residual sup-norm; the
-        next iteration then factors the Jacobian at its iterate.  Raises
-        NewtonError (carrying the best iterate) when the iteration cap
-        or the minimal damping is hit, or when the Jacobian is singular.
+        Each iteration solves with the exact Jacobian at its iterate
+        (StencilPattern.solve: the Fourier factor and defect correction
+        on S^2, SuperLU on S^1).  A trial step is accepted only if it is
+        spacelike, node-wise admissible, and reduces the residual
+        sup-norm.  Raises NewtonError (carrying the best iterate) when
+        the iteration cap or the minimal damping is hit, or when the
+        Jacobian is singular: SuperLU's singular factor, a zero pivot,
+        or defect corrections that stop contracting.
         """
         cfg = self.config
         u = self.grid.check_field(u0).copy()
@@ -414,25 +407,20 @@ class ContinuationSolver:
             raise NewtonError(f"initial iterate infeasible: {exc}") from exc
         rnorm = float(np.max(np.abs(res)))
         history = [rnorm]
-        lu, factorizations = None, 0
+        pattern = self.grid.stencil_pattern()
         # iteration counts the accepted steps so far
         for iteration in range(cfg.max_newton + 1):
             if rnorm <= cfg.tol_newton:
-                return NewtonResult(u, iteration, rnorm, history, geom, psi,
-                                    factorizations)
+                return NewtonResult(u, iteration, rnorm, history, geom, psi)
             if iteration == cfg.max_newton:
                 break
-            if lu is None:
-                # one expression, so the CSC copy is freed once factored
-                try:
-                    lu = spla.splu(self.jacobian(u, t, geom, psi).tocsc(),
-                                   permc_spec="MMD_AT_PLUS_A")
-                except RuntimeError as exc:     # SuperLU: exactly singular
-                    raise NewtonError(f"singular Jacobian at t = {t:.6f}: {exc}",
-                                      best_u=u, residual_norm=rnorm,
-                                      iterations=iteration) from exc
-                factorizations += 1
-            delta = lu.solve(-res.ravel()).reshape(self.grid.shape)
+            try:
+                delta = pattern.solve(self.jacobian(u, t, geom, psi),
+                                      -res.ravel()).reshape(self.grid.shape)
+            except np.linalg.LinAlgError as exc:
+                raise NewtonError(f"singular Jacobian at t = {t:.6f}: {exc}",
+                                  best_u=u, residual_norm=rnorm,
+                                  iterations=iteration) from exc
             alpha = 1.0
             while True:
                 trial = u + alpha * delta
@@ -449,8 +437,6 @@ class ContinuationSolver:
                     raise NewtonError("line search stalled below minimal step",
                                       best_u=u, residual_norm=rnorm,
                                       iterations=iteration)
-            if not reuse_factor or trial_norm > CHORD_CONTRACTION * rnorm:
-                lu = None
             u, res, geom, psi, rnorm = (trial, trial_res, trial_geom,
                                         trial_psi, trial_norm)
             history.append(rnorm)
@@ -464,10 +450,10 @@ class ContinuationSolver:
         """Solve at t_final by nested iteration over the grid chain.
 
         The homotopy runs on the coarsest grid of grid.coarsened() only.
-        Each finer grid, up to this one, is one more level: Newton at
-        t_final from the prolonged solution of the level below, reusing
-        the LU factor of its start while the residual contracts, then the
-        bound monitors and the Jacobian directional check on its result.
+        Each finer grid, up to this one, is one more level: full Newton
+        at t_final from the prolonged solution of the level below, then
+        the bound monitors and the Jacobian directional check on its
+        result.
         If the coarse homotopy or a level fails (a NewtonError, a
         ContinuationError or a failed monitor), the run falls back to the
         homotopy on this grid and names the cause in ``fallback``.  With
@@ -513,18 +499,16 @@ class ContinuationSolver:
     def _attempt(self, u_start, t, level=0):
         """Newton from u_start at fixed t, then the bound monitors on its
         result: ``(newton_result, monitor, record)``.  Level 0 is a
-        homotopy step, whose full Newton iteration count keys the step
-        growth; a nested level (level > 0) starts O(h^2) from its
-        solution and reuses its LU factor."""
+        homotopy step, whose Newton iteration count keys the step growth;
+        a nested level (level > 0) starts O(h^2) from its solution."""
         cfg = self.config
-        result = self.newton_solve(u_start, t, reuse_factor=level > 0)
+        result = self.newton_solve(u_start, t)
         monitor = check_bounds(result.geometry, self.barriers, cfg.c_tau,
                                cfg.c_a, cfg.k)
         record = StepRecord(
             t=t, iters=result.iterations, residual=result.residual_norm,
             min_u=monitor.min_u, max_u=monitor.max_u, max_tau=monitor.max_tau,
-            max_abs_A=monitor.max_abs_A,
-            lu_factorizations=result.lu_factorizations, level=level)
+            max_abs_A=monitor.max_abs_A, level=level)
         return result, monitor, record
 
     def _homotopy(self, t_final):
@@ -592,7 +576,6 @@ def _level_record(grid, records, u):
     return LevelRecord(
         resolution=_resolution(grid), steps=len(records),
         newton_iters=sum(rec.iters for rec in records),
-        lu_factorizations=sum(rec.lu_factorizations for rec in records),
         residual=records[-1].residual, min_u=float(u.min()),
         max_u=float(u.max()), mean_u=grid.mean(u))
 

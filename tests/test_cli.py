@@ -455,16 +455,47 @@ def test_internal_consistency_failure_exit_code(tmp_path, monkeypatch):
 
 
 def test_singular_jacobian_exit_code(tmp_path, monkeypatch):
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+    # every Jacobian replaced by the constant-coefficient D_thth, whose
+    # mode-0 system is zero: the Fourier factor meets a zero pivot (the
+    # Jacobian check, which would catch the swap first, is switched off)
+    assemble = dscurv.grid.StencilPattern.assemble
 
-    monkeypatch.setattr(dscurv.solver.spla, "splu", singular)
+    def theta_laplacian(self, a_u, a_p, a_H):
+        a_H = np.zeros_like(a_H)
+        a_H[1, 1] = 1.0
+        return assemble(self, np.zeros_like(a_u), np.zeros_like(a_p), a_H)
+
+    monkeypatch.setattr(dscurv.grid.StencilPattern, "assemble",
+                        theta_laplacian)
+    monkeypatch.setattr(ContinuationSolver, "directional_derivative_check",
+                        lambda self, *args, **kwargs: 0.0)
     out = tmp_path / "singular"
     path = write_config(tmp_path, BASE + f"out = {out}\n")
     assert cli.main(["--config", path, "--quiet"]) == cli.EXIT_CONTINUATION
     summary = json.loads((out / "summary.json").read_text())
     assert summary["continuation"]["failed"] is True
-    assert "singular Jacobian at t = " in summary["continuation"]["message"]
+    assert re.search(r"singular Jacobian at t = \S+: zero pivot in ring 0, "
+                     "mode 0", summary["continuation"]["message"])
+
+
+def test_overflowed_audit_writes_strict_json(tmp_path):
+    # tau^300 overflows on the audit box: the audit fails, warns of
+    # nothing (warnings are errors here) and names its non-finite numbers
+    out = tmp_path / "overflow"
+    path = write_config(tmp_path, (
+        "mode = audit-only\ngrid.dim = 2\ngrid.nlat = 16\ngrid.nlon = 32\n"
+        "k = 2\nprescription.name = tilt_power\nprescription.q = 300\n"
+        f"out = {out}\n"))
+    assert cli.main(["--config", path, "--quiet"]) == cli.EXIT_AUDIT
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = (out / "summary.json").read_text()
+    audit = json.loads(text, parse_constant=refuse)["audit"]
+    assert audit["passed"] is False
+    assert audit["diagnostics"]["min_B_margin"] == "nan"
+    assert {w["margin"] for w in audit["witnesses"]["B"]} == {"-inf"}
 
 
 def test_config_error_exit_code(tmp_path):

@@ -175,38 +175,81 @@ def test_solvers_on_one_grid_share_one_pattern(monkeypatch):
     assert built == [grid]
 
 
-# L.nnz + U.nnz of the first Newton factor from _nonzonal_state on S^2
-# 48x96 at t = 0, as factored in a minimum-degree ordering precomputed
-# once per grid, before SuperLU ordered each factorization itself
-PREORDERED_FILL_48X96 = 324271
+def _multimode_field(grid):
+    # zonal, odd, even and Nyquist modes in theta, each with its own phi
+    # profile, so every mode's system and the (-1)^m pole fold take part
+    phi, theta = grid.coords()
+    return (1.0 + np.cos(phi) + np.sin(phi) * np.cos(theta)
+            + np.sin(2.0 * phi) * np.sin(3.0 * theta)
+            + np.cos(phi) * np.cos(0.5 * grid.n_lon * theta)).ravel()
 
 
-def test_newton_factor_is_ordered(monkeypatch):
+def _backward_error(jac, x, b):
+    """max_m |b - J x|_m / (|J| |x| + |b|)_m, from a copy of jac."""
+    magnitude = abs(jac.copy())
+    return np.max(np.abs(b - jac @ x) / (magnitude @ np.abs(x) + np.abs(b)))
+
+
+def test_fourier_solve_matches_spsolve(rng):
+    for res in ((8, 16), (16, 32), (32, 64), (64, 128)):
+        grid = build_grid(2, res)
+        solver = _solver(grid, 2)
+        pattern = grid.stencil_pattern()
+        phi, _ = grid.coords()
+        states = (np.full(grid.shape, solver.start_radius),
+                  solver.start_radius + 0.02 * np.cos(phi),
+                  _nonzonal_state(grid, solver))
+        for u in states:
+            jac = solver.jacobian(u, 0.5)
+            b = _multimode_field(grid)
+            want = spla.spsolve(jac.tocsc(), b)
+            got = pattern.solve(jac, b)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            # any right-hand side: the solve's own contract
+            b = rng.standard_normal(grid.node_count)
+            x = pattern.solve(jac, b)
+            assert _backward_error(jac, x, b) <= dscurv.grid.BACKWARD_ERROR_TOL
+            assert np.array_equal(jac.indices, pattern.indices)
+
+
+def test_newton_matches_splu_reference(monkeypatch):
+    # the Fourier factor preconditions a non-zonal Jacobian; with the
+    # defect corrections Newton takes SuperLU's steps
     grid = build_grid(2, (48, 96))
     solver = _solver(grid, 2)
     u = _nonzonal_state(grid, solver)
-    factors = []
-    splu = spla.splu
+    result = solver.newton_solve(u, 0.0)
+    monkeypatch.setattr(dscurv.grid.StencilPattern, "solve",
+                        lambda self, jac, b: spla.splu(jac.tocsc()).solve(b))
+    reference = solver.newton_solve(u, 0.0)
+    assert result.iterations == reference.iterations
+    assert result.residual_norm <= 1e-10
+    assert np.max(np.abs(result.u - reference.u)) <= 1e-10
 
-    def captured(mat, *args, **kwargs):
-        lu = splu(mat, *args, **kwargs)
-        factors.append((mat, lu))
-        return lu
 
-    monkeypatch.setattr(dscurv.solver.spla, "splu", captured)
-    assert solver.newton_solve(u, 0.0).residual_norm <= 1e-10
-    jac, lu = factors[0]
-    assert (jac != solver.jacobian(u, 0.0).tocsc()).nnz == 0
-    b = np.cos(np.arange(grid.node_count))
-    want = spla.spsolve(jac, b)
-    assert np.max(np.abs(lu.solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
-    # a fill-reducing order: well below no ordering and SuperLU's default
-    # one, and as good as the once-per-grid ordering it replaced
-    fill = lu.L.nnz + lu.U.nnz
-    for spec in ("NATURAL", "COLAMD"):
-        other = splu(jac, permc_spec=spec)
-        assert fill < other.L.nnz + other.U.nnz
-    assert abs(fill - PREORDERED_FILL_48X96) <= 0.01 * PREORDERED_FILL_48X96
+def test_jacobian_check_keeps_the_pattern_layout(monkeypatch):
+    # np.abs of a CSR matrix sorts its index arrays in place, which
+    # breaks the (n, width) offset table the solve reads
+    grid = build_grid(2, (16, 32))
+    solver = _solver(grid, 2)
+    pattern = grid.stencil_pattern()
+    jacobian, built = ContinuationSolver.jacobian, []
+
+    def kept(self, *args, **kwargs):
+        built.append(jacobian(self, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(ContinuationSolver, "jacobian", kept)
+    u = _nonzonal_state(grid, solver)
+    solver.directional_derivative_check(u, 0.5)
+    jac, = built
+    assert np.array_equal(jac.indices, pattern.indices)
+    assert np.array_equal(pattern.table(jac),
+                          solver.jacobian(u, 0.5).data.reshape(-1, 9))
+    # a matrix whose index arrays were sorted is refused, not misread
+    jac.sort_indices()
+    with pytest.raises(ValueError, match="layout"):
+        pattern.table(jac)
 
 
 def test_jacobian_linearity_and_directional_check(s2_16x32):
@@ -343,20 +386,53 @@ def test_newton_error_counts_accepted_steps(s1_64, monkeypatch):
     assert err.value.iterations == 1
 
 
-def test_singular_jacobian_is_a_newton_error(s1_64, monkeypatch):
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+def _singular_assembly(pattern):
+    """assemble() replaced by a singular matrix on the same pattern: zero
+    on S^1, which SuperLU refuses, and the constant-coefficient D_thth on
+    S^2, whose mode-0 system is zero, so the first pivot is."""
+    assemble = pattern.assemble
 
-    monkeypatch.setattr(dscurv.solver.spla, "splu", singular)
-    solver = _solver(s1_64, 1)
-    u0 = np.full(s1_64.shape, 0.75)
-    with pytest.raises(NewtonError, match=r"singular Jacobian at t = 0\.500000"
-                       r": Factor is exactly singular") as err:
-        solver.newton_solve(u0, 0.5)
-    assert np.array_equal(err.value.best_u, u0)
-    assert err.value.residual_norm == float(np.max(np.abs(
-        solver.residual(u0, 0.5))))
-    assert err.value.iterations == 0
+    def singular(a_u, a_p, a_H):
+        a_H = np.zeros_like(a_H)
+        if pattern.dim == 2:
+            a_H[1, 1] = 1.0
+        return assemble(np.zeros_like(a_u), np.zeros_like(a_p), a_H)
+    return singular
+
+
+def test_singular_jacobian_is_a_newton_error(s1_64, monkeypatch):
+    for grid, cause in ((s1_64, "Factor is exactly singular"),
+                        (build_grid(2, (16, 32)), "zero pivot in ring 0, mode 0")):
+        pattern = grid.stencil_pattern()
+        monkeypatch.setattr(pattern, "assemble", _singular_assembly(pattern))
+        solver = _solver(grid, grid.dim)
+        u0 = np.full(grid.shape, 0.75)
+        with pytest.raises(NewtonError, match=r"singular Jacobian at t = "
+                           r"0\.500000: " + cause) as err:
+            solver.newton_solve(u0, 0.5)
+        assert np.array_equal(err.value.best_u, u0)
+        assert err.value.residual_norm == float(np.max(np.abs(
+            solver.residual(u0, 0.5))))
+        assert err.value.iterations == 0
+
+
+def test_stalled_corrections_are_a_newton_error(monkeypatch):
+    # a_u alternating 0 and 2 along each ring: the ring average is the
+    # identity, but the matrix is singular, so no correction can clear
+    # the defect on its zero rows
+    grid = build_grid(2, (16, 32))
+    pattern = grid.stencil_pattern()
+    assemble = pattern.assemble
+    _, theta = grid.coords()
+    alternating = 1.0 + np.cos(0.5 * grid.n_lon * theta)
+
+    def singular(a_u, a_p, a_H):
+        return assemble(alternating, np.zeros_like(a_p), np.zeros_like(a_H))
+
+    monkeypatch.setattr(pattern, "assemble", singular)
+    with pytest.raises(NewtonError, match=r"singular Jacobian at t = 0\.500000:"
+                       r" defect correction stopped contracting"):
+        _solver(grid, 2).newton_solve(np.full(grid.shape, 0.75), 0.5)
 
 
 def test_run_homotopy_closed_form_s1():
@@ -434,20 +510,25 @@ def test_nested_run_deterministic():
     assert a.levels == b.levels
 
 
-def test_nested_levels_factor_once(monkeypatch):
-    factored, checked = [], []
-    splu = spla.splu
+# Newton iterations per level of SpaceTiltPower(0.5, 0.1, 2) on S^2
+# 64x128 when the finer levels reused their start's LU factor (a chord)
+CHORD_ITERS_64X128 = [18, 3, 3, 3]
+
+
+def test_nested_levels_take_full_newton(monkeypatch):
+    solved, checked = [], []
+    solve = dscurv.grid.StencilPattern.solve
     check = ContinuationSolver.directional_derivative_check
 
-    def counted_splu(mat, *args, **kwargs):
-        factored.append(mat.shape[0])
-        return splu(mat, *args, **kwargs)
+    def counted_solve(self, jac, b):
+        solved.append(self.shape[0])
+        return solve(self, jac, b)
 
     def counted_check(self, *args, **kwargs):
         checked.append(self.grid.node_count)
         return check(self, *args, **kwargs)
 
-    monkeypatch.setattr(dscurv.solver.spla, "splu", counted_splu)
+    monkeypatch.setattr(dscurv.grid.StencilPattern, "solve", counted_solve)
     monkeypatch.setattr(ContinuationSolver, "directional_derivative_check",
                         counted_check)
     state = run_homotopy(SpaceTiltPower(0.5, 0.1, 2.0),
@@ -455,14 +536,18 @@ def test_nested_levels_factor_once(monkeypatch):
     assert state.fallback is None and state.t == 1.0
     assert [level.resolution for level in state.levels] == [
         "8x16", "16x32", "32x64", "64x128"]
-    # the homotopy factors on every Newton iteration, each finer level once
-    coarsest, *finer = state.levels
-    assert factored.count(8 * 16) == coarsest.lu_factorizations == (
-        coarsest.newton_iters)
+    iters = [level.newton_iters for level in state.levels]
+    # the homotopy keeps its iterations, each finer level needs no more
+    # than the chord did
+    assert iters[0] == CHORD_ITERS_64X128[0]
+    assert all(1 <= it <= chord
+               for it, chord in zip(iters[1:], CHORD_ITERS_64X128[1:]))
+    # one linear solve per Newton iteration
+    for nodes, level in zip((8 * 16, 16 * 32, 32 * 64, 64 * 128), state.levels):
+        assert solved.count(nodes) == level.newton_iters
+    # the homotopy checks its Jacobian at intervals, each finer level once
     assert checked.count(8 * 16) >= 1
-    for nodes, level in zip((16 * 32, 32 * 64, 64 * 128), finer):
-        assert factored.count(nodes) == level.lu_factorizations == 1
-        assert level.newton_iters > 1
+    for nodes in (16 * 32, 32 * 64, 64 * 128):
         assert checked.count(nodes) == 1
 
 
@@ -493,10 +578,10 @@ def test_jacobian_check_counts_accepted_states(monkeypatch):
     assert checked == [history[i].t for i in (0, 1, 3, 5)]
 
 
-def test_nested_level_refactors_when_contraction_is_slow(monkeypatch):
-    # a start far from the level's solution: 0.1 Re((x + iy)^4) added to
-    # every prolonged field makes some chord step leave more than
-    # CHORD_CONTRACTION of the residual
+def test_nested_level_converges_from_a_nonzonal_start(monkeypatch):
+    # 0.1 sin^4(phi) cos(4 theta) added to every prolonged field: a level
+    # start whose Jacobian varies along each ring, so the ring-averaged
+    # factor only preconditions it
     prolong = dscurv.grid.SphereGrid.prolong
 
     def perturbed(self, f):
@@ -508,7 +593,6 @@ def test_nested_level_refactors_when_contraction_is_slow(monkeypatch):
     monkeypatch.setattr(dscurv.grid.SphereGrid, "prolong", perturbed)
     state = run_homotopy(target, build_grid(2, (32, 64)), cfg)
     assert state.fallback is None and state.t == 1.0
-    assert all(level.lu_factorizations >= 2 for level in state.levels[1:])
     assert all(level.residual <= cfg.tol_newton for level in state.levels)
     assert np.max(np.abs(state.u - reference.u)) <= 1e-10
 
