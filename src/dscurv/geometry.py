@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, SpacelikeError
-from .grid import covariant_hessian
+from .grid import _padded, covariant_hessian
 
 # Relative margin below which a node counts as non-spacelike.
 SPACELIKE_GUARD = 1e-8
@@ -128,7 +128,8 @@ def _curvature_sums(A, g, g_inv):
 
 def _geometry(u, grid, check_inverse):
     u = grid.check_field(u)
-    du = grid.partial_gradient(u)
+    pad = _padded(u)
+    du = grid.partial_gradient(u, pad=pad)
     du_raised = np.einsum("ij...,j...->i...", grid.sigma_inv, du)
     gn2 = np.einsum("i...,i...->...", du, du_raised)
     cosh_u = np.cosh(u)
@@ -144,7 +145,8 @@ def _geometry(u, grid, check_inverse):
         _check_inverse(g, g_inv)
     tau = cosh_u ** 2 / np.sqrt(margin)
     eta = np.sinh(u)
-    hess = covariant_hessian(grid.partial_hessian(u), du, grid.christoffel)
+    hess = covariant_hessian(grid.partial_hessian(u, pad=pad), du,
+                             grid.christoffel)
     tanh_u = np.tanh(u)
     A = (tau / cosh_u) * (hess - 2.0 * tanh_u * du_du + eta * cosh_u * grid.sigma)
     if grid.dim == 2:

@@ -12,24 +12,29 @@ All differential operators are second-order centered differences; for
 smooth fields the truncation error decreases as O(h^2) under grid
 refinement.
 
-Linear solves with the stencils' matrices (StencilPattern.solve) are
-SuperLU's on S^1.  On S^2 they factor the matrix's average over each
-ring instead: a matrix whose coefficients depend on phi alone
-splits, under a real FFT in theta, into one tridiagonal system in phi
-per Fourier mode m, and the pole closure, a shift by half a turn, adds
-(-1)^m times the ghost coefficient to the first and last diagonal
-entries (P. N. Swarztrauber, J. Comput. Phys. 15, 1974).  That factor
-solves a zonal matrix directly and preconditions any other (Concus &
-Golub, SIAM J. Numer. Anal. 10, 1973); defect correction against the
-exact matrix then finishes the solve, each correction a few GMRES steps
-preconditioned by that factor (Saad & Schultz, SIAM J. Sci. Stat.
-Comput. 7, 1986), so strongly non-zonal matrices need about as many
-factor solves on every grid.
+A matrix built from these stencils (StencilPattern.assemble) is its
+table of coefficients, one row per stencil offset (StencilMatrix), and
+it acts on a field through slices of one ghost-padded copy of it: the
+padding carries the theta wrap and the antipodal pole rings.
+
+Linear solves with such a matrix (StencilPattern.solve) are SuperLU's
+on S^1, the one use of scipy, imported there.  On S^2 they factor the
+matrix's average over each ring instead: a matrix whose coefficients
+depend on phi alone splits, under a real FFT in theta, into one
+tridiagonal system in phi per Fourier mode m, and the pole closure, a
+shift by half a turn, adds (-1)^m times the ghost coefficient to the
+first and last diagonal entries (P. N. Swarztrauber, J. Comput. Phys.
+15, 1974).  That factor solves a zonal matrix directly and
+preconditions any other (Concus & Golub, SIAM J. Numer. Anal. 10,
+1973); defect correction against the exact matrix then finishes the
+solve, each correction a few GMRES steps preconditioned by that factor
+(Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), so strongly
+non-zonal matrices need about as many factor solves on every grid.
 """
 
+import itertools
+
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 # StencilPattern.solve stops when every row's defect is at most
 # BACKWARD_ERROR_TOL times (|J| |x| + |b|)_i, a row-wise backward error.
@@ -168,10 +173,10 @@ class SphereGrid:
         """
         f = self.check_field(f)
         if self.dim == 2:
-            pad = self._pad_phi(f, 1.0)
+            rows = _padded(f)[:, 1:-1]
             rings = np.empty((2 * self.n_lat, self.n_lon))
-            rings[0::2] = 0.75 * f + 0.25 * pad[:-2]
-            rings[1::2] = 0.75 * f + 0.25 * pad[2:]
+            rings[0::2] = 0.75 * f + 0.25 * rows[:-2]
+            rings[1::2] = 0.75 * f + 0.25 * rows[2:]
             f = rings
         fine = np.empty(f.shape[:-1] + (2 * f.shape[-1],))
         fine[..., 0::2] = f
@@ -194,55 +199,39 @@ class SphereGrid:
 
     # -- raw coordinate partials ----------------------------------------
 
-    def _pad_phi(self, f, parity):
-        half = self.n_lon // 2
-        top = parity * np.roll(f[0], half)
-        bot = parity * np.roll(f[-1], half)
-        return np.concatenate([top[None], f, bot[None]], axis=0)
-
-    def partial_gradient(self, f, phi_parity=1.0):
+    def partial_gradient(self, f, phi_parity=1.0, *, pad=None):
         """Centered-difference partials d_i f, shape ``(dim, *shape)``.
 
         phi_parity is the sign the component field picks up when read
         through a pole (-1 for one phi index, +1 otherwise); it only
-        affects S^2 pole rings.
+        affects S^2 pole rings.  ``pad`` is f's padding with that parity
+        (_padded), when the caller has it.
         """
-        f = self.check_field(f)
+        if pad is None:
+            pad = _padded(self.check_field(f), phi_parity)
         if self.dim == 1:
-            d = (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * self.dtheta)
-            return d[None]
-        pad = self._pad_phi(f, phi_parity)
-        dphi = (pad[2:] - pad[:-2]) / (2.0 * self.dphi)
-        dtheta = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * self.dtheta)
+            return ((pad[2:] - pad[:-2]) / (2.0 * self.dtheta))[None]
+        rows, cols = pad[:, 1:-1], pad[1:-1]
+        dphi = (rows[2:] - rows[:-2]) / (2.0 * self.dphi)
+        dtheta = (cols[:, 2:] - cols[:, :-2]) / (2.0 * self.dtheta)
         return np.array([dphi, dtheta])
 
-    def partial_hessian(self, f, phi_parity=1.0):
+    def partial_hessian(self, f, phi_parity=1.0, *, pad=None):
         """Centered second partials d_ij f, shape ``(dim, dim, *shape)``,
-        symmetric by construction (one mixed stencil serves both slots)."""
-        f = self.check_field(f)
+        symmetric by construction (one mixed stencil serves both slots);
+        phi_parity and ``pad`` as in partial_gradient."""
+        if pad is None:
+            pad = _padded(self.check_field(f), phi_parity)
         if self.dim == 1:
-            d2 = (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / self.dtheta ** 2
+            d2 = (pad[2:] - 2.0 * pad[1:-1] + pad[:-2]) / self.dtheta ** 2
             return d2[None, None]
-        pad = self._pad_phi(f, phi_parity)
-        d2phi = (pad[2:] - 2.0 * f + pad[:-2]) / self.dphi ** 2
-        d2theta = (np.roll(f, -1, axis=1) - 2.0 * f + np.roll(f, 1, axis=1)) / self.dtheta ** 2
-        dtheta_pad = (np.roll(pad, -1, axis=1) - np.roll(pad, 1, axis=1)) / (2.0 * self.dtheta)
-        mixed = (dtheta_pad[2:] - dtheta_pad[:-2]) / (2.0 * self.dphi)
+        rows, cols = pad[:, 1:-1], pad[1:-1]
+        f = cols[:, 1:-1]
+        d2phi = (rows[2:] - 2.0 * f + rows[:-2]) / self.dphi ** 2
+        d2theta = (cols[:, 2:] - 2.0 * f + cols[:, :-2]) / self.dtheta ** 2
+        dtheta = (pad[:, 2:] - pad[:, :-2]) / (2.0 * self.dtheta)
+        mixed = (dtheta[2:] - dtheta[:-2]) / (2.0 * self.dphi)
         return np.array([[d2phi, mixed], [mixed, d2theta]])
-
-    # -- the same stencils as one neighbour table -----------------------
-
-    def _neighbours(self, dj, di):
-        """Flat index of the node at offset (dj, di) in (phi, theta) from
-        every node, reading across a pole from the antipodal ring."""
-        if self.dim == 1:
-            return (np.arange(self.n_theta) + di) % self.n_theta
-        j, i = np.indices(self.shape)
-        j, i = j + dj, i + di
-        across = (j < 0) | (j >= self.n_lat)
-        i = np.where(across, i + self.n_lon // 2, i) % self.n_lon
-        j = np.clip(j, 0, self.n_lat - 1)
-        return (j * self.n_lon + i).ravel()
 
     def stencil_pattern(self):
         """StencilPattern of partial_gradient and partial_hessian (scalar
@@ -253,6 +242,26 @@ class SphereGrid:
         return self._pattern
 
 
+def _padded(f, parity=1.0):
+    """Field f with one ghost node beyond each end of every grid axis, so
+    that the node at offset d from node j is padded[j + 1 + d]: theta
+    wraps around and, on S^2, the ghost ring beyond a pole is the pole
+    ring half a turn away, times parity (the sign a component field with
+    one phi index picks up through a pole)."""
+    pad = np.empty(tuple(n + 2 for n in f.shape), f.dtype)
+    pad[(slice(1, -1),) * f.ndim] = f
+    if f.ndim == 2:
+        # ghost rows 0 and n_lat + 1 from pole rings 0 and n_lat - 1, each
+        # turned by half a turn: its two halves swapped
+        nlat, nlon = f.shape
+        halves = (2, 2, nlon // 2)
+        pad[::nlat + 1, 1:-1].reshape(halves)[:] = (
+            parity * f[::nlat - 1].reshape(halves)[:, ::-1])
+    pad[..., 0] = pad[..., -2]
+    pad[..., -1] = pad[..., 1]
+    return pad
+
+
 class StencilPattern:
     """The centered stencils of a grid as one fixed sparsity pattern, for
     every matrix of the form diag(a_u) + sum_i diag(a_p_i) D_i
@@ -261,47 +270,49 @@ class StencilPattern:
     Row m holds node m's neighbours at the stencil offsets (the 3x3
     neighbourhood on S^2, 3 nodes on S^1), in offset order; across a
     pole they lie on the antipodal ring, and they stay distinct on every
-    grid grid_shape accepts, so every row has ``width`` entries and all
-    assembled matrices share ``indptr`` and ``indices`` (entries that
-    cancel stay as stored zeros).
+    grid grid_shape accepts, so every row has ``width`` entries and a
+    matrix is the (width, n) table of them (StencilMatrix), entries that
+    cancel included.  The neighbour at each offset is a slice of the
+    padded field (_padded), so the pattern keeps no index arrays.
     """
 
     def __init__(self, grid):
-        n, self.dim = grid.node_count, grid.dim
-        steps = (-1, 0, 1)
-        offsets = [(dj, di) for dj in (steps if grid.dim == 2 else (0,))
-                   for di in steps]
+        n, self.dim, self.field_shape = grid.node_count, grid.dim, grid.shape
         self.shape = (n, n)
+        offsets = list(itertools.product((-1, 0, 1), repeat=grid.dim))
         self.width = len(offsets)
-        self.indices = np.stack([grid._neighbours(*off) for off in offsets],
-                                axis=1).ravel().astype(np.int32)
-        self.indptr = (self.width * np.arange(n + 1)).astype(np.int32)
+        # the neighbours at each offset, as a slice of the padded field
+        self._views = [tuple(slice(1 + d, 1 + d + size)
+                             for d, size in zip(off, grid.shape))
+                       for off in offsets]
         if grid.dim == 2:
             # mode m's phase exp(i m di dtheta) at each theta offset di,
             # and the sign (-1)^m of a shift by half a turn
             modes = np.arange(grid.n_lon // 2 + 1)
-            self._rings = grid.shape
             self._ring_mean = np.full(grid.n_lon, 1.0 / grid.n_lon)
-            self._phases = np.exp(1j * grid.dtheta * np.outer(steps, modes))
+            self._phases = np.exp(1j * grid.dtheta * np.outer((-1, 0, 1),
+                                                              modes))
             self._fold = (-1.0) ** modes
 
-        # the stencil of each term, as (offset column, weight) pairs, in
+        # the stencil of each term, as (offset row, weight) pairs, in
         # the order assemble() sums them: the identity, D_i, D_ii, D_01
-        column = {off: o for o, off in enumerate(offsets)}
-        axes = ([((1, 0), grid.dphi)] if grid.dim == 2 else []) + [
-            ((0, 1), grid.dtheta)]
-        terms = [{(0, 0): 1.0}]
-        terms += [{e: 0.5 / h, (-e[0], -e[1]): -0.5 / h} for e, h in axes]
-        terms += [{e: h ** -2, (0, 0): -2.0 * h ** -2, (-e[0], -e[1]): h ** -2}
+        row = {off: o for o, off in enumerate(offsets)}
+        axes = ([((1, 0), grid.dphi), ((0, 1), grid.dtheta)]
+                if grid.dim == 2 else [((1,), grid.dtheta)])
+        centre = (0,) * grid.dim
+        terms = [{centre: 1.0}]
+        terms += [{e: 0.5 / h, tuple(-d for d in e): -0.5 / h}
                   for e, h in axes]
+        terms += [{e: h ** -2, centre: -2.0 * h ** -2,
+                   tuple(-d for d in e): h ** -2} for e, h in axes]
         if grid.dim == 2:
             c = 0.25 / (grid.dphi * grid.dtheta)
             terms.append({(1, 1): c, (1, -1): -c, (-1, 1): -c, (-1, -1): c})
-        self._terms = [[(column[off], w) for off, w in term.items()]
+        self._terms = [[(row[off], w) for off, w in term.items()]
                        for term in terms]
 
     def assemble(self, a_u, a_p, a_H):
-        """CSR matrix diag(a_u) + sum_i diag(a_p_i) D_i + sum_ij
+        """StencilMatrix diag(a_u) + sum_i diag(a_p_i) D_i + sum_ij
         diag(a_H_ij) D_ij on the fixed pattern, from coefficient fields
         a_u (n values), a_p (dim, ...) and a_H (dim, dim, ...); the mixed
         partial D_01 = D_10 takes a_H_01 + a_H_10.  Each entry sums its
@@ -309,37 +320,15 @@ class StencilPattern:
         coefs = [a_u, *a_p, *(a_H[i, i] for i in range(self.dim))]
         if self.dim == 2:
             coefs.append(a_H[0, 1] + a_H[1, 0])
-        data = np.zeros((self.shape[0], self.width))
+        table = np.zeros((self.width, self.shape[0]))
         for coef, term in zip(coefs, self._terms):
             coef = np.ravel(coef)
             for o, w in term:
-                data[:, o] += coef * w
-        # copies: scipy may sort or prune a matrix's index arrays in place
-        return sp.csr_matrix((data.ravel(), self.indices.copy(),
-                              self.indptr.copy()), shape=self.shape)
-
-    def table(self, jac):
-        """The (n, width) entries of a matrix assemble() built, row m
-        holding node m's stencil in offset order.  Raises ValueError when
-        jac's index arrays no longer hold that layout: SciPy sorts them in
-        place in some operations, np.abs(jac) among them."""
-        if jac.shape != self.shape or not np.array_equal(jac.indices,
-                                                         self.indices):
-            raise ValueError("matrix is not in the stencil pattern's layout")
-        return jac.data.reshape(-1, self.width)
-
-    def abs_product(self, jac, x):
-        """(|jac| |x|)_m per row, from a matrix of np.abs(table(jac)) on
-        the pattern's own index arrays, so jac itself is never touched."""
-        return self._magnitude(self.table(jac)) @ np.abs(x)
-
-    def _magnitude(self, table):
-        # only multiplied, so it may share the pattern's index arrays
-        return sp.csr_matrix((np.abs(table).ravel(), self.indices,
-                              self.indptr), shape=self.shape)
+                table[o] += coef * w
+        return StencilMatrix(self, table)
 
     def solve(self, jac, b):
-        """The x with jac x = b, for a matrix assemble() built.
+        """The x with jac x = b, for a StencilMatrix assemble() built.
 
         On S^1 this is SuperLU's solve, whose partial pivoting is
         backward stable by itself.  On S^2 the first solve is the Fourier
@@ -353,13 +342,13 @@ class StencilPattern:
         (STALL_SWEEPS, CORRECTION_SWEEPS).
         """
         if self.dim == 1:
+            import scipy.sparse.linalg as spla
             try:
-                return spla.splu(jac.tocsc()).solve(b)
+                return spla.splu(jac.tocsr().tocsc()).solve(b)
             except RuntimeError as exc:     # SuperLU: exactly singular
                 raise np.linalg.LinAlgError(str(exc)) from exc
-        table = self.table(jac)
-        magnitude = self._magnitude(table)
-        inverse = self._fourier_inverse(table)
+        magnitude = abs(jac)
+        inverse = self._fourier_inverse(jac.table)
         x, best, stalled = inverse(b), np.inf, 0
         for _ in range(CORRECTION_SWEEPS):
             defect = b - jac @ x
@@ -384,14 +373,17 @@ class StencilPattern:
     def _fourier_inverse(self, table):
         """The solve with the Fourier factor of table's ring average: one
         Thomas elimination per mode, all modes at once, ring by ring."""
-        nlat, nlon = self._rings
+        nlat, nlon = self.field_shape
         # each ring's first row plus the mean deviation from it: exact on a
         # zonal ring, where a plain mean's rounding of the large pole-ring
-        # theta weights would spoil their cancellation in the low modes
-        nodes = table.reshape(nlat, nlon, self.width)
+        # theta weights would spoil their cancellation in the low modes.
+        # The mean reads the deviations node-major: a transposed view would
+        # hand BLAS another layout, and another rounding.
+        nodes = table.reshape(self.width, nlat, nlon).transpose(1, 2, 0)
         first = nodes[:, 0]
-        rings = (first + self._ring_mean @ (nodes - first[:, None])).reshape(
-            nlat, 3, 3)
+        deviation = np.empty(nodes.shape)
+        np.subtract(nodes, first[:, None], out=deviation)
+        rings = (first + self._ring_mean @ deviation).reshape(nlat, 3, 3)
         # symbol[j, dj + 1, m]: ring j's coupling to ring j + dj in mode m
         symbol = rings @ self._phases
         lower, pivot, upper = symbol[:, 0], symbol[:, 1], symbol[:, 2]
@@ -421,6 +413,48 @@ class StencilPattern:
                 y[j] -= ratio[j] * y[j + 1]
             return np.fft.irfft(y, nlon, axis=1).ravel()
         return inverse
+
+
+class StencilMatrix:
+    """A matrix on a StencilPattern, held as its (width, n) table:
+    table[o, m] is row m's entry at node m's o-th stencil offset."""
+
+    def __init__(self, pattern, table):
+        self.pattern, self.table = pattern, table
+
+    def __abs__(self):
+        return StencilMatrix(self.pattern, np.abs(self.table))
+
+    def dot(self, x):
+        """The product with a vector of n values.  Each row is summed
+        from zero in offset order, the order of scipy's CSR product, so
+        the two agree bit for bit."""
+        shape = self.pattern.field_shape
+        pad = _padded(np.reshape(x, shape))
+        y, term = np.zeros(shape), np.empty(shape)
+        for coef, view in zip(self.table, self.pattern._views):
+            y += np.multiply(coef.reshape(shape), pad[view], out=term)
+        return y.ravel()
+
+    __matmul__ = dot
+
+    def tocsr(self):
+        """This matrix as a scipy.sparse CSR matrix on arrays of its own:
+        row m lists node m's neighbours in offset order, entries that
+        cancel included."""
+        import scipy.sparse as sp
+        pattern = self.pattern
+        n = pattern.shape[0]
+        nodes = _padded(np.arange(n).reshape(pattern.field_shape))
+        indices = np.stack([nodes[view].ravel() for view in pattern._views],
+                           axis=1).ravel()
+        return sp.csr_matrix((self.table.T.ravel(), indices,
+                              pattern.width * np.arange(n + 1)),
+                             shape=pattern.shape)
+
+    def toarray(self):
+        """This matrix as a dense ndarray."""
+        return self.tocsr().toarray()
 
 
 def _gmres_correction(jac, inverse, defect, reduction):

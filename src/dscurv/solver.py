@@ -16,8 +16,10 @@ a node depends on u only through u and its centered first and second
 partials there, so the chain rule with closed-form 2x2 coefficients
 times the grid's centered stencils gives the matrix.  The grid builds
 the stencils' pattern, each node's 3x3 neighbourhood with the antipodal
-pole closure, once (SphereGrid.stencil_pattern); every Jacobian fills
-that fixed pattern with the coefficients times the stencil weights.
+pole closure, once (SphereGrid.stencil_pattern); every Jacobian is that
+pattern's table of the coefficients times the stencil weights
+(StencilMatrix), which applies itself to a vector through slices of one
+ghost-padded copy of it, with no index arrays.
 Each Newton step solves with the pattern's factor (StencilPattern.solve):
 on S^2 a Fourier-in-theta tridiagonal factor of the Jacobian's ring
 average, exact at a zonal state, followed by defect correction against
@@ -290,11 +292,12 @@ class ContinuationSolver:
         with node ids on infeasible input (consumed by the line search)."""
         return self.residual_with_geometry(u, t)[0]
 
-    # -- sparse Jacobian --------------------------------------------------
+    # -- stencil Jacobian -------------------------------------------------
 
     def jacobian(self, u, t, geom=None, psi=None):
-        """Exact Jacobian of the discrete residual at (u, t), as CSR on the
-        grid's fixed stencil pattern; ``geom`` and ``psi`` are the induced
+        """Exact Jacobian of the discrete residual at (u, t), as the
+        StencilMatrix of the grid's fixed stencil pattern (its tocsr() gives
+        the scipy CSR matrix); ``geom`` and ``psi`` are the induced
         geometry and PsiEval that residual_with_geometry returned at
         (u, t), when the caller has them; otherwise that call, with its
         cone test, evaluates both here.
@@ -361,9 +364,7 @@ class ContinuationSolver:
         per row, floored by the global scale): rows touching the pole
         rings legitimately carry stencil weights hundreds of times the
         interior scale, and a single global normalization would only
-        measure those rows.  The row scale reads the Jacobian's table
-        (StencilPattern.abs_product), which leaves the matrix's layout
-        as assemble() made it.  Returns the worst relative error; raises
+        measure those rows.  Returns the worst relative error; raises
         InternalConsistencyError beyond JACOBIAN_CHECK_TOL.
         """
         u = self.grid.check_field(u)
@@ -377,7 +378,7 @@ class ContinuationSolver:
         jv = jac.dot(vflat)
         fd = (self.residual(u + eps * v, t) - self.residual(u - eps * v, t)).ravel()
         fd /= 2.0 * eps
-        row_scale = self.grid.stencil_pattern().abs_product(jac, vflat)
+        row_scale = abs(jac) @ np.abs(vflat)
         row_scale = np.maximum(row_scale, max(np.max(np.abs(jv)), 1e-30))
         err = float(np.max(np.abs(jv - fd) / row_scale))
         if err > JACOBIAN_CHECK_TOL:

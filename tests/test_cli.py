@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -526,3 +530,21 @@ def test_cli_overrides(tmp_path):
                      "--resolution", "16x32", "--out", str(out), "--quiet"])
     assert code == cli.EXIT_OK
     assert (out / "summary.json").exists()
+
+
+def test_s2_runs_never_import_scipy(tmp_path):
+    # scipy serves S^1's SuperLU only: importing dscurv and running an S^2
+    # solve, identity check and audit, in a fresh process, loads none of it
+    path = write_config(tmp_path, BASE)
+    runs = [["--config", path, "--mode", mode, "--out", str(tmp_path / mode),
+             "--quiet"] for mode in ("solve", "identity-check", "audit-only")]
+    script = ("import sys, dscurv, dscurv.cli\n"
+              f"codes = [dscurv.cli.main(argv) for argv in {runs!r}]\n"
+              "print(codes, sorted(m for m in sys.modules\n"
+              "                    if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(dscurv.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0] []"

@@ -192,6 +192,38 @@ def test_stencil_terms_match_array_stencils(rng):
                 assert np.max(np.abs(got - want[i, j])) <= 1e-12 * np.max(np.abs(want))
 
 
+def _rolled_partials(g, f, parity):
+    """Partials of f by np.roll in theta and pole rings concatenated
+    beyond each pole: the arithmetic the padded slices must repeat."""
+    def d_theta(a):
+        return (np.roll(a, -1, axis=-1) - np.roll(a, 1, axis=-1)) / (2.0 * g.dtheta)
+
+    d2theta = (np.roll(f, -1, axis=-1) - 2.0 * f
+               + np.roll(f, 1, axis=-1)) / g.dtheta ** 2
+    if g.dim == 1:
+        return d_theta(f)[None], d2theta[None, None]
+    half = g.n_lon // 2
+    pad = np.concatenate([parity * np.roll(f[:1], half, axis=1), f,
+                          parity * np.roll(f[-1:], half, axis=1)])
+    d2phi = (pad[2:] - 2.0 * f + pad[:-2]) / g.dphi ** 2
+    mixed = (d_theta(pad)[2:] - d_theta(pad)[:-2]) / (2.0 * g.dphi)
+    return (np.array([(pad[2:] - pad[:-2]) / (2.0 * g.dphi), d_theta(f)]),
+            np.array([[d2phi, mixed], [mixed, d2theta]]))
+
+
+def test_padded_partials_repeat_rolled_arithmetic(rng):
+    # slices of one ghost-padded copy give the rolled stencils bit for
+    # bit, for both parities and on the tightest pole rings
+    for dim, res in ((1, 8), (1, 64), (2, (8, 16)), (2, (16, 32)),
+                     (2, (128, 256))):
+        g = build_grid(dim, res)
+        f = rng.standard_normal(g.shape)
+        for parity in (1.0, -1.0):
+            gradient, hessian = _rolled_partials(g, f, parity)
+            assert np.array_equal(g.partial_gradient(f, parity), gradient)
+            assert np.array_equal(g.partial_hessian(f, parity), hessian)
+
+
 def test_stencil_pattern_retains_bounded_memory():
     # 32768 nodes x 9 neighbours: one int32 array over the pattern is 1.1 MB
     grid = build_grid(2, (128, 256))

@@ -115,26 +115,29 @@ def test_jacobian_matches_dense_differencing():
 
 
 def test_jacobian_sparsity_matches_stencil():
-    # every row holds exactly its 3x3 neighbourhood, reading across a pole
-    # from the antipodal ring; 8x16 has the tightest pole neighbourhoods
+    # every row holds exactly its 3x3 neighbourhood, in offset order,
+    # reading across a pole from the antipodal ring; 8x16 has the
+    # tightest pole neighbourhoods
     for res in ((8, 16), (16, 32)):
         grid = build_grid(2, res)
         solver = _solver(grid, 2)
-        jac = solver.jacobian(_nonzonal_state(grid, solver), 0.5).tocsr()
+        jac = solver.jacobian(_nonzonal_state(grid, solver), 0.5)
+        csr = jac.tocsr()
         nlat, nlon = grid.shape
         for m in range(grid.node_count):
             j, i = divmod(m, nlon)
-            allowed = set()
+            allowed = []
             for dj in (-1, 0, 1):
                 for di in (-1, 0, 1):
                     jj, ii = j + dj, (i + di) % nlon
                     if not 0 <= jj < nlat:
                         # across a pole: the same ring, half a turn away
                         jj, ii = j, (ii + nlon // 2) % nlon
-                    allowed.add(jj * nlon + ii)
-            cols = jac.indices[jac.indptr[m]:jac.indptr[m + 1]]
-            assert len(cols) == len(allowed) == 9
-            assert set(cols) == allowed
+                    allowed.append(jj * nlon + ii)
+            row = slice(csr.indptr[m], csr.indptr[m + 1])
+            assert len(set(allowed)) == 9
+            assert csr.indices[row].tolist() == allowed
+            assert np.array_equal(csr.data[row], jac.table[:, m])
 
 
 def _nonzonal_state(grid, solver):
@@ -149,13 +152,14 @@ def test_jacobian_pattern_is_fixed(s2_16x32):
     grid = s2_16x32
     solver = _solver(grid, 2)
     phi, _ = grid.coords()
-    pattern = grid.stencil_pattern()
-    for u in (np.full(grid.shape, solver.start_radius),
-              solver.start_radius + 0.02 * np.cos(phi),
-              _nonzonal_state(grid, solver)):
-        jac = solver.jacobian(u, 0.5)
-        assert np.array_equal(jac.indptr, pattern.indptr)
-        assert np.array_equal(jac.indices, pattern.indices)
+    first, *rest = [solver.jacobian(u, 0.5).tocsr() for u in (
+        np.full(grid.shape, solver.start_radius),
+        solver.start_radius + 0.02 * np.cos(phi),
+        _nonzonal_state(grid, solver))]
+    assert first.nnz == grid.stencil_pattern().width * grid.node_count
+    for jac in rest:
+        assert np.array_equal(jac.indptr, first.indptr)
+        assert np.array_equal(jac.indices, first.indices)
 
 
 def test_solvers_on_one_grid_share_one_pattern(monkeypatch):
@@ -184,6 +188,31 @@ def _multimode_field(grid):
             + np.cos(phi) * np.cos(0.5 * grid.n_lon * theta)).ravel()
 
 
+def test_stencil_products_match_csr_bit_for_bit(s1_64, rng):
+    # each row of J x and |J| |x| is summed from zero in offset order, as
+    # scipy's CSR product sums it (abs() of a CSR matrix sorts its rows,
+    # which sums them in another order)
+    cases = []
+    for res in ((8, 16), (16, 32), (48, 96)):
+        grid = build_grid(2, res)
+        solver = _solver(grid, 2)
+        phi, _ = grid.coords()
+        for u in (np.full(grid.shape, solver.start_radius),
+                  solver.start_radius + 0.02 * np.cos(phi),
+                  _nonzonal_state(grid, solver)):
+            cases.append((solver, u, _multimode_field(grid)))
+    solver, theta = _solver(s1_64, 1), s1_64.theta
+    for u in (np.full(s1_64.shape, solver.start_radius),
+              solver.start_radius + 0.02 * np.cos(theta)):
+        cases.append((solver, u, 1.0 + np.cos(theta) + np.sin(3.0 * theta)))
+    for solver, u, x in cases:
+        jac = solver.jacobian(u, 0.5)
+        csr, magnitude = jac.tocsr(), abs(jac).tocsr()
+        for v in (x, rng.standard_normal(x.size)):
+            assert np.array_equal(jac @ v, csr @ v)
+            assert np.array_equal(abs(jac) @ np.abs(v), magnitude @ np.abs(v))
+
+
 def _backward_error(jac, x, b):
     """max_m |b - J x|_m / (|J| |x| + |b|)_m, from a copy of jac."""
     magnitude = abs(jac.copy())
@@ -201,15 +230,16 @@ def test_fourier_solve_matches_spsolve(rng):
                   _nonzonal_state(grid, solver))
         for u in states:
             jac = solver.jacobian(u, 0.5)
+            table = jac.table.copy()
             b = _multimode_field(grid)
-            want = spla.spsolve(jac.tocsc(), b)
+            want = spla.spsolve(jac.tocsr().tocsc(), b)
             got = pattern.solve(jac, b)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             # any right-hand side: the solve's own contract
             b = rng.standard_normal(grid.node_count)
             x = pattern.solve(jac, b)
-            assert _backward_error(jac, x, b) <= dscurv.grid.BACKWARD_ERROR_TOL
-            assert np.array_equal(jac.indices, pattern.indices)
+            assert _backward_error(jac.tocsr(), x, b) <= dscurv.grid.BACKWARD_ERROR_TOL
+            assert np.array_equal(jac.table, table)
 
 
 def test_newton_matches_splu_reference(monkeypatch):
@@ -220,36 +250,31 @@ def test_newton_matches_splu_reference(monkeypatch):
     u = _nonzonal_state(grid, solver)
     result = solver.newton_solve(u, 0.0)
     monkeypatch.setattr(dscurv.grid.StencilPattern, "solve",
-                        lambda self, jac, b: spla.splu(jac.tocsc()).solve(b))
+                        lambda self, jac, b: spla.splu(jac.tocsr().tocsc()).solve(b))
     reference = solver.newton_solve(u, 0.0)
     assert result.iterations == reference.iterations
     assert result.residual_norm <= 1e-10
     assert np.max(np.abs(result.u - reference.u)) <= 1e-10
 
 
-def test_jacobian_check_keeps_the_pattern_layout(monkeypatch):
-    # np.abs of a CSR matrix sorts its index arrays in place, which
-    # breaks the (n, width) offset table the solve reads
+def test_edits_to_tocsr_leave_the_jacobian_unchanged():
+    # the CSR matrix owns its arrays: sorting, abs and pruning it touch
+    # neither the Jacobian's table nor its later products
     grid = build_grid(2, (16, 32))
     solver = _solver(grid, 2)
-    pattern = grid.stencil_pattern()
-    jacobian, built = ContinuationSolver.jacobian, []
-
-    def kept(self, *args, **kwargs):
-        built.append(jacobian(self, *args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(ContinuationSolver, "jacobian", kept)
-    u = _nonzonal_state(grid, solver)
-    solver.directional_derivative_check(u, 0.5)
-    jac, = built
-    assert np.array_equal(jac.indices, pattern.indices)
-    assert np.array_equal(pattern.table(jac),
-                          solver.jacobian(u, 0.5).data.reshape(-1, 9))
-    # a matrix whose index arrays were sorted is refused, not misread
-    jac.sort_indices()
-    with pytest.raises(ValueError, match="layout"):
-        pattern.table(jac)
+    jac = solver.jacobian(_nonzonal_state(grid, solver), 0.5)
+    table = jac.table.copy()
+    x = _multimode_field(grid)
+    product, magnitude = jac @ x, abs(jac) @ np.abs(x)
+    csr = jac.tocsr()
+    csr.sort_indices()
+    abs(csr)
+    csr.data[::2] = 0.0
+    csr.eliminate_zeros()
+    assert np.array_equal(jac.table, table)
+    assert np.array_equal(jac @ x, product)
+    assert np.array_equal(abs(jac) @ np.abs(x), magnitude)
+    assert np.array_equal(jac.tocsr() @ x, product)
 
 
 def test_jacobian_linearity_and_directional_check(s2_16x32):
