@@ -22,8 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigError, ContinuationError, InternalConsistencyError,
-                     NewtonError)
+from .errors import ConfigError, ContinuationError, InternalConsistencyError
 from .grid import build_grid
 from .monitor import identity_residuals
 from .prescription import (AuditBox, PRESCRIPTIONS, audit_structural,
@@ -298,7 +297,7 @@ def run(config, quiet=False):
                                 barriers=barriers)
     try:
         state = solver.run()
-    except (ContinuationError, NewtonError, InternalConsistencyError) as exc:
+    except (ContinuationError, InternalConsistencyError) as exc:
         summary["continuation"] = {"failed": True, "message": str(exc)}
         partial = getattr(exc, "state", None)
         if partial is not None:
@@ -320,7 +319,6 @@ def run(config, quiet=False):
         "max_u": float(state.u.max()),
     }
     summary["levels"] = _level_summaries(state.levels)
-    summary["fallback"] = state.fallback
     summary["monitor"] = state.monitor.to_dict()
     return _finish(outdir, summary, quiet, EXIT_OK,
                    f"solved: t = {state.t}, residual = {state.residual_norm:.3e}, "

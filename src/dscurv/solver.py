@@ -40,10 +40,10 @@ the final t from the prolonged solution of the grid below
 (SphereGrid.prolong), then checks the bound monitors and the Jacobian.
 Every level and every homotopy step runs full Newton: a factor costs
 less than one residual evaluation, so reusing one saves nothing.
-If the coarse homotopy or a level fails, the solve falls back to the
-homotopy on the target grid and records why.  Everything on the solve
-path is deterministic: same config, grid, and prescription reproduce
-bit-identical traces.
+A failed level, the coarse homotopy included, fails the solve with a
+ContinuationError that names the level and carries the trace accepted
+before it.  Everything on the solve path is deterministic: same config,
+grid, and prescription reproduce bit-identical traces.
 """
 
 from dataclasses import dataclass, field
@@ -155,7 +155,6 @@ class HomotopyState:
     monitor: object
     step_history: list = field(default_factory=list)
     levels: list = field(default_factory=list)      # LevelRecord, coarsest first
-    fallback: str = None    # why the nested iteration was abandoned, if it was
 
     t = property(lambda self: self.step_history[-1].t)
     residual_norm = property(lambda self: self.step_history[-1].residual)
@@ -450,29 +449,28 @@ class ContinuationSolver:
     def run(self, t_final=1.0):
         """Solve at t_final by nested iteration over the grid chain.
 
-        The homotopy runs on the coarsest grid of grid.coarsened() only.
-        Each finer grid, up to this one, is one more level: full Newton
-        at t_final from the prolonged solution of the level below, then
-        the bound monitors and the Jacobian directional check on its
-        result.
-        If the coarse homotopy or a level fails (a NewtonError, a
-        ContinuationError or a failed monitor), the run falls back to the
-        homotopy on this grid and names the cause in ``fallback``.  With
-        t_final = 0, where the start is exact on every grid, or with no
-        coarser grid, the homotopy runs on this grid directly.  Raises
-        ValueError for t_final outside [0, 1] before any work.
+        Level 0 is the homotopy on the coarsest grid of grid.coarsened(),
+        or on this grid when it has no coarsening or t_final = 0, where
+        the start is exact on every grid.  Each finer grid, up to this
+        one, is one more level: full Newton at t_final from the prolonged
+        solution of the level below, then the bound monitors and the
+        Jacobian directional check on its result.
+        A failed level (a NewtonError, a ContinuationError or a failed
+        monitor) raises ContinuationError("level L (RES) failed: cause"),
+        whose state is the trace accepted before the failure: the coarse
+        homotopy's partial trace, or its trace and every finished level.
+        Raises ValueError for t_final outside [0, 1] before any work.
         """
         if not 0.0 <= t_final <= 1.0:
             raise ValueError(f"t_final = {t_final} must lie in [0, 1]")
         if self.barriers is None:
             raise ValueError("barriers must be set before running the homotopy")
-        coarser = self.grid.coarsened()
-        if t_final == 0.0 or not coarser:
-            return self._homotopy(t_final)
         # coarsest first; a level's grid, with its cached stencil pattern, is
         # released once the next level has its start
-        level, solver = 0, ContinuationSolver(coarser.pop(), self.target,
-                                              self.config, self.barriers)
+        coarser = self.grid.coarsened() if t_final > 0.0 else []
+        level, state = 0, None
+        solver = self if not coarser else ContinuationSolver(
+            coarser.pop(), self.target, self.config, self.barriers)
         try:
             state = solver._homotopy(t_final)
             while solver is not self:
@@ -490,11 +488,11 @@ class ContinuationSolver:
                 state = HomotopyState(
                     u, monitor, state.step_history + [record],
                     state.levels + [_level_record(solver.grid, [record], u)])
-            return state
         except (NewtonError, ContinuationError) as exc:
-            cause = f"level {level} ({_resolution(solver.grid)}) failed: {exc}"
-        state = self._homotopy(t_final)
-        state.fallback = cause
+            raise ContinuationError(
+                f"level {level} ({_resolution(solver.grid)}) failed: {exc}",
+                state=getattr(exc, "state", None) if state is None else state,
+            ) from exc
         return state
 
     def _attempt(self, u_start, t, level=0):

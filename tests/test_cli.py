@@ -302,7 +302,6 @@ def test_summary_levels_and_trace_level_column(tmp_path):
     assert cli.main(["--config", path, "--resolution", "64x128",
                      "--quiet"]) == cli.EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["fallback"] is None
     levels = summary["levels"]
     assert [level["resolution"] for level in levels] == ["8x16", "16x32",
                                                         "32x64", "64x128"]
@@ -321,17 +320,27 @@ def test_summary_levels_and_trace_level_column(tmp_path):
     assert [row["level"] for row in rows[-3:]] == [1.0, 2.0, 3.0]
 
 
-def test_summary_reports_fallback(tmp_path, monkeypatch):
-    monkeypatch.setattr(dscurv.grid.SphereGrid, "prolong",
-                        lambda self, f: np.zeros(self.refine().shape))
-    out = tmp_path / "fallback"
-    path = write_config(tmp_path, BASE + f"out = {out}\n")
+def test_failed_level_exit_code(tmp_path, monkeypatch):
+    solved = tmp_path / "solved"
+    path = write_config(tmp_path, BASE + f"out = {solved}\n")
     assert cli.main(["--config", path, "--resolution", "32x64",
                      "--quiet"]) == cli.EXIT_OK
+    # the prolonged start u = 0 is inadmissible, so level 1 fails
+    monkeypatch.setattr(dscurv.grid.SphereGrid, "prolong",
+                        lambda self, f: np.zeros(self.refine().shape))
+    out = tmp_path / "failed"
+    path = write_config(tmp_path, BASE + f"out = {out}\n")
+    assert cli.main(["--config", path, "--resolution", "32x64",
+                     "--quiet"]) == cli.EXIT_CONTINUATION
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["fallback"].startswith("level 1 (16x32) failed")
-    assert [level["resolution"] for level in summary["levels"]] == ["32x64"]
-    assert summary["continuation"]["t"] == 1.0
+    assert summary["continuation"]["failed"] is True
+    assert summary["continuation"]["message"].startswith(
+        "level 1 (16x32) failed")
+    # trace.csv holds the coarse homotopy's rows, those of level 0
+    lines = (solved / "trace.csv").read_text().splitlines()
+    level_0 = [line for line in lines[1:] if line.endswith(",0")]
+    assert (out / "trace.csv").read_text().splitlines() == lines[:1] + level_0
+    assert level_0 and not (out / "fields.csv").exists()
 
 
 def test_round_trip_from_echoed_config(tmp_path):

@@ -1,6 +1,7 @@
 """Continuation solver: start constants, residual, Jacobian, Newton, homotopy."""
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ import dscurv.grid
 import dscurv.solver
 from dscurv import (AdmissibilityError, AuditBox, ContinuationError,
                     ContinuationSolver, InternalConsistencyError, NewtonError,
-                    SolverConfig, SpaceTiltPower, SpacelikeError, build_grid,
-                    combined_barriers, ellipticity_margin, induced_geometry,
-                    initial_constant, run_homotopy, scan_barriers,
-                    zeroth_coefficient_at_start)
+                    SolverConfig, SpaceTiltPower, SpacelikeError,
+                    audit_structural, build_grid, combined_barriers,
+                    ellipticity_margin, induced_geometry, initial_constant,
+                    run_homotopy, scan_barriers, zeroth_coefficient_at_start)
 
 R_STAR = np.log(1.0 + np.sqrt(2.0))
 MODEL = SpaceTiltPower(a0=0.5, a1=0.0, p=2.0)
@@ -513,7 +514,7 @@ def test_nested_run_matches_single_grid_homotopy():
                                     barriers=barriers)
         nested = solver.run()
         single = solver._homotopy(1.0)
-        assert nested.fallback is None and nested.t == 1.0
+        assert nested.t == 1.0
         assert np.max(np.abs(nested.u - single.u)) <= 1e-10
         assert [level.resolution for level in nested.levels] == shapes
         # the homotopy's steps on the coarsest grid, then one per level
@@ -558,7 +559,7 @@ def test_nested_levels_take_full_newton(monkeypatch):
                         counted_check)
     state = run_homotopy(SpaceTiltPower(0.5, 0.1, 2.0),
                          build_grid(2, (64, 128)), SolverConfig(k=2, p=2.0))
-    assert state.fallback is None and state.t == 1.0
+    assert state.t == 1.0
     assert [level.resolution for level in state.levels] == [
         "8x16", "16x32", "32x64", "64x128"]
     iters = [level.newton_iters for level in state.levels]
@@ -617,44 +618,47 @@ def test_nested_level_converges_from_a_nonzonal_start(monkeypatch):
     reference = run_homotopy(target, build_grid(2, (32, 64)), cfg)
     monkeypatch.setattr(dscurv.grid.SphereGrid, "prolong", perturbed)
     state = run_homotopy(target, build_grid(2, (32, 64)), cfg)
-    assert state.fallback is None and state.t == 1.0
+    assert state.t == 1.0
     assert all(level.residual <= cfg.tol_newton for level in state.levels)
     assert np.max(np.abs(state.u - reference.u)) <= 1e-10
 
 
 @pytest.mark.parametrize("failure", ["infeasible start", "monitor"])
-def test_nested_run_falls_back_to_single_grid(monkeypatch, failure):
+def test_nested_run_names_the_failed_level(monkeypatch, failure):
     grid = build_grid(2, (32, 64))
     target = SpaceTiltPower(0.5, 0.1, 2.0)
     box = AuditBox(r_hi=2.5)
     barriers, _ = combined_barriers(scan_barriers(target, box), 2.0, box)
     solver = ContinuationSolver(grid, target, SolverConfig(k=2, p=2.0),
                                 barriers=barriers)
-    single = solver._homotopy(1.0)
+    solved = solver.run()
     if failure == "infeasible start":
         monkeypatch.setattr(dscurv.grid.SphereGrid, "prolong",
                             lambda self, f: -np.ones(self.refine().shape))
-        cause, failed_level = "initial iterate infeasible", "level 1 (16x32)"
+        message = "level 1 (16x32) failed: initial iterate infeasible"
+        failed_level = 1
     else:
-        # the level's monitors fail once; the fallback's pass
-        check_bounds, failed = dscurv.solver.check_bounds, []
+        check_bounds = dscurv.solver.check_bounds
 
-        def fail_once(geom, *args):
+        def fail_on_target(geom, *args):
             report = check_bounds(geom, *args)
-            if geom.grid is grid and not failed:
-                failed.append(True)
+            if geom.grid is grid:
                 report = dataclasses.replace(report,
                                              node_violations={"c0": [7]})
             return report
 
-        monkeypatch.setattr(dscurv.solver, "check_bounds", fail_once)
-        cause = "bound monitors failed: c0 at 1 node(s) [7]"
-        failed_level = "level 2 (32x64)"
-    state = solver.run()
-    assert state.fallback.startswith(f"{failed_level} failed: {cause}")
-    assert np.array_equal(state.u, single.u)
-    assert state.step_history == single.step_history
-    assert [level.resolution for level in state.levels] == ["32x64"]
+        monkeypatch.setattr(dscurv.solver, "check_bounds", fail_on_target)
+        message = ("level 2 (32x64) failed: bound monitors failed: "
+                   "c0 at 1 node(s) [7]")
+        failed_level = 2
+    with pytest.raises(ContinuationError) as err:
+        solver.run()
+    assert str(err.value).startswith(message)
+    # the trace ends with the rows of the last level accepted
+    state = err.value.state
+    assert state.step_history == [rec for rec in solved.step_history
+                                  if rec.level < failed_level]
+    assert state.levels == solved.levels[:failed_level]
 
 
 def test_run_homotopy_preserves_constants(s2_16x32):
@@ -684,8 +688,8 @@ def test_run_homotopy_stall_names_cause(s1_64):
     # the solution path leaves the barrier interval below R_STAR
     monitor = ContinuationSolver(s1_64, MODEL, SolverConfig(k=1, p=2.0),
                                  barriers=(0.55, 0.7))
-    with pytest.raises(ContinuationError, match=r"monitors failed: "
-                       r"c0 at 64 node\(s\) \[0, 1, 2, 3, 4\]$"):
+    with pytest.raises(ContinuationError, match=r"^level 0 \(8\) failed: .*"
+                       r"monitors failed: c0 at 8 node\(s\) \[0, 1, 2, 3, 4\]$"):
         monitor.run()
 
 
@@ -726,6 +730,45 @@ def test_solution_converges_at_second_order():
                                u.min(), u.max()]))
     ratios = (stats[0] - stats[1]) / (stats[1] - stats[2])
     assert np.all((ratios >= 3.4) & (ratios <= 4.6)), ratios
+
+
+def _existence_draws():
+    """Sixteen zonal SpaceTiltPower(a0, a1, p) from random.Random(2019):
+    a0 ~ U(0.1, 1), a1 ~ U(-0.8, 0.8) a0, p ~ U(1.05, 3), drawn in that
+    order."""
+    rng = random.Random(2019)
+    draws = []
+    for _ in range(16):
+        a0 = rng.uniform(0.1, 1.0)
+        draws.append(SpaceTiltPower(a0, rng.uniform(-0.8, 0.8) * a0,
+                                    rng.uniform(1.05, 3.0)))
+    return draws
+
+
+@pytest.mark.parametrize("dim, resolution, k", [
+    (2, (32, 64), 2), (2, (64, 128), 2), (1, 128, 1)],
+    ids=["s2-32x64", "s2-64x128", "s1-128"])
+def test_existence_oracle_on_zonal_draws(dim, resolution, k):
+    # the existence theorem: a prescription that passes conditions B-E
+    # and has barriers R1 < R2 has a solution, so the solve must reach
+    # t = 1 on every rung; a draw without barriers lies outside the
+    # theorem and is counted, not solved
+    grid, box = build_grid(dim, resolution), AuditBox(dim=dim)
+    cfg = SolverConfig(k=k, p=2.0)
+    solved = 0
+    for target in _existence_draws():
+        audit = audit_structural(target, box)
+        assert set(audit.witnesses) <= {"A"}, (target, audit.witnesses)
+        barriers, _ = combined_barriers(audit.scan, 2, box)
+        if barriers is None:
+            continue
+        state = ContinuationSolver(grid, target, cfg, barriers).run()
+        assert state.t == 1.0, target
+        assert all(level.residual <= cfg.tol_newton
+                   for level in state.levels), target
+        solved += 1
+    # 8 of the 16 draws have barriers on each rung
+    assert solved >= 6
 
 
 def test_solver_config_validation():
