@@ -33,6 +33,7 @@ non-zonal matrices need about as many factor solves on every grid.
 """
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -58,18 +59,24 @@ STALL_SWEEPS = 4
 def grid_shape(dim, resolution):
     """Node shape of SphereGrid(dim, resolution): (n,) on S^1 for a
     resolution n, (n_lat, n_lon) on S^2 for a pair.  Raises ValueError
-    for a resolution the grid refuses: fewer than 8 nodes in a
-    direction, or an odd n_lon, which has no antipodal pole closure."""
+    for a resolution the grid refuses: a count that is not an integer
+    (32.9 is not read as 32), fewer than 8 nodes in a direction, or an
+    odd n_lon, which has no antipodal pole closure."""
     if dim == 1:
-        shape = (int(resolution),)
+        shape = (resolution,)
     elif dim == 2:
         try:
             nlat, nlon = resolution
         except TypeError:
             raise ValueError("S^2 resolution must be a (n_lat, n_lon) pair")
-        shape = (int(nlat), int(nlon))
+        shape = (nlat, nlon)
     else:
         raise ValueError(f"unsupported sphere dimension {dim!r}")
+    try:
+        shape = tuple(map(operator.index, shape))
+    except TypeError:
+        raise ValueError(f"S^{dim} resolution must be integer node counts, "
+                         f"got {resolution!r}") from None
     if min(shape) < 8:
         raise ValueError(f"S^{dim} grid needs at least 8 nodes per direction")
     if dim == 2 and shape[1] % 2 != 0:
@@ -86,8 +93,12 @@ class SphereGrid:
     The round metric ``sigma``, its inverse and the Christoffel symbols
     ``christoffel[k, i, j]`` depend on phi alone, so their grid axes are
     one row per ring, (n_lat, 1) on S^2 and (1,) on S^1, which broadcast
-    over theta.  Instances are immutable after construction and safe to
-    share between workers.
+    over theta.  The geometry is fixed at construction; the one state
+    added later is the StencilPattern that stencil_pattern() builds on
+    first use and caches, which lives as long as the grid (a solve keeps
+    every grid of its refinement chain, and so its pattern, until it
+    returns).  Workers may share an instance; two whose first calls
+    race may each build a pattern, equal ones.
     """
 
     def __init__(self, dim, resolution):

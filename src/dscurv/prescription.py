@@ -41,6 +41,7 @@ costs one tau-line per slab.
 """
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -57,12 +58,21 @@ D_CAP = 1e6
 SLAB_ELEMENTS = 2 ** 15
 
 
-def _check_finite(obj):
-    """Raise ValueError naming the first attribute of the dataclass obj
-    that is not a finite number: NaN passes every ``x <= bound`` test."""
-    for name, value in vars(obj).items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+def _check_numbers(obj):
+    """Raise ValueError naming the first field of the dataclass obj that
+    is not a finite number or, for a field declared int, not an integer:
+    NaN passes every ``x <= bound`` test, and 2.5 every bound on a count,
+    to fail later inside numpy or range()."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type is int:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(
+                    f"{f.name} must be an integer, got {value!r}") from None
+        elif not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -100,7 +110,7 @@ class Prescription:
     def __post_init__(self):
         for f in fields(self):
             setattr(self, f.name, float(getattr(self, f.name)))
-        _check_finite(self)
+        _check_numbers(self)
         self._check()
 
     def _check(self):
@@ -311,7 +321,7 @@ class AuditBox:
     scan_resolution: int = 400
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_numbers(self)
         if self.r_lo <= 0.0 or self.r_hi <= self.r_lo:
             raise ValueError("need 0 < r_lo < r_hi")
         if self.tau_max < 2.0:

@@ -27,22 +27,26 @@ the exact Jacobian, each correction a few GMRES steps preconditioned by
 that factor, to a row-wise backward error of 16 eps; on S^1 SuperLU.
 
 Each Newton trial step must be spacelike, node-wise admissible, and
-reduce the residual sup-norm, otherwise the step is backtracked; each
-accepted homotopy step must additionally pass the a priori bound
-monitors, otherwise the step size is halved.  The residual hands its
-geometry and prescription values to the Jacobian at the same iterate,
-so each Newton iterate evaluates them once.
+reduce the residual sup-norm, otherwise the step is backtracked.  The
+residual hands its geometry and prescription values to the Jacobian at
+the same iterate, so each Newton iterate evaluates them once.
+
+One rule accepts every state of a run, the homotopy's start, each of
+its steps and each finer level alike (ContinuationSolver._accept):
+Newton converges at fixed t, the result passes the a priori bound
+monitors, and on the states the cadence picks the Jacobian passes its
+directional check.  A rejected homotopy step halves the step size.
 
 A solve is a nested iteration over the grid's refinement chain
 (SphereGrid.coarsened), down to the smallest valid grid: the homotopy
-runs on the coarsest grid only, and each finer grid starts Newton at
-the final t from the prolonged solution of the grid below
-(SphereGrid.prolong), then checks the bound monitors and the Jacobian.
-Every level and every homotopy step runs full Newton: a factor costs
-less than one residual evaluation, so reusing one saves nothing.
-A failed level, the coarse homotopy included, fails the solve with a
-ContinuationError that names the level and carries the trace accepted
-before it.  Everything on the solve path is deterministic: same config,
+runs on the coarsest grid only, and each finer grid accepts one state
+at t = 1 from the prolonged solution of the grid below
+(SphereGrid.prolong).  Every level and every homotopy step runs full
+Newton: a factor costs less than one residual evaluation, so reusing
+one saves nothing.  A failed level, the coarse homotopy included,
+fails the solve with a ContinuationError that names the level and
+carries the trace accepted before it, none when the homotopy's start
+fails.  Everything on the solve path is deterministic: same config,
 grid, and prescription reproduce bit-identical traces.
 """
 
@@ -55,12 +59,13 @@ from .errors import (AdmissibilityError, ContinuationError,
 from .geometry import _contract, induced_geometry_unchecked
 from .monitor import check_bounds
 from .prescription import (AuditBox, HomotopyPrescription,
-                           ReferencePrescription, _check_finite,
+                           ReferencePrescription, _check_numbers,
                            scan_barriers)
 from .symmetric import root_of_sums
 
-# The in-run Jacobian check runs on the homotopy's first accepted state,
-# its exact start, and then on every JACOBIAN_CHECK_INTERVAL-th.
+# _accept runs the Jacobian check on every finer level's state and on the
+# homotopy's first accepted state, its exact start, and then on every
+# JACOBIAN_CHECK_INTERVAL-th; a rejected state is not counted.
 JACOBIAN_CHECK_INTERVAL = 10
 
 # A homotopy step accepted in at most FAST_ITERS Newton iterations grows
@@ -92,7 +97,7 @@ class SolverConfig:
     c_a: float = 50.0
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_numbers(self)
         if self.tol_newton <= 0.0:
             raise ValueError("tol_newton must be positive")
         if self.max_newton < 1:
@@ -134,8 +139,9 @@ class StepRecord:
 
 @dataclass
 class LevelRecord:
-    """One grid of a run: the homotopy on the coarsest grid, or Newton at
-    t_final from the prolonged solution of the level below."""
+    """One grid of a run: the homotopy on the coarsest grid, or the one
+    state accepted at t = 1 from the prolonged solution of the level
+    below."""
 
     resolution: str         # "n" on S^1, "n_latxn_lon" on S^2
     steps: int              # accepted states on this grid
@@ -446,123 +452,105 @@ class ContinuationSolver:
 
     # -- homotopy ---------------------------------------------------------
 
-    def run(self, t_final=1.0):
-        """Solve at t_final by nested iteration over the grid chain.
+    def run(self):
+        """Solve at t = 1 by nested iteration over the grid chain.
 
         Level 0 is the homotopy on the coarsest grid of grid.coarsened(),
-        or on this grid when it has no coarsening or t_final = 0, where
-        the start is exact on every grid.  Each finer grid, up to this
-        one, is one more level: full Newton at t_final from the prolonged
-        solution of the level below, then the bound monitors and the
-        Jacobian directional check on its result.
-        A failed level (a NewtonError, a ContinuationError or a failed
-        monitor) raises ContinuationError("level L (RES) failed: cause"),
-        whose state is the trace accepted before the failure: the coarse
-        homotopy's partial trace, or its trace and every finished level.
-        Raises ValueError for t_final outside [0, 1] before any work.
+        or on this grid when it has no coarsening.  Each finer grid, up to
+        this one, is one more level: one state accepted at t = 1 from the
+        prolonged solution of the level below (_accept).
+        A failed level (a NewtonError or a ContinuationError) raises
+        ContinuationError("level L (RES) failed: cause"), whose state is
+        the trace accepted before the failure: the coarse homotopy's
+        partial trace (None when its start fails), or its trace and every
+        finished level.
         """
-        if not 0.0 <= t_final <= 1.0:
-            raise ValueError(f"t_final = {t_final} must lie in [0, 1]")
         if self.barriers is None:
             raise ValueError("barriers must be set before running the homotopy")
-        # coarsest first; a level's grid, with its cached stencil pattern, is
-        # released once the next level has its start
-        coarser = self.grid.coarsened() if t_final > 0.0 else []
-        level, state = 0, None
-        solver = self if not coarser else ContinuationSolver(
-            coarser.pop(), self.target, self.config, self.barriers)
-        try:
-            state = solver._homotopy(t_final)
-            while solver is not self:
-                level += 1
-                start = solver.grid.prolong(state.u)
-                solver = self if not coarser else ContinuationSolver(
-                    coarser.pop(), self.target, self.config, self.barriers)
-                result, monitor, record = solver._attempt(start, t_final, level)
-                if not monitor.all_ok:
-                    raise ContinuationError("bound monitors failed: "
-                                            + _monitor_failures(monitor))
-                u = result.u
-                solver.directional_derivative_check(
-                    u, t_final, geom=result.geometry, psi=result.psi)
-                state = HomotopyState(
-                    u, monitor, state.step_history + [record],
-                    state.levels + [_level_record(solver.grid, [record], u)])
-        except (NewtonError, ContinuationError) as exc:
-            raise ContinuationError(
-                f"level {level} ({_resolution(solver.grid)}) failed: {exc}",
-                state=getattr(exc, "state", None) if state is None else state,
-            ) from exc
+        R1, R2 = self.barriers
+        if not 0.0 < R1 < R2 < np.inf:
+            raise ValueError(f"barriers (R1, R2) = {self.barriers!r} must be "
+                             "finite with 0 < R1 < R2")
+        # coarsest first; every level's grid, with its cached stencil
+        # pattern, stays alive until the run returns
+        chain = self.grid.coarsened()[::-1] + [self.grid]
+        state = None
+        for level, grid in enumerate(chain):
+            solver = self if grid is self.grid else ContinuationSolver(
+                grid, self.target, self.config, self.barriers)
+            try:
+                if level == 0:
+                    state = solver._homotopy()
+                    continue
+                u, monitor, record = solver._accept(
+                    chain[level - 1].prolong(state.u), 1.0, level)
+            except (NewtonError, ContinuationError) as exc:
+                raise ContinuationError(
+                    f"level {level} ({_resolution(grid)}) failed: {exc}",
+                    state=getattr(exc, "state", None) if level == 0 else state,
+                ) from exc
+            state = HomotopyState(
+                u, monitor, state.step_history + [record],
+                state.levels + [_level_record(grid, [record], u)])
         return state
 
-    def _attempt(self, u_start, t, level=0):
-        """Newton from u_start at fixed t, then the bound monitors on its
-        result: ``(newton_result, monitor, record)``.  Level 0 is a
-        homotopy step, whose Newton iteration count keys the step growth;
-        a nested level (level > 0) starts O(h^2) from its solution."""
+    def _accept(self, u_start, t, level=0, check=True):
+        """One accepted state at fixed t: Newton from u_start, then the
+        bound monitors on its result, then, when check is set, the
+        Jacobian directional check: ``(u, monitor, record)``.  Raises
+        NewtonError, or ContinuationError naming the failed monitor flags
+        ("at the homotopy start" for the t = 0 state)."""
         cfg = self.config
         result = self.newton_solve(u_start, t)
         monitor = check_bounds(result.geometry, self.barriers, cfg.c_tau,
                                cfg.c_a, cfg.k)
+        if not monitor.all_ok:
+            where = " at the homotopy start" if t == 0.0 else ""
+            raise ContinuationError(f"bound monitors failed{where}: "
+                                    + _monitor_failures(monitor))
+        if check:
+            self.directional_derivative_check(
+                result.u, t, geom=result.geometry, psi=result.psi)
         record = StepRecord(
             t=t, iters=result.iterations, residual=result.residual_norm,
             min_u=monitor.min_u, max_u=monitor.max_u, max_tau=monitor.max_tau,
             max_abs_A=monitor.max_abs_A, level=level)
-        return result, monitor, record
+        return result.u, monitor, record
 
-    def _homotopy(self, t_final):
+    def _homotopy(self):
         """Follow the homotopy on this grid from the exact start at t = 0
-        to t_final.
+        to t = 1, accepting each state with _accept.
 
-        Steps adapt: halve on Newton or monitor failure (down to dt_min,
-        then ContinuationError carrying the trace and naming the cause
-        of the last rejected step), grow on fast convergence up to
-        dt_max.  Every accepted state satisfies the residual tolerance
-        and all bound monitors.
+        Steps adapt: halve on a rejected state (down to dt_min, then
+        ContinuationError carrying the trace and naming the cause of the
+        last rejected step), grow on fast convergence up to dt_max.  A
+        failed start is raised as it is, with no trace.
         """
         cfg = self.config
-        start, monitor, record = self._attempt(
+        u, monitor, record = self._accept(
             np.full(self.grid.shape, self.start_radius), 0.0)
-        u, history = start.u, [record]
-        if not monitor.all_ok:
-            raise ContinuationError(
-                "bound monitors failed at the homotopy start: "
-                + _monitor_failures(monitor),
-                state=HomotopyState(u, monitor, history))
-        self.directional_derivative_check(u, 0.0, geom=start.geometry,
-                                          psi=start.psi)
-        t = 0.0
-
-        dt = cfg.dt_init
-        while t < t_final:
+        history, t, dt = [record], 0.0, cfg.dt_init
+        while t < 1.0:
             t_next = t + dt
             # a remainder shorter than dt_min joins this step, so the run
-            # ends exactly at t_final despite rounding in the sum
-            if t_final - t_next < cfg.dt_min:
-                t_next = t_final
+            # ends exactly at t = 1 despite rounding in the sum
+            if 1.0 - t_next < cfg.dt_min:
+                t_next = 1.0
+            check = (len(history) + 1) % JACOBIAN_CHECK_INTERVAL == 0
             try:
-                trial, trial_monitor, record = self._attempt(u, t_next)
-            except NewtonError as exc:
-                cause = f"Newton failed: {exc}"
-                if exc.residual_norm is not None:
-                    cause += f" (residual {exc.residual_norm:.3e})"
-            else:
-                cause = (None if trial_monitor.all_ok else "bound monitors "
-                         "failed: " + _monitor_failures(trial_monitor))
-            if cause is not None:
+                trial, trial_monitor, record = self._accept(u, t_next,
+                                                            check=check)
+            except (NewtonError, ContinuationError) as exc:
                 dt *= 0.5
                 if dt < cfg.dt_min:
                     raise ContinuationError(
                         f"stalled at t = {t:.6f}: step size fell below "
                         f"dt_min = {cfg.dt_min}; the last step, to "
-                        f"t = {t_next:.6f}, was rejected: {cause}",
-                        state=HomotopyState(u, monitor, history))
+                        f"t = {t_next:.6f}, was rejected: {_cause(exc)}",
+                        state=HomotopyState(u, monitor, history)) from exc
                 continue
-            u, t, monitor = trial.u, t_next, trial_monitor
+            u, t, monitor = trial, t_next, trial_monitor
             history.append(record)
-            if len(history) % JACOBIAN_CHECK_INTERVAL == 0:
-                self.directional_derivative_check(
-                    u, t, geom=trial.geometry, psi=trial.psi)
             if record.iters <= FAST_ITERS:
                 dt = min(dt * GROW_FACTOR, cfg.dt_max)
         result = HomotopyState(u, monitor, history)
@@ -583,6 +571,17 @@ def _resolution(grid):
     return "x".join(map(str, grid.shape))
 
 
+def _cause(exc):
+    """Why _accept rejected a homotopy step: the Newton failure with its
+    residual, or the failed monitor flags."""
+    if not isinstance(exc, NewtonError):
+        return str(exc)
+    cause = f"Newton failed: {exc}"
+    if exc.residual_norm is not None:
+        cause += f" (residual {exc.residual_norm:.3e})"
+    return cause
+
+
 def _monitor_failures(monitor):
     """The failed monitor flags, each with its first five node ids."""
     return "; ".join(
@@ -600,10 +599,10 @@ def combined_barriers(scan_t, p, box):
     return (min(scan_t.R1, scan_r.R1), max(scan_t.R2, scan_r.R2)), (scan_t, scan_r)
 
 
-def run_homotopy(target, grid, config=None, barriers=None, t_final=1.0):
+def run_homotopy(target, grid, config=None, barriers=None):
     """One-call continuation: unless barriers are given, find them with
     combined_barriers on AuditBox(dim=grid.dim), the scan the CLI makes
-    with default audit keys; then solve at t_final with
+    with default audit keys; then solve at t = 1 with
     ContinuationSolver.run.  The caller is responsible for auditing the
     target's structural conditions beforehand."""
     config = config or SolverConfig()
@@ -615,4 +614,4 @@ def run_homotopy(target, grid, config=None, barriers=None, t_final=1.0):
             raise ValueError("no barrier radii found on the scan range; "
                              "run scan_barriers for the sign pattern")
     solver = ContinuationSolver(grid, target, config, barriers=barriers)
-    return solver.run(t_final=t_final)
+    return solver.run()

@@ -453,6 +453,19 @@ def test_continuation_failure_exit_code(tmp_path):
     assert (out / "trace.csv").exists()
 
 
+def test_start_failure_writes_no_trace(tmp_path):
+    # tau = cosh(0.663) = 1.228 at the start exceeds c_tau = 1.1: no state
+    # is accepted, so there is no trace row to write
+    out = tmp_path / "start"
+    path = write_config(tmp_path, S1 + f"out = {out}\nsolver.c_tau = 1.1\n")
+    assert cli.main(["--config", path, "--resolution", "64",
+                     "--quiet"]) == cli.EXIT_CONTINUATION
+    summary = json.loads((out / "summary.json").read_text())
+    assert "at the homotopy start" in summary["continuation"]["message"]
+    assert not (out / "trace.csv").exists()
+    assert not (out / "fields.csv").exists()
+
+
 def test_internal_consistency_failure_exit_code(tmp_path, monkeypatch):
     def broken_check(self, *args, **kwargs):
         raise InternalConsistencyError("Jacobian directional check failed")

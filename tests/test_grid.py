@@ -65,6 +65,14 @@ def test_build_grid_validation():
         build_grid(2, 16)
 
 
+@pytest.mark.parametrize("dim, resolution", [
+    (1, 32.9), (1, 32.0), (2, (16.7, 32)), (2, (16, 32.0))])
+def test_build_grid_rejects_non_integer_resolution(dim, resolution):
+    # int() used to truncate: 32.9 gave a 32-node grid
+    with pytest.raises(ValueError, match="resolution must be integer"):
+        build_grid(dim, resolution)
+
+
 def test_constant_field_derivatives_vanish(s1_64, s2_32x64):
     for g in (s1_64, s2_32x64):
         u = np.full(g.shape, 1.234)

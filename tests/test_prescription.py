@@ -303,6 +303,14 @@ def test_scan_range_validation():
         AuditBox(r_lo=1.0, r_hi=0.5)
 
 
+@pytest.mark.parametrize("name", ["dim", "n_r", "n_xi", "n_tau",
+                                  "scan_resolution"])
+def test_audit_box_counts_must_be_integers(name):
+    # n_r = 2.5 used to fail inside np.linspace
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        AuditBox(**{name: 2.5})
+
+
 def test_homotopy_endpoints_exact(rng):
     target = SpaceTiltPower(a0=0.5, a1=0.1, p=2.0)
     r = rng.uniform(0.3, 1.2, size=25)

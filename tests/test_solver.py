@@ -470,18 +470,6 @@ def test_run_homotopy_closed_form_s1():
     assert all(rec.residual <= 1e-10 for rec in state.step_history)
 
 
-def test_run_homotopy_frozen_at_zero(s1_64):
-    lam = initial_constant(2.0)
-    box = AuditBox(dim=1)
-    barriers, _ = combined_barriers(scan_barriers(MODEL, box), 2.0, box)
-    solver = ContinuationSolver(s1_64, MODEL, SolverConfig(k=1, p=2.0),
-                                barriers=barriers)
-    state = solver.run(t_final=0.0)
-    assert state.t == 0.0
-    assert np.max(np.abs(state.u - lam)) <= 1e-10
-    assert len(state.step_history) == 1
-
-
 def test_run_homotopy_deterministic(s1_64):
     cfg = SolverConfig(k=1, p=2.0)
     a = run_homotopy(MODEL, s1_64, cfg)
@@ -513,7 +501,7 @@ def test_nested_run_matches_single_grid_homotopy():
         solver = ContinuationSolver(grid, target, SolverConfig(k=2, p=2.0),
                                     barriers=barriers)
         nested = solver.run()
-        single = solver._homotopy(1.0)
+        single = solver._homotopy()
         assert nested.t == 1.0
         assert np.max(np.abs(nested.u - single.u)) <= 1e-10
         assert [level.resolution for level in nested.levels] == shapes
@@ -599,7 +587,7 @@ def test_jacobian_check_counts_accepted_states(monkeypatch):
     monkeypatch.setattr(ContinuationSolver, "directional_derivative_check",
                         counted_check)
     monkeypatch.setattr(dscurv.solver, "check_bounds", reject_first_step)
-    history = _solver(build_grid(1, 32), 1)._homotopy(1.0).step_history
+    history = _solver(build_grid(1, 32), 1)._homotopy().step_history
     assert len(monitored) == len(history) + 1
     assert checked == [history[i].t for i in (0, 1, 3, 5)]
 
@@ -693,6 +681,34 @@ def test_run_homotopy_stall_names_cause(s1_64):
         monitor.run()
 
 
+def test_monitor_failure_at_the_start_reports_no_state():
+    # the start radius 0.663 lies below R1 = 0.7: the start is rejected,
+    # so no state was accepted
+    solver = ContinuationSolver(build_grid(1, 64), SpaceTiltPower(0.5, 0.0, 2.0),
+                                SolverConfig(k=1), barriers=(0.7, 0.9))
+    with pytest.raises(ContinuationError) as err:
+        solver.run()
+    assert str(err.value) == (
+        "level 0 (8) failed: bound monitors failed at the homotopy start: "
+        "c0 at 8 node(s) [0, 1, 2, 3, 4]")
+    assert err.value.state is None
+
+
+@pytest.mark.parametrize("barriers", [
+    (np.nan, np.nan), (np.nan, 0.9), (0.7, np.nan), (0.9, 0.7), (0.7, 0.7),
+    (0.0, 0.9), (-0.5, 0.9), (0.5, np.inf)])
+def test_run_rejects_invalid_barriers(monkeypatch, barriers):
+    # refused before any work: no Newton solve on any level may start
+    def no_newton(self, u0, t):
+        raise AssertionError("Newton ran before the barriers were checked")
+
+    monkeypatch.setattr(ContinuationSolver, "newton_solve", no_newton)
+    solver = ContinuationSolver(build_grid(1, 64), MODEL, SolverConfig(k=1),
+                                barriers=barriers)
+    with pytest.raises(ValueError, match="0 < R1 < R2"):
+        solver.run()
+
+
 def test_run_homotopy_requires_barriers(s1_64):
     psi = SpaceTiltPower(a0=5.0, a1=0.0, p=2.0)   # no lower barrier radius
     with pytest.raises(ValueError):
@@ -704,17 +720,6 @@ def test_run_homotopy_ends_exactly_at_t_final():
     state = run_homotopy(SpaceTiltPower(0.5, 0.0, 2.0), build_grid(1, 64),
                          SolverConfig(k=1, p=2.0, dt_init=0.1, dt_max=0.1))
     assert state.t == 1.0
-
-
-@pytest.mark.parametrize("t_final", [-0.5, 1.5])
-def test_run_rejects_t_final_outside_unit_interval(monkeypatch, t_final):
-    # refused before any work: no Newton solve on any level may start
-    def no_newton(self, u0, t):
-        raise AssertionError("Newton ran before t_final was checked")
-
-    monkeypatch.setattr(ContinuationSolver, "newton_solve", no_newton)
-    with pytest.raises(ValueError, match="t_final"):
-        _solver(build_grid(1, 64), 1).run(t_final=t_final)
 
 
 def test_solution_converges_at_second_order():
@@ -784,3 +789,10 @@ def test_solver_config_validation():
         SolverConfig(k=0)
     with pytest.raises(ValueError):
         ContinuationSolver(build_grid(1, 16), MODEL, SolverConfig(k=2))
+
+
+@pytest.mark.parametrize("name, value", [("k", 1.0), ("max_newton", 2.5)])
+def test_solver_config_counts_must_be_integers(name, value):
+    # both used to construct and then fail with TypeError inside the solve
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        SolverConfig(**{name: value})
