@@ -35,9 +35,11 @@ Each radius is independent of the others, so the audit and the scan
 evaluate their boxes one slab of radii (about SLAB_ELEMENTS samples) at
 a time and reduce as they go: running minima and maxima, and each
 condition's worst samples.  Their memory is that of one slab (at least
-one radius), not of the box.  The audit reduces each field at its closed
-form's broadcast shape, so a field that depends on neither r nor xi
-costs one tau-line per slab.
+one radius), not of the box.  The sphere lattice comes in blocks of
+coordinate axes (on S^2 the rings, phi down one axis and theta along
+the next, then the two poles), and each field is reduced at its closed
+form's broadcast shape: a field zonal in phi costs one value per ring,
+and one that depends on neither r nor xi one tau-line per slab.
 """
 
 import math
@@ -288,28 +290,42 @@ class HomotopyPrescription:
 
 # -- sampling lattices -------------------------------------------------
 
-def sphere_lattice(dim, n_xi):
-    """Flat tuple of coordinate sample arrays covering S^dim.
+def _lattice_blocks(dim, n_xi):
+    """The sphere lattice as blocks of coordinate axes, each a pair
+    (offset, xi): xi holds one coordinate array per intrinsic coordinate,
+    all of one ndim, which broadcast to the block's shape, and the
+    block's points in C order are lattice points offset, offset + 1, ...
 
-    On S^2: n_xi longitudes on each of max(6, n_xi // 2) rings at cell
-    midpoints in phi, then the two poles (phi = 0 and pi, theta = 0),
+    On S^1 one block, the n_xi-point circle.  On S^2 the rings, phi down
+    one axis (max(6, n_xi // 2) cell midpoints) and theta along the next
+    (n_xi longitudes), then the two poles (phi = 0 and pi, theta = 0),
     where a prescription zonal in phi takes its extremes.
     """
+    theta = 2.0 * np.pi * np.arange(n_xi) / n_xi
     if dim == 1:
-        return (2.0 * np.pi * np.arange(n_xi) / n_xi,)
+        return ((0, (theta,)),)
     n_phi = max(6, n_xi // 2)
     phi = (np.arange(n_phi) + 0.5) * np.pi / n_phi
-    theta = 2.0 * np.pi * np.arange(n_xi) / n_xi
-    pm, tm = np.meshgrid(phi, theta, indexing="ij")
-    return (np.append(pm.ravel(), (0.0, np.pi)),
-            np.append(tm.ravel(), (0.0, 0.0)))
+    return ((0, (phi[:, None], theta[None, :])),
+            (n_phi * n_xi, (np.array([0.0, np.pi]), np.zeros(2))))
+
+
+def sphere_lattice(dim, n_xi):
+    """Flat tuple of coordinate sample arrays covering S^dim, the points
+    of its blocks (_lattice_blocks) in order: n_xi on S^1, and
+    max(6, n_xi // 2) * n_xi + 2 on S^2 (290 for n_xi = 24).
+    """
+    blocks = [np.broadcast_arrays(*xi) for _, xi in _lattice_blocks(dim, n_xi)]
+    return tuple(np.concatenate([b[i].ravel() for b in blocks])
+                 for i in range(dim))
 
 
 @dataclass
 class AuditBox:
     """Sampling box for the structural audit: n_r radii in [r_lo, r_hi],
-    n_xi sphere samples (sphere_lattice), n_tau tilts in [1, tau_max],
-    and scan_resolution radii for the barrier scan."""
+    the sphere lattice of S^dim with n_xi longitudes (sphere_lattice: n_xi
+    points on S^1, max(6, n_xi // 2) * n_xi + 2 on S^2), n_tau tilts in
+    [1, tau_max], and scan_resolution radii for the barrier scan."""
 
     r_lo: float = 0.05
     r_hi: float = 2.0
@@ -364,27 +380,44 @@ def _row_slabs(n_rows, per_row):
     return [slice(i, i + rows) for i in range(0, n_rows, rows)]
 
 
+def _lattice_slabs(box, r, per_point):
+    """Each block of the sphere lattice of the box (_lattice_blocks) in
+    slabs of the radii r (_row_slabs, per_point samples per lattice point
+    and radius), as (rows, offset, block, rr, xi_cols): the slab's rows
+    of r, the block's lattice offset and shape, and its radii and
+    coordinates on axes (radius, *block, 1)."""
+    for offset, xi in _lattice_blocks(box.dim, box.n_xi):
+        block = np.broadcast_shapes(*(c.shape for c in xi))
+        xi_cols = tuple(c[None, ..., None] for c in xi)
+        for rows in _row_slabs(r.size, math.prod(block) * per_point):
+            rr = r[rows].reshape((-1,) + (1,) * (len(block) + 1))
+            yield rows, offset, block, rr, xi_cols
+
+
 def scan_barriers(psi, box):
     """Scan for trap radii R1 < R2 on box.scan_resolution radii evenly
-    spaced over [box.r_lo, box.r_hi], at the box.n_xi-point sphere
-    lattice of S^box.dim.
+    spaced over [box.r_lo, box.r_hi], at every point of the sphere
+    lattice of S^box.dim (sphere_lattice).
 
     Returns the largest R1 and smallest R2 such that the strict slice
     inequalities hold at every scanned radius on the respective side
     and every sampled xi; R1 = R2 = None (with the margin arrays for
-    diagnosis) when no such pair exists.  The radii are evaluated one
-    slab of rows at a time.
+    diagnosis) when no such pair exists.  Each block of the lattice is
+    evaluated one slab of rows at a time, psi at its closed form's
+    broadcast shape.
     """
     r = np.linspace(box.r_lo, box.r_hi, box.scan_resolution)
-    xi_cols = tuple(c[None, :] for c in sphere_lattice(box.dim, box.n_xi))
+    psi_max = np.full_like(r, -np.inf)
+    psi_min = np.full_like(r, np.inf)
+    for rows, _, _, rr, xi_cols in _lattice_slabs(box, r, 1):
+        vals = psi._fields(rr, xi_cols, np.cosh(rr))[0]
+        vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, rr.shape))
+        axes = tuple(range(1, vals.ndim))
+        psi_max[rows] = np.maximum(psi_max[rows], vals.max(axis=axes))
+        psi_min[rows] = np.minimum(psi_min[rows], vals.min(axis=axes))
     tanh_r = np.tanh(r)
-    lo_margin = np.empty_like(r)
-    hi_margin = np.empty_like(r)
-    for rows in _row_slabs(r.size, xi_cols[0].size):
-        rr = r[rows, None]
-        vals = psi.evaluate(rr, xi_cols, np.cosh(rr)).psi
-        lo_margin[rows] = tanh_r[rows] - vals.max(axis=1)
-        hi_margin[rows] = vals.min(axis=1) - tanh_r[rows]
+    lo_margin = tanh_r - psi_max
+    hi_margin = psi_min - tanh_r
     lo_ok = lo_margin > 0.0
     hi_ok = hi_margin > 0.0
     lo_prefix = np.cumprod(lo_ok)          # 1 while all scanned r' <= r pass
@@ -462,10 +495,11 @@ _THRESHOLDS = {"positive": 0.0, "B": -MARGIN_TOL, "E": -MARGIN_TOL, "C": 0.0}
 WITNESS_COUNT = 3
 
 
-def _slab_witnesses(margin, i_r0, threshold):
-    """The first WITNESS_COUNT samples of one slab in (margin, index)
-    order with margin <= threshold, as (margin, (i_r, i_xi, i_tau)),
-    i_r counted from the slab's first row i_r0.  A NaN margin (an
+def _slab_witnesses(margin, first, threshold):
+    """The first WITNESS_COUNT samples of one slab of a lattice block in
+    (margin, index) order with margin <= threshold, as (margin, (i_r,
+    i_xi, i_tau)).  margin has the slab's shape (rows, *block, n_tau),
+    and first is the index of its first sample.  A NaN margin (an
     overflowed closed form) ranks and is reported as -inf."""
     flat = np.where(np.isnan(margin), -np.inf, margin).ravel()
     k = min(WITNESS_COUNT, flat.size)
@@ -473,11 +507,13 @@ def _slab_witnesses(margin, i_r0, threshold):
     below = np.flatnonzero(flat < cut)      # fewer than k samples
     below = below[np.argsort(flat[below], kind="stable")]
     tied = np.flatnonzero(flat == cut)[:WITNESS_COUNT - below.size]
+    i_r0, i_xi0, _ = first
+    n_tau = margin.shape[-1]
     picks = []
     for idx in (*below, *tied):
-        i_r, i_xi, i_tau = np.unravel_index(idx, margin.shape)
-        picks.append((float(flat[idx]),
-                      (i_r0 + int(i_r), int(i_xi), int(i_tau))))
+        i_r, rest = divmod(int(idx), flat.size // margin.shape[0])
+        i_xi, i_tau = divmod(rest, n_tau)
+        picks.append((float(flat[idx]), (i_r0 + i_r, i_xi0 + i_xi, i_tau)))
     return picks
 
 
@@ -493,26 +529,24 @@ def audit_structural(psi, box):
     diagnostics; the solver only visits tilts below its monitor bound,
     so the surrogate is the operative condition.
 
-    The box is evaluated one slab of radii at a time (at most
-    SLAB_ELEMENTS samples, or one radius), keeping only running minima,
-    the running maximum for D and each condition's worst samples, so
-    memory does not grow with n_r.  Each field is reduced at its closed
-    form's broadcast shape, so one that depends on neither r nor xi
-    costs one tau-line per slab.  A failed condition's witnesses are
-    its WITNESS_COUNT lowest margins; among equal margins the lowest
-    (i_r, i_xi, i_tau) sample index comes first.
+    Each block of the sphere lattice (_lattice_blocks) is evaluated one
+    slab of radii at a time (at most SLAB_ELEMENTS samples, or one
+    radius), keeping only running minima, the running maximum for D and
+    each condition's worst samples, so memory does not grow with n_r.
+    Each field is reduced at its closed form's broadcast shape, so one
+    zonal in phi costs one value per ring.  A failed condition's
+    witnesses are its WITNESS_COUNT lowest margins; among equal margins
+    the lowest (i_r, i_xi, i_tau) sample index comes first.
     """
     r = np.linspace(box.r_lo, box.r_hi, box.n_r)
     tau = np.linspace(1.0, box.tau_max, box.n_tau)
-    xi = sphere_lattice(box.dim, box.n_xi)
-    xi_cols = tuple(c[None, :, None] for c in xi)
-    TAU = tau[None, None, :]
     lows = dict.fromkeys(_THRESHOLDS, np.inf)
     worst = {key: [] for key in _THRESHOLDS}
     max_d = 0.0
-    for rows in _row_slabs(box.n_r, xi[0].size * box.n_tau):
-        rr = r[rows, None, None]
-        slab = (rr.shape[0], xi[0].size, box.n_tau)
+    for rows, offset, block, rr, xi_cols in _lattice_slabs(box, r, box.n_tau):
+        TAU = tau.reshape((1,) * (rr.ndim - 1) + (-1,))
+        slab = (rr.shape[0],) + block + (box.n_tau,)
+        first = (rows.start, offset, 0)
         vals, psi_r, psi_tau, psi_tautau, dxi1 = psi._fields(rr, xi_cols, TAU)
         ratio = vals / TAU
         diffs = np.diff(ratio, axis=-1)
@@ -527,24 +561,26 @@ def audit_structural(psi, box):
             # per-(r, xi) margin: negative iff psi/tau dips, zero-or-negative
             # iff it also fails to keep growing at tau_max; its witnesses
             # sit at tau = 1
-            "C": (np.minimum(monotone, slope)[..., None], slab[:2] + (1,)),
+            "C": (np.minimum(monotone, slope)[..., None], slab[:-1] + (1,)),
         }
         for key, (margin, shape) in margins.items():
             # numpy's min and minimum keep a NaN, Python's min may drop it
             low = margin.min()
             lows[key] = np.minimum(lows[key], low)
             kept = worst[key]
-            # later slabs hold higher indices, so a tie with the last
-            # kept witness cannot displace it
+            # a tie cannot displace the last kept witness when the slab's
+            # first sample follows it, as a later ring slab's does; the
+            # poles' samples precede the rings of later radii
             if not low > _THRESHOLDS[key] and (len(kept) < WITNESS_COUNT
-                                               or not low >= kept[-1][0]):
+                                               or not (low, first) > kept[-1]):
                 worst[key] = sorted(kept + _slab_witnesses(
-                    np.broadcast_to(margin, shape), rows.start,
+                    np.broadcast_to(margin, shape), first,
                     _THRESHOLDS[key]))[:WITNESS_COUNT]
         # S^2's zero d psi/d xi_2 adds |0| / psi = 0, max_d's starting value
         if lows["positive"] > 0.0:
             for c in (psi_r, dxi1):
                 max_d = np.maximum(max_d, np.max(np.abs(c) / vals))
+    xi = sphere_lattice(box.dim, box.n_xi)
 
     def witnesses_of(key):
         picks = []

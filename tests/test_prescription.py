@@ -1,6 +1,7 @@
 """Prescription families, structural audits, barrier scans, homotopy."""
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from dscurv import (AuditBox, ConstantPrescription, HomotopyPrescription,
                     ReferencePrescription, SpaceTiltPower, TiltConcave,
                     TiltPower, audit_structural, build_grid,
                     make_prescription, scan_barriers)
-from dscurv.prescription import Prescription, sphere_lattice
+from dscurv.prescription import (_THRESHOLDS, D_CAP, MARGIN_TOL,
+                                 WITNESS_COUNT, BarrierScan, Prescription,
+                                 StructuralAudit, _lattice_blocks,
+                                 sphere_lattice)
 
 R_STAR = np.log(1.0 + np.sqrt(2.0))   # root of 0.5 cosh^2(r) = 1
 
@@ -44,6 +48,58 @@ def _fd_consistency(psi, dim, rng, rel=1e-6):
 
 FAMILIES = (SpaceTiltPower(a0=0.5, a1=0.1, p=2.0), TiltPower(),
             ConstantPrescription(), TiltConcave(), ReferencePrescription())
+
+
+@dataclass
+class _RotatedTiltPower(Prescription):
+    """SpaceTiltPower with the amplitude a0 + a1 <e, x>, e at polar angle
+    alpha: on S^2 it depends on theta as well as phi."""
+
+    name = "rotated_tilt_power"
+    a0: float = 0.5
+    a1: float = 0.1
+    p: float = 2.0
+    alpha: float = 0.7
+
+    def _closed_form(self, r, xi, tau):
+        a1, sa, ca = self.a1, np.sin(self.alpha), np.cos(self.alpha)
+        if len(xi) == 1:
+            amp = self.a0 + a1 * np.cos(xi[0] - self.alpha)
+            amp_xi1 = -a1 * np.sin(xi[0] - self.alpha)
+        else:
+            phi, theta = xi
+            amp = self.a0 + a1 * (sa * np.sin(phi) * np.cos(theta)
+                                  + ca * np.cos(phi))
+            amp_xi1 = a1 * (sa * np.cos(phi) * np.cos(theta)
+                            - ca * np.sin(phi))
+        p, tanh_r, tau_p = self.p, np.tanh(r), tau ** self.p
+        return (amp * tanh_r * tau_p, amp * tau_p / np.cosh(r) ** 2,
+                amp * tanh_r * p * tau ** (p - 1.0),
+                amp * tanh_r * p * (p - 1.0) * tau ** (p - 2.0),
+                amp_xi1 * tanh_r * tau_p)
+
+
+@dataclass
+class _PoleCap(Prescription):
+    """psi = c tau^(1/2) with c = min(1, cos^2 xi_1 + 10 (r - 0.05)).  On
+    the default S^2 box c = 1 at the poles at every radius but on the
+    rings only from the second radius on, so the B, C and E witnesses are
+    the two poles at r_lo, tied with a ring sample at the next radius."""
+
+    name = "pole_cap"
+
+    def _closed_form(self, r, xi, tau):
+        raw = np.cos(xi[0]) ** 2 + 10.0 * (r - 0.05)
+        c = np.minimum(1.0, raw)
+        free = raw < 1.0
+        root = np.sqrt(tau)
+        return (c * root, np.where(free, 10.0, 0.0) * root, 0.5 * c / root,
+                -0.25 * c / (root * tau),
+                np.where(free, -np.sin(2.0 * xi[0]), 0.0) * root)
+
+
+BLOCK_PROBES = (SpaceTiltPower(a0=0.5, a1=0.1, p=2.0), _RotatedTiltPower(),
+                _PoleCap())
 
 
 def _psi_fields(ev):
@@ -195,7 +251,8 @@ def test_reference_slice_bracket_and_barriers():
 
 
 @pytest.mark.parametrize("dim", (1, 2))
-@pytest.mark.parametrize("psi", FAMILIES, ids=lambda psi: psi.name)
+@pytest.mark.parametrize("psi", FAMILIES + BLOCK_PROBES[1:],
+                         ids=lambda psi: psi.name)
 def test_audit_and_scan_do_not_depend_on_the_slab_size(monkeypatch, psi, dim):
     box = AuditBox(dim=dim)
     results = []
@@ -219,6 +276,108 @@ def test_tied_witnesses_take_the_lowest_index():
         {"r": box.r_lo, "tau": box.tau_max, "xi_1": float(phi[i]),
          "xi_2": float(theta[i]), "margin": audit.diagnostics["min_B_margin"]}
         for i in range(3)]
+
+
+def test_pole_witnesses_precede_tied_ring_samples_of_later_radii():
+    # the poles are evaluated after every ring, yet at r_lo they come
+    # before the ring samples of the second radius
+    box = AuditBox(dim=2)
+    audit = audit_structural(_PoleCap(), box)
+    r_1 = float(np.linspace(box.r_lo, box.r_hi, box.n_r)[1])
+    phi_0 = float(sphere_lattice(2, box.n_xi)[0][0])
+    for key in ("B", "C", "E"):
+        picks = audit.witnesses[key]
+        assert [(w["r"], w["xi_1"], w["xi_2"]) for w in picks] == [
+            (box.r_lo, 0.0, 0.0), (box.r_lo, np.pi, 0.0), (r_1, phi_0, 0.0)]
+        assert len({w["margin"] for w in picks}) == 1
+
+
+def _flat_audit_and_scan(psi, box):
+    """Brute force: the audit and the scan over the flat sphere_lattice at
+    full shape, as (audit.to_dict(), scan)."""
+    xi = sphere_lattice(box.dim, box.n_xi)
+    r = np.linspace(box.r_lo, box.r_hi, box.n_r)
+    tau = np.linspace(1.0, box.tau_max, box.n_tau)
+    rs = np.linspace(box.r_lo, box.r_hi, box.scan_resolution)
+    ev = psi.evaluate(r[:, None, None], [c[:, None] for c in xi], tau)
+    ratio = ev.psi / tau
+    diffs = np.diff(ratio, axis=-1)
+    scale = 1.0 + np.abs(ratio[..., :-1])
+    monotone = np.min(diffs + MARGIN_TOL * scale, axis=-1)
+    margins = {"positive": ev.psi, "B": ev.psi_tau * tau - ev.psi,
+               "E": ev.psi_tautau,
+               "C": np.minimum(monotone, diffs[..., -1])[..., None]}
+    d = np.max([np.max(np.abs(c) / ev.psi) for c in (ev.psi_r, *ev.psi_xi)])
+    vals = psi.evaluate(rs[:, None], xi, np.cosh(rs)[:, None]).psi
+    witnesses = {}
+    for key, m in margins.items():
+        if m.min() > _THRESHOLDS[key]:
+            continue
+        flat = np.where(np.isnan(m), -np.inf, m).ravel()
+        picks = witnesses[key] = []
+        for i in np.argsort(flat, kind="stable")[:WITNESS_COUNT]:
+            if flat[i] <= _THRESHOLDS[key]:
+                i_r, i_xi, i_tau = np.unravel_index(i, m.shape)
+                picks.append({"r": r[i_r], "tau": tau[i_tau],
+                              "margin": flat[i],
+                              **{f"xi_{k + 1}": c[i_xi]
+                                 for k, c in enumerate(xi)}})
+    constant_d = np.inf if "positive" in witnesses else d
+    if not constant_d <= D_CAP:
+        witnesses["D"] = [{"constant_D": constant_d, "cap": D_CAP}]
+    lo, hi = np.tanh(rs) - vals.max(axis=1), vals.min(axis=1) - np.tanh(rs)
+    # how many leading radii hold lo > 0, and how many trailing ones hi > 0
+    n_1 = np.argmin(np.append(lo > 0, False))
+    n_2 = np.argmin(np.append(hi[::-1] > 0, False))
+    found = n_1 and n_2 and rs[n_1 - 1] < rs[-n_2]
+    scan = BarrierScan(rs[n_1 - 1] if found else None,
+                       rs[-n_2] if found else None, rs, lo, hi)
+    if not found:
+        witnesses["A"] = [{"sign_pattern": scan.sign_pattern()}]
+    diagnostics = {"min_B_margin": margins["B"].min(),
+                   "min_E_value": margins["E"].min(),
+                   "C_surrogate_tau_max": box.tau_max,
+                   "min_psi": margins["positive"].min()}
+    return StructuralAudit(box, constant_d, scan, witnesses,
+                           diagnostics).to_dict(), scan
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+@pytest.mark.parametrize("psi", BLOCK_PROBES, ids=lambda psi: psi.name)
+def test_audit_and_scan_match_the_flat_lattice(psi, dim):
+    for extra in ({}, {"n_xi": 7, "n_r": 5},
+                  {"r_lo": 1e-7, "n_r": 7, "n_tau": 9}):
+        box = AuditBox(dim=dim, **extra)
+        audit, scan = _flat_audit_and_scan(psi, box)
+        assert audit_structural(psi, box).to_dict() == audit
+        got = scan_barriers(psi, box)
+        assert (got.R1, got.R2) == (scan.R1, scan.R2)
+        assert got.lo_margin.tobytes() == scan.lo_margin.tobytes()
+        assert got.hi_margin.tobytes() == scan.hi_margin.tobytes()
+
+
+@pytest.mark.parametrize("n_xi", (1, 2, 7, 24, 25))
+def test_sphere_lattice_is_its_blocks_in_order(n_xi):
+    n_phi = max(6, n_xi // 2)
+    phi = (np.arange(n_phi) + 0.5) * np.pi / n_phi
+    theta = 2.0 * np.pi * np.arange(n_xi) / n_xi
+    assert np.array_equal(sphere_lattice(1, n_xi)[0], theta)
+    lattice = sphere_lattice(2, n_xi)
+    assert lattice[0].size == n_phi * n_xi + 2
+    assert np.array_equal(lattice[0], np.append(np.repeat(phi, n_xi),
+                                                (0.0, np.pi)))
+    assert np.array_equal(lattice[1], np.append(np.tile(theta, n_phi),
+                                                (0.0, 0.0)))
+    for dim in (1, 2):
+        flat = sphere_lattice(dim, n_xi)
+        end = 0
+        for offset, xi in _lattice_blocks(dim, n_xi):
+            points = np.broadcast_arrays(*xi)
+            assert offset == end and len(points) == dim
+            end += points[0].size
+            for c, whole in zip(points, flat):
+                assert np.array_equal(c.ravel(), whole[offset:end])
+        assert end == flat[0].size
 
 
 class _TiltShift(Prescription):
@@ -286,6 +445,15 @@ def test_audit_and_scan_allocate_bounded_memory(psi):
     box = AuditBox(dim=2)
     assert _traced_peak_mb(audit_structural, psi, box) <= 5.0
     assert _traced_peak_mb(scan_barriers, psi, box) <= 2.5
+
+
+def test_zonal_audit_and_scan_allocate_one_value_per_ring():
+    # a zonal field is evaluated at shape (rows, n_phi, 1, n_tau) on the
+    # rings; at all 24 longitudes the audit peaked at 3.24 MB, the scan at
+    # 1.64 MB
+    psi, box = SpaceTiltPower(0.5, 0.1, 2.0), AuditBox(dim=2)
+    assert _traced_peak_mb(audit_structural, psi, box) <= 0.5
+    assert _traced_peak_mb(scan_barriers, psi, box) <= 0.25
 
 
 @pytest.mark.parametrize("psi", (TiltPower(), ConstantPrescription(),
