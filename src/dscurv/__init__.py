@@ -4,8 +4,8 @@ A numpy toolkit for the curvature equation f(lam[A(u)]) = psi(x, tau):
 symmetric-function kernel and Garding-cone tests, finite-difference
 sphere grids, induced graph geometry, prescription audits and barrier
 scans, a priori bound monitors, and a damped-Newton homotopy
-continuation solver from the exactly solvable umbilic start.  scipy is
-imported only by S^1 solves, for SuperLU.
+continuation solver from the exactly solvable umbilic start.  numpy is
+its one runtime dependency.
 """
 
 __version__ = "0.1.0"

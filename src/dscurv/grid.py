@@ -17,17 +17,17 @@ table of coefficients, one row per stencil offset (StencilMatrix), and
 it acts on a field through slices of one ghost-padded copy of it: the
 padding carries the theta wrap and the antipodal pole rings.
 
-Linear solves with such a matrix (StencilPattern.solve) are SuperLU's
-on S^1, the one use of scipy, imported there.  On S^2 they factor the
-matrix's average over each ring instead: a matrix whose coefficients
-depend on phi alone splits, under a real FFT in theta, into one
-tridiagonal system in phi per Fourier mode m, and the pole closure, a
-shift by half a turn, adds (-1)^m times the ghost coefficient to the
-first and last diagonal entries (P. N. Swarztrauber, J. Comput. Phys.
-15, 1974).  That factor solves a zonal matrix directly and
-preconditions any other (Concus & Golub, SIAM J. Numer. Anal. 10,
-1973); defect correction against the exact matrix then finishes the
-solve, each correction a few GMRES steps preconditioned by that factor
+Linear solves with such a matrix (StencilPattern.solve) start from a
+direct factor.  S^1's periodic tridiagonal matrix is eliminated with its
+corners folded out and one Sherman-Morrison correction (C. Temperton,
+J. Comput. Phys. 19, 1975).  On S^2 the matrix's average over each ring
+splits, under a real FFT in theta, into one tridiagonal system in phi
+per Fourier mode m, and the pole closure, a shift by half a turn, adds
+(-1)^m times the ghost coefficient to the first and last diagonal
+entries (P. N. Swarztrauber, J. Comput. Phys. 15, 1974); that factor
+preconditions any matrix (Concus & Golub, SIAM J. Numer. Anal. 10,
+1973).  Defect correction against the exact matrix finishes every
+solve, each correction a few GMRES steps preconditioned by the factor
 (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), so strongly
 non-zonal matrices need about as many factor solves on every grid.
 """
@@ -41,7 +41,7 @@ import numpy as np
 # BACKWARD_ERROR_TOL times (|J| |x| + |b|)_i, a row-wise backward error.
 # Defect correction floors near 1 eps from 64x128 to 256x512; a non-zonal
 # 64x128 solve stopped at 47 eps, as 64 eps would allow, was 2e-12 from
-# SuperLU's answer, against 4e-14 one sweep later.  Each correction
+# a sparse LU's answer, against 4e-14 one sweep later.  Each correction
 # sweep is a cycle of at most KRYLOV_STEPS preconditioned GMRES steps:
 # the plain sweep x += P^-1 (b - J x) contracts by the spectral radius of
 # I - P^-1 J, which far from zonal grows with the grid (0.60 per sweep at
@@ -341,25 +341,20 @@ class StencilPattern:
     def solve(self, jac, b):
         """The x with jac x = b, for a StencilMatrix assemble() built.
 
-        On S^1 this is SuperLU's solve, whose partial pivoting is
-        backward stable by itself.  On S^2 the first solve is the Fourier
-        factor of jac's ring-averaged table (the module docstring), exact
-        when jac is zonal.  Defect corrections x += d, with d from at
-        most KRYLOV_STEPS GMRES steps on jac d = b - jac x preconditioned
-        by that factor, follow until every row satisfies
+        The first solve is a direct factor (the module docstring): on S^1
+        the cyclic Thomas factor of jac, on S^2 the Fourier factor of
+        jac's ring-averaged table, exact when jac is zonal.  Defect
+        corrections x += d, with d from at most KRYLOV_STEPS GMRES steps
+        on jac d = b - jac x preconditioned by that factor, follow until
+        every row satisfies
         |b - jac x|_m <= BACKWARD_ERROR_TOL (|jac| |x| + |b|)_m.  Raises
-        numpy.linalg.LinAlgError on a singular factor (SuperLU's, or a
-        zero pivot) or when the corrections stall or run out of sweeps
-        (STALL_SWEEPS, CORRECTION_SWEEPS).
+        numpy.linalg.LinAlgError on a singular factor (a zero pivot, or
+        on S^1 a corner correction that cancels) or when the corrections
+        stall or run out of sweeps (STALL_SWEEPS, CORRECTION_SWEEPS).
         """
-        if self.dim == 1:
-            import scipy.sparse.linalg as spla
-            try:
-                return spla.splu(jac.tocsr().tocsc()).solve(b)
-            except RuntimeError as exc:     # SuperLU: exactly singular
-                raise np.linalg.LinAlgError(str(exc)) from exc
         magnitude = abs(jac)
-        inverse = self._fourier_inverse(jac.table)
+        inverse = (_cyclic_inverse(jac.table) if self.dim == 1
+                   else self._fourier_inverse(jac.table))
         x, best, stalled = inverse(b), np.inf, 0
         for _ in range(CORRECTION_SWEEPS):
             defect = b - jac @ x
@@ -400,30 +395,62 @@ class StencilPattern:
         lower, pivot, upper = symbol[:, 0], symbol[:, 1], symbol[:, 2]
         pivot[0] += self._fold * lower[0]
         pivot[-1] += self._fold * upper[-1]
-        # LU without pivoting, every mode at once: the diagonal becomes the
-        # pivots diag_j - lower_j upper_{j-1} / pivot_{j-1}; a zero pivot
-        # is reported below, and only makes the later ones non-finite
-        coupling = lower[1:] * upper[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for j in range(1, nlat):
-                pivot[j] -= coupling[j - 1] / pivot[j - 1]
-        zero = np.argwhere(pivot == 0)
-        if zero.size:
-            raise np.linalg.LinAlgError(
-                "zero pivot in ring {}, mode {}".format(*zero[0]))
-        inv_pivot = 1.0 / pivot
-        multiplier = lower[1:] * inv_pivot[:-1]
-        ratio = upper * inv_pivot
+        eliminate = _thomas(lower, pivot, upper, "ring {}, mode {}")
+        return lambda b: np.fft.irfft(eliminate(np.fft.rfft(
+            b.reshape(nlat, nlon), axis=1)), nlon, axis=1).ravel()
 
-        def inverse(b):
-            y = np.fft.rfft(b.reshape(nlat, nlon), axis=1)
-            for j in range(1, nlat):
-                y[j] -= multiplier[j - 1] * y[j - 1]
-            y *= inv_pivot
-            for j in range(nlat - 2, -1, -1):
-                y[j] -= ratio[j] * y[j + 1]
-            return np.fft.irfft(y, nlon, axis=1).ravel()
-        return inverse
+
+def _thomas(lower, pivot, upper, where):
+    """The in-place solve with the tridiagonal systems along axis 0, row j
+    pivot[j] x_j + lower[j] x_{j-1} + upper[j] x_{j+1}, by LU without
+    pivoting, which overwrites pivot.  A zero pivot, which only makes later
+    ones non-finite, raises LinAlgError named by ``where``.format(*index)."""
+    coupling = lower[1:] * upper[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(1, len(pivot)):
+            pivot[j] -= coupling[j - 1] / pivot[j - 1]
+    zero = np.argwhere(pivot == 0)
+    if zero.size:
+        raise np.linalg.LinAlgError("zero pivot in " + where.format(*zero[0]))
+    inv_pivot = 1.0 / pivot
+    multiplier = lower[1:] * inv_pivot[:-1]
+    ratio = upper * inv_pivot
+
+    def solve(y):
+        for j in range(1, len(y)):
+            y[j] -= multiplier[j - 1] * y[j - 1]
+        y *= inv_pivot
+        for j in range(len(y) - 2, -1, -1):
+            y[j] -= ratio[j] * y[j + 1]
+        return y
+    return solve
+
+
+def _cyclic_inverse(table):
+    """The solve with an S^1 table's periodic tridiagonal J, corners
+    top = J[0, n-1] and bottom = J[n-1, 0]: J = T + c v^T with
+    c = (gamma, 0, .., bottom), v = (1, 0, .., top / gamma), gamma = -J_00,
+    by Thomas on T and Sherman-Morrison.  Raises LinAlgError on a zero
+    pivot, or when 1 + v.z, z = T^-1 c, is within BACKWARD_ERROR_TOL of
+    its terms: J is singular to working precision."""
+    lower, pivot, upper = table.copy()      # Thomas overwrites the pivots
+    if pivot[0] == 0:
+        raise np.linalg.LinAlgError("zero pivot in node 0")
+    gamma = -pivot[0]
+    w = lower[0] / gamma
+    pivot[0] -= gamma
+    pivot[-1] -= upper[-1] * w
+    eliminate = _thomas(lower, pivot, upper, "node {}")
+    z = eliminate(np.r_[gamma, np.zeros(len(pivot) - 2), upper[-1]])
+    gain, scale = 1.0 + z[0] + w * z[-1], 1.0 + abs(z[0]) + abs(w * z[-1])
+    if abs(gain) <= BACKWARD_ERROR_TOL * scale:
+        raise np.linalg.LinAlgError(f"singular periodic system: 1 + v.z is "
+                                    f"{abs(gain) / scale:.1e} of its terms")
+
+    def inverse(b):
+        y = eliminate(np.array(b, dtype=float))
+        return y - (y[0] + w * y[-1]) / gain * z
+    return inverse
 
 
 class StencilMatrix:
@@ -448,24 +475,6 @@ class StencilMatrix:
         return y.ravel()
 
     __matmul__ = dot
-
-    def tocsr(self):
-        """This matrix as a scipy.sparse CSR matrix on arrays of its own:
-        row m lists node m's neighbours in offset order, entries that
-        cancel included."""
-        import scipy.sparse as sp
-        pattern = self.pattern
-        n = pattern.shape[0]
-        nodes = _padded(np.arange(n).reshape(pattern.field_shape))
-        indices = np.stack([nodes[view].ravel() for view in pattern._views],
-                           axis=1).ravel()
-        return sp.csr_matrix((self.table.T.ravel(), indices,
-                              pattern.width * np.arange(n + 1)),
-                             shape=pattern.shape)
-
-    def toarray(self):
-        """This matrix as a dense ndarray."""
-        return self.tocsr().toarray()
 
 
 def _gmres_correction(jac, inverse, defect, reduction):

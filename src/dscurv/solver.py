@@ -20,11 +20,11 @@ pole closure, once (SphereGrid.stencil_pattern); every Jacobian is that
 pattern's table of the coefficients times the stencil weights
 (StencilMatrix), which applies itself to a vector through slices of one
 ghost-padded copy of it, with no index arrays.
-Each Newton step solves with the pattern's factor (StencilPattern.solve):
-on S^2 a Fourier-in-theta tridiagonal factor of the Jacobian's ring
-average, exact at a zonal state, followed by defect correction against
-the exact Jacobian, each correction a few GMRES steps preconditioned by
-that factor, to a row-wise backward error of 16 eps; on S^1 SuperLU.
+Each Newton step solves with the pattern's factor (StencilPattern.solve),
+on S^1 a cyclic Thomas factor and on S^2 a Fourier-in-theta tridiagonal
+factor of the Jacobian's ring average, exact at a zonal state.  Defect
+correction against the exact Jacobian, each correction a few GMRES steps
+preconditioned by that factor, ends at a row-wise backward error of 16 eps.
 
 Each Newton trial step must be spacelike, node-wise admissible, and
 reduce the residual sup-norm, otherwise the step is backtracked.  The
@@ -301,11 +301,10 @@ class ContinuationSolver:
 
     def jacobian(self, u, t, geom=None, psi=None):
         """Exact Jacobian of the discrete residual at (u, t), as the
-        StencilMatrix of the grid's fixed stencil pattern (its tocsr() gives
-        the scipy CSR matrix); ``geom`` and ``psi`` are the induced
-        geometry and PsiEval that residual_with_geometry returned at
-        (u, t), when the caller has them; otherwise that call, with its
-        cone test, evaluates both here.
+        StencilMatrix of the grid's fixed stencil pattern; ``geom`` and
+        ``psi`` are the induced geometry and PsiEval that
+        residual_with_geometry returned at (u, t), when the caller has
+        them; otherwise that call, with its cone test, evaluates both here.
 
         Phi at a node depends on u only through u, p = D_i u and
         H = D_ij u at that node, so J = diag(a_u) + sum_i diag(a_p_i) D_i
@@ -397,13 +396,14 @@ class ContinuationSolver:
         """Damped Newton with backtracking from u0 at fixed t.
 
         Each iteration solves with the exact Jacobian at its iterate
-        (StencilPattern.solve: the Fourier factor and defect correction
-        on S^2, SuperLU on S^1).  A trial step is accepted only if it is
-        spacelike, node-wise admissible, and reduces the residual
-        sup-norm.  Raises NewtonError (carrying the best iterate) when
-        the iteration cap or the minimal damping is hit, or when the
-        Jacobian is singular: SuperLU's singular factor, a zero pivot,
-        or defect corrections that stop contracting.
+        (StencilPattern.solve: the cyclic Thomas factor on S^1, the
+        Fourier factor on S^2, and defect correction).  A trial step is
+        accepted only if it is spacelike, node-wise admissible, and
+        reduces the residual sup-norm.  Raises NewtonError (carrying the
+        best iterate) when the iteration cap or the minimal damping is
+        hit, or when the Jacobian is singular: a zero pivot, a periodic
+        system singular to working precision, or defect corrections that
+        stop contracting.
         """
         cfg = self.config
         u = self.grid.check_field(u0).copy()

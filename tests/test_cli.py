@@ -554,12 +554,18 @@ def test_cli_overrides(tmp_path):
     assert (out / "summary.json").exists()
 
 
-def test_s2_runs_never_import_scipy(tmp_path):
-    # scipy serves S^1's SuperLU only: importing dscurv and running an S^2
-    # solve, identity check and audit, in a fresh process, loads none of it
+def test_runs_never_import_scipy(tmp_path):
+    # numpy is the one runtime dependency: importing dscurv and running an
+    # S^2 solve, identity check and audit and an S^1 solve, in a fresh
+    # process, loads no scipy, and no module of the package imports it
     path = write_config(tmp_path, BASE)
     runs = [["--config", path, "--mode", mode, "--out", str(tmp_path / mode),
              "--quiet"] for mode in ("solve", "identity-check", "audit-only")]
+    s1 = write_config(tmp_path, "mode = solve\ngrid.dim = 1\ngrid.n = 128\n"
+                      "k = 1\nprescription.name = space_tilt_power\n"
+                      "prescription.a0 = 0.5\nprescription.a1 = 0.4\n"
+                      "prescription.p = 2.0\n", name="s1.cfg")
+    runs.append(["--config", s1, "--out", str(tmp_path / "s1"), "--quiet"])
     script = ("import sys, dscurv, dscurv.cli\n"
               f"codes = [dscurv.cli.main(argv) for argv in {runs!r}]\n"
               "print(codes, sorted(m for m in sys.modules\n"
@@ -569,4 +575,7 @@ def test_s2_runs_never_import_scipy(tmp_path):
                           text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0] []"
+    assert proc.stdout.strip() == "[0, 0, 0, 0] []"
+    for module in Path(dscurv.__file__).parent.glob("*.py"):
+        assert not re.search(r"^\s*(import|from)\s+scipy\b",
+                             module.read_text(), re.M), module.name

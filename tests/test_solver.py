@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 import scipy.sparse.linalg as spla
 
 import dscurv.grid
@@ -24,6 +25,20 @@ MODEL = SpaceTiltPower(a0=0.5, a1=0.0, p=2.0)
 def _solver(grid, k, **cfg):
     return ContinuationSolver(grid, MODEL, SolverConfig(k=k, p=2.0, **cfg),
                               barriers=(0.55, 0.95))
+
+
+def _csr(jac):
+    """The StencilMatrix jac as a scipy.sparse CSR matrix on arrays of its
+    own, the reference the tests compare against: row m lists node m's
+    neighbours in offset order, entries that cancel included."""
+    pattern = jac.pattern
+    n = pattern.shape[0]
+    nodes = dscurv.grid._padded(np.arange(n).reshape(pattern.field_shape))
+    indices = np.stack([nodes[view].ravel() for view in pattern._views],
+                       axis=1).ravel()
+    return scipy.sparse.csr_matrix((jac.table.T.ravel(), indices,
+                                    pattern.width * np.arange(n + 1)),
+                                   shape=pattern.shape)
 
 
 def test_initial_constant_satisfies_defining_equation():
@@ -101,7 +116,7 @@ def test_jacobian_matches_dense_differencing():
                                 barriers=(0.55, 0.95))
     phi, _ = grid.coords()
     u = np.full(grid.shape, solver.start_radius) + 0.03 * np.cos(phi) ** 2
-    jac = solver.jacobian(u, 0.0).toarray()
+    jac = _csr(solver.jacobian(u, 0.0)).toarray()
     base = u.ravel()
     eps = 1e-7
     dense = np.zeros_like(jac)
@@ -123,7 +138,7 @@ def test_jacobian_sparsity_matches_stencil():
         grid = build_grid(2, res)
         solver = _solver(grid, 2)
         jac = solver.jacobian(_nonzonal_state(grid, solver), 0.5)
-        csr = jac.tocsr()
+        csr = _csr(jac)
         nlat, nlon = grid.shape
         for m in range(grid.node_count):
             j, i = divmod(m, nlon)
@@ -153,7 +168,7 @@ def test_jacobian_pattern_is_fixed(s2_16x32):
     grid = s2_16x32
     solver = _solver(grid, 2)
     phi, _ = grid.coords()
-    first, *rest = [solver.jacobian(u, 0.5).tocsr() for u in (
+    first, *rest = [_csr(solver.jacobian(u, 0.5)) for u in (
         np.full(grid.shape, solver.start_radius),
         solver.start_radius + 0.02 * np.cos(phi),
         _nonzonal_state(grid, solver))]
@@ -208,7 +223,7 @@ def test_stencil_products_match_csr_bit_for_bit(s1_64, rng):
         cases.append((solver, u, 1.0 + np.cos(theta) + np.sin(3.0 * theta)))
     for solver, u, x in cases:
         jac = solver.jacobian(u, 0.5)
-        csr, magnitude = jac.tocsr(), abs(jac).tocsr()
+        csr, magnitude = _csr(jac), _csr(abs(jac))
         for v in (x, rng.standard_normal(x.size)):
             assert np.array_equal(jac @ v, csr @ v)
             assert np.array_equal(abs(jac) @ np.abs(v), magnitude @ np.abs(v))
@@ -233,13 +248,13 @@ def test_fourier_solve_matches_spsolve(rng):
             jac = solver.jacobian(u, 0.5)
             table = jac.table.copy()
             b = _multimode_field(grid)
-            want = spla.spsolve(jac.tocsr().tocsc(), b)
+            want = spla.spsolve(_csr(jac).tocsc(), b)
             got = pattern.solve(jac, b)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             # any right-hand side: the solve's own contract
             b = rng.standard_normal(grid.node_count)
             x = pattern.solve(jac, b)
-            assert _backward_error(jac.tocsr(), x, b) <= dscurv.grid.BACKWARD_ERROR_TOL
+            assert _backward_error(_csr(jac), x, b) <= dscurv.grid.BACKWARD_ERROR_TOL
             assert np.array_equal(jac.table, table)
 
 
@@ -251,7 +266,7 @@ def test_newton_matches_splu_reference(monkeypatch):
     u = _nonzonal_state(grid, solver)
     result = solver.newton_solve(u, 0.0)
     monkeypatch.setattr(dscurv.grid.StencilPattern, "solve",
-                        lambda self, jac, b: spla.splu(jac.tocsr().tocsc()).solve(b))
+                        lambda self, jac, b: spla.splu(_csr(jac).tocsc()).solve(b))
     reference = solver.newton_solve(u, 0.0)
     assert result.iterations == reference.iterations
     assert result.residual_norm <= 1e-10
@@ -267,7 +282,7 @@ def test_edits_to_tocsr_leave_the_jacobian_unchanged():
     table = jac.table.copy()
     x = _multimode_field(grid)
     product, magnitude = jac @ x, abs(jac) @ np.abs(x)
-    csr = jac.tocsr()
+    csr = _csr(jac)
     csr.sort_indices()
     abs(csr)
     csr.data[::2] = 0.0
@@ -275,7 +290,7 @@ def test_edits_to_tocsr_leave_the_jacobian_unchanged():
     assert np.array_equal(jac.table, table)
     assert np.array_equal(jac @ x, product)
     assert np.array_equal(abs(jac) @ np.abs(x), magnitude)
-    assert np.array_equal(jac.tocsr() @ x, product)
+    assert np.array_equal(_csr(jac) @ x, product)
 
 
 def test_jacobian_linearity_and_directional_check(s2_16x32):
@@ -414,8 +429,8 @@ def test_newton_error_counts_accepted_steps(s1_64, monkeypatch):
 
 def _singular_assembly(pattern):
     """assemble() replaced by a singular matrix on the same pattern: zero
-    on S^1, which SuperLU refuses, and the constant-coefficient D_thth on
-    S^2, whose mode-0 system is zero, so the first pivot is."""
+    on S^1, whose first pivot is zero, and the constant-coefficient D_thth
+    on S^2, whose mode-0 system is zero, so the first pivot is."""
     assemble = pattern.assemble
 
     def singular(a_u, a_p, a_H):
@@ -427,7 +442,7 @@ def _singular_assembly(pattern):
 
 
 def test_singular_jacobian_is_a_newton_error(s1_64, monkeypatch):
-    for grid, cause in ((s1_64, "Factor is exactly singular"),
+    for grid, cause in ((s1_64, "zero pivot in node 0"),
                         (build_grid(2, (16, 32)), "zero pivot in ring 0, mode 0")):
         pattern = grid.stencil_pattern()
         monkeypatch.setattr(pattern, "assemble", _singular_assembly(pattern))
@@ -459,6 +474,56 @@ def test_stalled_corrections_are_a_newton_error(monkeypatch):
     with pytest.raises(NewtonError, match=r"singular Jacobian at t = 0\.500000:"
                        r" defect correction stopped contracting"):
         _solver(grid, 2).newton_solve(np.full(grid.shape, 0.75), 0.5)
+
+
+def test_singular_periodic_system_is_a_newton_error(monkeypatch):
+    # the periodic second difference alone: the constants are its kernel,
+    # so the corner correction's denominator cancels to rounding
+    for n in (16, 64, 128):
+        grid = build_grid(1, n)
+        pattern = grid.stencil_pattern()
+        assemble = pattern.assemble
+
+        def singular(a_u, a_p, a_H):
+            return assemble(np.zeros_like(a_u), np.zeros_like(a_p),
+                            np.ones_like(a_H))
+
+        monkeypatch.setattr(pattern, "assemble", singular)
+        u0 = np.full(grid.shape, 0.75)
+        with pytest.raises(NewtonError, match=r"singular Jacobian at t = "
+                           r"0\.500000: singular periodic system") as err:
+            _solver(grid, 1).newton_solve(u0, 0.5)
+        assert np.array_equal(err.value.best_u, u0)
+        assert err.value.iterations == 0
+
+
+def test_cyclic_solve_matches_dense(rng, monkeypatch):
+    # S^1's cyclic Thomas factor with its corner correction is direct, so
+    # no solve needs a GMRES correction: from the coarsest level up, at
+    # the constant start, a perturbed start, and the solution of a target
+    # with a1 = 0.4
+    monkeypatch.setattr(dscurv.grid, "_gmres_correction", None)
+    tilted = SpaceTiltPower(a0=0.5, a1=0.4, p=2.0)
+    config = SolverConfig(k=1, p=2.0)
+    for n in (8, 16, 64, 128):
+        grid = build_grid(1, n)
+        pattern, theta = grid.stencil_pattern(), grid.theta
+        solver = _solver(grid, 1)
+        cases = ((solver, np.full(grid.shape, solver.start_radius), 0.5),
+                 (solver, solver.start_radius + 0.02 * np.cos(theta), 0.5),
+                 (ContinuationSolver(grid, tilted, config),
+                  run_homotopy(tilted, grid, config).u, 1.0))
+        for solver, u, t in cases:
+            jac = solver.jacobian(u, t)
+            table, csr = jac.table.copy(), _csr(jac)
+            b = 1.0 + np.cos(theta) + np.sin(3.0 * theta)
+            want = np.linalg.solve(csr.toarray(), b)
+            got = pattern.solve(jac, b)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            b = rng.standard_normal(n)
+            x = pattern.solve(jac, b)
+            assert _backward_error(csr, x, b) <= dscurv.grid.BACKWARD_ERROR_TOL
+            assert np.array_equal(jac.table, table)
 
 
 def test_run_homotopy_closed_form_s1():
