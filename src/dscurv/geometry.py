@@ -12,10 +12,11 @@ shape operator g^{-1}A) are computed on request, for output and
 checks, through a Cholesky-symmetrized eigenproblem so they stay real
 and exact at umbilic points.
 
-Tensors are component-first like the grid's: du[i, ...], g[i, j, ...],
-A[i, j, ...].  The curvature sums and the principal curvatures are
-tuples per node and keep the symmetric functions' trailing axis,
-sums[..., j - 1] = S_j.
+The bundle is 2x2 component arithmetic (sigma = diag(1, sin^2 phi)):
+a symmetric tensor is the tuple (x_00, x_01, x_11), or (x_00,) on S^1;
+the arrays g[i, j, ...], g_inv and A are built on access.  The
+curvature sums and the principal curvatures are tuples per node and
+keep the symmetric functions' trailing axis, sums[..., j - 1] = S_j.
 
 Spacelike means cosh^2(u) - |grad u|^2 > 0 node-wise; a small relative
 guard keeps the tilt finite and the linearized operator well
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, SpacelikeError
-from .grid import _padded, covariant_hessian
+from .grid import _padded
 
 # Relative margin below which a node counts as non-spacelike.
 SPACELIKE_GUARD = 1e-8
@@ -43,15 +44,22 @@ class InducedGeometry:
 
     grid: object
     u: np.ndarray
-    du: np.ndarray            # round-metric partials u_i
-    du_raised: np.ndarray     # sigma^{ij} u_j
-    grad_norm2: np.ndarray    # |grad u|^2 = sigma^{ij} u_i u_j
-    g: np.ndarray
-    g_inv: np.ndarray
+    du: np.ndarray            # round-metric partials p_i = u_i
+    q: tuple                  # q_i = sigma^{ij} u_j
+    grad_norm2: np.ndarray    # |grad u|^2 = p.q
+    cosh_u: np.ndarray
+    margin: np.ndarray        # m = cosh^2(u) - |grad u|^2
     tau: np.ndarray
     eta: np.ndarray
-    A: np.ndarray
+    g_comp: tuple
+    g_inv_comp: tuple
+    A_comp: tuple
     sums: np.ndarray          # S_1..S_n of the principal curvatures, (..., n)
+
+    du_raised = property(lambda self: np.array(self.q))
+    g = property(lambda self: _matrix(self.g_comp))
+    g_inv = property(lambda self: _matrix(self.g_inv_comp))
+    A = property(lambda self: _matrix(self.A_comp))
 
     @property
     def shape_eigs(self):
@@ -65,17 +73,32 @@ class InducedGeometry:
         return np.sqrt(self.sums[..., 0] ** 2 - 2.0 * s2)
 
 
-def _contract(X, Y):
-    """X:Y = X_ij Y_ij per node: the sums over i of each column j, then
-    their sum, one fixed order for every such contraction."""
-    return np.einsum("ij...,ij...->j...", X, Y).sum(axis=0)
+def _matrix(X):
+    """The (n, n, ...) array of the symmetric component tuple X."""
+    if len(X) == 1:
+        return X[0][None, None]
+    return np.array([[X[0], X[1]], [X[1], X[2]]])
+
+
+def _double_dot(X, Y):
+    """X:Y = X_ij Y_ij of two component tuples, column by column."""
+    if len(X) == 1:
+        return X[0] * Y[0]
+    return (X[0] * Y[0] + X[1] * Y[1]) + (X[1] * Y[1] + X[2] * Y[2])
+
+
+def _times(X, v):
+    """The covector X v of a component tuple X and components v_j."""
+    if len(X) == 1:
+        return [X[0] * v[0]]
+    return [X[0] * v[0] + X[1] * v[1], X[1] * v[0] + X[2] * v[1]]
 
 
 def _check_inverse(g, g_inv):
-    ident = np.einsum("ik...,kj...->ij...", g, g_inv)
-    n = len(g)
-    ident[range(n), range(n)] -= 1.0
-    err = np.max(np.abs(ident))
+    # column j of g g^-1 is g times column j of g^-1
+    cols = [g_inv[:1]] if len(g) == 1 else [g_inv[:2], g_inv[1:]]
+    err = max(np.max(np.abs(x - float(i == j))) for j, col in enumerate(cols)
+              for i, x in enumerate(_times(g, col)))
     if err > METRIC_INVERSE_TOL:
         raise InternalConsistencyError(
             f"metric inverse check failed: |g g_inv - I| = {err:.3e}")
@@ -115,46 +138,51 @@ def shape_eigenvalues(A, g):
     return np.stack([mean - disc, mean + disc], axis=-1)
 
 
-def _curvature_sums(A, g, g_inv):
-    """S_1..S_n of the principal curvatures, (..., n), in closed form:
-    S_1 = g^{ij} A_ij and, for n = 2, S_2 = det A / det g."""
-    s1 = _contract(g_inv, A)
-    if len(A) == 1:
-        return s1[..., None]
-    det_a = A[0, 0] * A[1, 1] - A[0, 1] ** 2
-    det_g = g[0, 0] * g[1, 1] - g[0, 1] ** 2
-    return np.stack([s1, det_a / det_g], axis=-1)
-
-
 def _geometry(u, grid, check_inverse):
     u = grid.check_field(u)
     pad = _padded(u)
     du = grid.partial_gradient(u, pad=pad)
-    du_raised = np.einsum("ij...,j...->i...", grid.sigma_inv, du)
-    gn2 = np.einsum("i...,i...->...", du, du_raised)
+    two = grid.dim == 2
+    p0 = du[0]
+    q = (p0, grid.sigma_inv[1, 1] * du[1]) if two else (p0,)
+    gn2 = p0 * p0 + du[1] * q[1] if two else p0 * p0
     cosh_u = np.cosh(u)
-    margin = cosh_u ** 2 - gn2
-    bad = margin <= SPACELIKE_GUARD * cosh_u ** 2
+    c2 = cosh_u ** 2
+    margin = c2 - gn2
+    bad = margin <= SPACELIKE_GUARD * c2
     if bad.any():
         raise SpacelikeError(np.flatnonzero(bad.ravel()).tolist())
-    du_du = du[:, None] * du[None, :]
-    g = cosh_u ** 2 * grid.sigma - du_du
-    g_inv = (grid.sigma_inv / cosh_u ** 2
-             + du_raised[:, None] * du_raised[None, :] / (cosh_u ** 2 * margin))
+    hess = grid.partial_hessian(u, pad=pad)
+    tau = c2 / np.sqrt(margin)
+    eta = np.sinh(u)
+    ratio = tau / cosh_u
+    two_th = 2.0 * np.tanh(u)
+    ec = eta * cosh_u
+    cm = c2 * margin
+    p00 = p0 * p0
+    g = [c2 - p00]
+    g_inv = [1.0 / c2 + q[0] * q[0] / cm]
+    A = [ratio * (hess[0, 0] - two_th * p00 + ec)]
+    if two:
+        # sigma = diag(1, sin^2 phi): Hess_01 = H_01 - Gamma^1_01 p_1 and
+        # Hess_11 = H_11 - Gamma^0_11 p_0
+        p1, sin2, gamma = du[1], grid.sigma[1, 1], grid.christoffel
+        p01, p11 = p0 * p1, p1 * p1
+        g += [-p01, c2 * sin2 - p11]
+        g_inv += [q[0] * q[1] / cm, grid.sigma_inv[1, 1] / c2 + q[1] * q[1] / cm]
+        A += [ratio * (hess[0, 1] - gamma[1, 0, 1] * p1 - two_th * p01),
+              ratio * (hess[1, 1] - gamma[0, 1, 1] * p0 - two_th * p11
+                       + ec * sin2)]
     if check_inverse:
         _check_inverse(g, g_inv)
-    tau = cosh_u ** 2 / np.sqrt(margin)
-    eta = np.sinh(u)
-    hess = covariant_hessian(grid.partial_hessian(u, pad=pad), du,
-                             grid.christoffel)
-    tanh_u = np.tanh(u)
-    A = (tau / cosh_u) * (hess - 2.0 * tanh_u * du_du + eta * cosh_u * grid.sigma)
-    if grid.dim == 2:
-        # keep symmetry exact down to the last bit
-        A[1, 0] = A[0, 1]
+    # S_1 = g^ij A_ij and, on S^2, S_2 = det A / det g
+    sums = [_double_dot(g_inv, A)]
+    if two:
+        sums.append((A[0] * A[2] - A[1] ** 2) / (g[0] * g[2] - g[1] ** 2))
     return InducedGeometry(
-        grid=grid, u=u, du=du, du_raised=du_raised, grad_norm2=gn2, g=g,
-        g_inv=g_inv, tau=tau, eta=eta, A=A, sums=_curvature_sums(A, g, g_inv))
+        grid=grid, u=u, du=du, q=q, grad_norm2=gn2, cosh_u=cosh_u,
+        margin=margin, tau=tau, eta=eta, g_comp=tuple(g),
+        g_inv_comp=tuple(g_inv), A_comp=tuple(A), sums=np.stack(sums, axis=-1))
 
 
 def induced_geometry_unchecked(u, grid):

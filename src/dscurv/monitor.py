@@ -26,9 +26,9 @@ spacing.  The first and third identities are implemented with the -eta
 terms: with +eta they fail the umbilic anchor by 2 sinh(u) cosh^2(u)
 times the metric, which the tests pin down.
 
-Tensors are component-first, as everywhere in the package: T[i, j, ...]
-with the index axes first and the grid axes last, so each contraction
-is an einsum over whole grid arrays.  The covariant Hessians come from
+Tensors are the component-first arrays the geometry exposes, T[i, j,
+...] with the index axes first and the grid axes last, so each
+contraction here is an einsum over whole grid arrays.  The covariant Hessians come from
 the one grid.covariant_hessian.  Intermediates are freed once their
 sup-norm is taken.
 """

@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import (AdmissibilityError, ContinuationError,
                      InternalConsistencyError, NewtonError, SpacelikeError)
-from .geometry import _contract, induced_geometry_unchecked
+from .geometry import _double_dot, _matrix, _times, induced_geometry_unchecked
 from .monitor import check_bounds
 from .prescription import (AuditBox, HomotopyPrescription,
                            ReferencePrescription, _check_numbers,
@@ -213,34 +213,29 @@ def zeroth_coefficient_at_start(p):
 
 
 def curvature_derivative_matrix(geom, k):
-    """Newton tensor F = df/dA per node, in closed form: g^-1/n for k = 1
-    and (S1 g^-1 - g^-1 A g^-1)/(2f) for k = 2 (where n = 2).  It is the
+    """Newton tensor F = df/dA per node, (n, n, ...), in closed form:
+    g^-1/n for k = 1 and, for k = 2 (where n = 2), cof(A)/(2 f det g),
+    which is (S1 g^-1 - g^-1 A g^-1)/(2f) by Cayley-Hamilton.  It is the
     second-order coefficient of the linearized operator up to the positive
-    factor tau/cosh(u), and positive definite on Gamma_k.  It reads S1 and
-    f = sqrt(S2) from geom.sums and makes no cone test of its own: the
-    caller passes a geometry inside Gamma_k."""
-    g_inv = geom.g_inv
+    factor tau/cosh(u), symmetric, and positive definite on Gamma_k.  It
+    reads f = sqrt(S2) from geom.sums and makes no cone test of its own:
+    the caller passes a geometry inside Gamma_k."""
     if k == 1:
-        return g_inv / geom.grid.dim
-    s1, f = geom.sums[..., 0], np.sqrt(geom.sums[..., 1])
-    return (s1 * g_inv - _product(_product(g_inv, geom.A), g_inv)) / (2.0 * f)
-
-
-def _product(X, Y):
-    """The matrix product XY per node."""
-    return np.einsum("ik...,kj...->ij...", X, Y)
+        return _matrix([x / geom.grid.dim for x in geom.g_inv_comp])
+    (a00, a01, a11), (g00, g01, g11) = geom.A_comp, geom.g_comp
+    scale = 2.0 * np.sqrt(geom.sums[..., 1]) * (g00 * g11 - g01 ** 2)
+    return _matrix([a11 / scale, -a01 / scale, a00 / scale])
 
 
 def _smallest_eigenvalue(F):
-    """Smallest eigenvalue over all nodes of the symmetric part of the
-    1x1 or 2x2 blocks F, in closed form: the least value of zeta.F.zeta
-    over unit covectors zeta."""
+    """Smallest eigenvalue over all nodes of the symmetric 1x1 or 2x2
+    blocks F, in closed form: the least value of zeta.F.zeta over unit
+    covectors zeta."""
     if len(F) == 1:
         return float(F.min())
     half_trace = 0.5 * (F[0, 0] + F[1, 1])
     half_gap = 0.5 * (F[0, 0] - F[1, 1])
-    off = 0.5 * (F[0, 1] + F[1, 0])
-    return float(np.min(half_trace - np.hypot(half_gap, off)))
+    return float(np.min(half_trace - np.hypot(half_gap, F[0, 1])))
 
 
 def ellipticity_margin(geom, k):
@@ -310,17 +305,24 @@ class ContinuationSolver:
         H = D_ij u at that node, so J = diag(a_u) + sum_i diag(a_p_i) D_i
         + sum_ij diag(a_H_ij) D_ij with the grid's centered stencils D
         (StencilPattern.assemble) and chain-rule coefficients in closed
-        form.  With c = cosh u, s = sinh u, q = sigma^-1 p,
-        m = c^2 - p.q, tau = c^2/sqrt(m) and K = H - Gamma^k p_k
-        - 2 tanh(u) p p^T + s c sigma (so A = tau/c K), F = df/dA and
-        G = df/dg = -F A g^-1 (f depends on A and g only through g^-1 A):
+        form.  With c = cosh u, s = sinh u, q = sigma^-1 p, m = c^2 - p.q,
+        tau = c^2/sqrt(m), K = H - Gamma^k p_k - 2 tanh(u) p p^T + s c sigma
+        (so A = tau/c K), its u-derivative dK = (1 + tanh^2 u) g
+        + (2 - 3 sech^2 u) p p^T, F = df/dA (curvature_derivative_matrix)
+        and w = F A q:
 
             a_H = tau/c F
-            a_p = c/m^1.5 (F:K) q - tau/c (F:Gamma + 4 tanh(u) F p)
-                  - 2 G p - psi_tau c^2/m^1.5 q
-            a_u = (s/sqrt(m) - c^2 s/m^1.5) (F:K) - psi_r
-                  + tau/c F:(-2 sech^2(u) p p^T + (c^2 + s^2) sigma)
-                  + 2 c s G:sigma - psi_tau (2 c s/sqrt(m) - c^3 s/m^1.5)
+            a_p = ((F:A - psi_tau tau) q + 2 w)/m
+                  - tau/c (F:Gamma + 4 tanh(u) F p)
+            a_u = (tanh(u) - c s/m) F:A - psi_r + tau/c F:dK
+                  - 2 tanh(u) (F:A + p.w/m) - psi_tau s (2 tau/c - c tau/m)
+
+        The w terms are those of G = df/dg = -F A g^-1 (f depends on A and
+        g only through g^-1 A): G p = -w/m and G:sigma = -(F:A + p.w/m)/c^2,
+        as g^-1 p = q/m and g^-1 sigma = (I + q p^T/m)/c^2; for k = 2,
+        F A = (f/2) I and G = -(f/2) g^-1.  Each contraction is a sum of
+        components, and Gamma^0_11 and Gamma^1_01 are the round metric's
+        non-zero symbols.
 
         Also runs the ellipticity diagnostic: F must be positive definite
         at every admissible node, otherwise the geometry pipeline is
@@ -335,25 +337,24 @@ class ContinuationSolver:
             raise InternalConsistencyError(
                 f"non-elliptic second-order block (margin {margin:.3e}) "
                 "at an admissible node")
-        p, q, sigma = geom.du, geom.du_raised, grid.sigma
-        c, s, th = np.cosh(geom.u), geom.eta, np.tanh(geom.u)
-        m = c ** 2 - geom.grad_norm2
-        rm, m32 = np.sqrt(m), m ** 1.5
-        ratio = c / rm                                   # tau / c
-        FK = _contract(F, geom.A) / ratio
-        F_gamma = np.einsum("ij...,kij...->k...", F, grid.christoffel)
-        Fp = np.einsum("ij...,j...->i...", F, p)
-        G = -_product(_product(F, geom.A), geom.g_inv)
-        Gp = np.einsum("ij...,j...->i...", G, p)
-        dK = (-2.0 / c ** 2) * p[:, None] * p[None, :] + (c ** 2 + s ** 2) * sigma
-        a_p = ((c * FK - psi.psi_tau * c ** 2) / m32 * q
-               - ratio * (F_gamma + 4.0 * th * Fp)
-               - 2.0 * Gp)
-        a_u = ((s / rm - c ** 2 * s / m32) * FK
-               + ratio * _contract(F, dK)
-               + 2.0 * c * s * _contract(G, sigma)
-               - psi.psi_r
-               - psi.psi_tau * (2.0 * c * s / rm - c ** 3 * s / m32))
+        c, s, m, tau, p, q = (geom.cosh_u, geom.eta, geom.margin, geom.tau,
+                              geom.du, geom.q)
+        ratio, th, gamma = tau / c, s / c, grid.christoffel
+        if grid.dim == 1:
+            Fc, F_gamma = (F[0, 0],), [0.0]
+        else:
+            Fc = (F[0, 0], F[0, 1], F[1, 1])
+            F_gamma = [F[1, 1] * gamma[0, 1, 1], 2.0 * F[0, 1] * gamma[1, 0, 1]]
+        FA, Fp = _double_dot(Fc, geom.A_comp), _times(Fc, p)
+        w = _times(Fc, _times(geom.A_comp, q))
+        F_dK = ((1.0 + th ** 2) * _double_dot(Fc, geom.g_comp)
+                + (2.0 - 3.0 / c ** 2) * sum(pi * Fpi for pi, Fpi in zip(p, Fp)))
+        a_p = [((FA - psi.psi_tau * tau) * qi + 2.0 * wi) / m
+               - ratio * (F_gamma_i + 4.0 * th * Fpi)
+               for qi, wi, F_gamma_i, Fpi in zip(q, w, F_gamma, Fp)]
+        a_u = ((th - c * s / m) * FA - psi.psi_r + ratio * F_dK
+               - 2.0 * th * (FA + sum(pi * wi for pi, wi in zip(p, w)) / m)
+               - psi.psi_tau * s * (2.0 * ratio - c * tau / m))
         a_H = ratio * F
         return grid.stencil_pattern().assemble(a_u, a_p, a_H)
 

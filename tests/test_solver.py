@@ -17,6 +17,7 @@ from dscurv import (AdmissibilityError, AuditBox, ContinuationError,
                     audit_structural, build_grid, combined_barriers,
                     ellipticity_margin, induced_geometry, initial_constant,
                     run_homotopy, scan_barriers, zeroth_coefficient_at_start)
+from dscurv.symmetric import root_of_sums
 
 R_STAR = np.log(1.0 + np.sqrt(2.0))
 MODEL = SpaceTiltPower(a0=0.5, a1=0.0, p=2.0)
@@ -157,6 +158,9 @@ def test_jacobian_sparsity_matches_stencil():
 
 
 def _nonzonal_state(grid, solver):
+    if grid.dim == 1:
+        theta = grid.theta
+        return solver.start_radius + 0.02 * np.cos(theta) + 0.01 * np.sin(2 * theta)
     phi, theta = grid.coords()
     return (solver.start_radius + 0.02 * np.cos(phi)
             + 0.01 * np.sin(phi) * np.cos(theta))
@@ -365,6 +369,106 @@ def test_ellipticity_margin_is_exact(s2_16x32, monkeypatch):
     solver = _solver(s2_16x32, 2)
     with pytest.raises(InternalConsistencyError, match="non-elliptic"):
         solver.jacobian(np.full(s2_16x32.shape, solver.start_radius), 0.0)
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_newton_tensor_closed_forms(s1_64, s2_16x32):
+    # F = df/dA against (S1 g^-1 - g^-1 A g^-1)/(2f) for k = 2 and g^-1/n
+    # for k = 1, Euler's identity F:A = f of the degree-one f, and, for
+    # k = 2, G = -F A g^-1 = -(f/2) g^-1 (Cayley-Hamilton)
+    for grid, ks in ((s1_64, (1,)), (s2_16x32, (1, 2))):
+        solver = _solver(grid, 1)
+        geom = induced_geometry(_nonzonal_state(grid, solver), grid)
+        g_inv, A, s1 = geom.g_inv, geom.A, geom.sums[..., 0]
+        g_inv_A_g_inv = np.einsum("ik...,kl...,lj...->ij...", g_inv, A, g_inv)
+        for k in ks:
+            F = dscurv.solver.curvature_derivative_matrix(geom, k)
+            f = root_of_sums(geom.sums, k, grid.dim)
+            want = (g_inv / grid.dim if k == 1
+                    else (s1 * g_inv - g_inv_A_g_inv) / (2.0 * f))
+            assert _rel(F, want) <= 1e-14
+            assert _rel(np.einsum("ij...,ij...->...", F, A), f) <= 1e-14
+            if k == 2:
+                G = -np.einsum("ik...,kl...,lj...->ij...", F, A, g_inv)
+                assert _rel(G, -0.5 * f * g_inv) <= 1e-14
+
+
+def _einsum_coefficients(solver, u, t):
+    """The Jacobian's chain-rule coefficients (a_u, a_p, a_H) formed with
+    einsum contractions of the (n, n, ...) arrays, the generic form the
+    component arithmetic must reproduce; the jacobian docstring names
+    the symbols."""
+    _, geom, psi = solver.residual_with_geometry(u, t)
+    grid, k = solver.grid, solver.config.k
+    g_inv, A, p, q, sigma = (geom.g_inv, geom.A, geom.du, geom.du_raised,
+                             grid.sigma)
+
+    def contract(X, Y):
+        return np.einsum("ij...,ij...->...", X, Y)
+
+    def product(X, Y):
+        return np.einsum("ik...,kj...->ij...", X, Y)
+
+    if k == 1:
+        F = g_inv / grid.dim
+    else:
+        F = ((geom.sums[..., 0] * g_inv - product(product(g_inv, A), g_inv))
+             / (2.0 * np.sqrt(geom.sums[..., 1])))
+    c, s, th = np.cosh(geom.u), np.sinh(geom.u), np.tanh(geom.u)
+    m = c ** 2 - geom.grad_norm2
+    rm, m32 = np.sqrt(m), m ** 1.5
+    ratio = c / rm
+    FK = contract(F, A) / ratio
+    F_gamma = np.einsum("ij...,kij...->k...", F, grid.christoffel)
+    Fp = np.einsum("ij...,j...->i...", F, p)
+    G = -product(product(F, A), g_inv)
+    Gp = np.einsum("ij...,j...->i...", G, p)
+    dK = (-2.0 / c ** 2) * p[:, None] * p[None, :] + (c ** 2 + s ** 2) * sigma
+    a_p = ((c * FK - psi.psi_tau * c ** 2) / m32 * q
+           - ratio * (F_gamma + 4.0 * th * Fp) - 2.0 * Gp)
+    a_u = ((s / rm - c ** 2 * s / m32) * FK + ratio * contract(F, dK)
+           + 2.0 * c * s * contract(G, sigma) - psi.psi_r
+           - psi.psi_tau * (2.0 * c * s / rm - c ** 3 * s / m32))
+    return a_u, a_p, ratio * F
+
+
+def test_jacobian_matches_einsum_oracle(monkeypatch):
+    target = SpaceTiltPower(0.5, 0.1, 2.0)
+    for dim, res, k in ((1, 128, 1), (2, (16, 32), 1), (2, (16, 32), 2)):
+        grid = build_grid(dim, res)
+        solver = ContinuationSolver(grid, target, SolverConfig(k=k, p=2.0),
+                                    barriers=(0.55, 0.95))
+        u = _nonzonal_state(grid, solver)
+        pattern = grid.stencil_pattern()
+        assemble, got = pattern.assemble, []
+
+        def captured(*coefficients):
+            got.extend(coefficients)
+            return assemble(*coefficients)
+
+        monkeypatch.setattr(pattern, "assemble", captured)
+        want = _einsum_coefficients(solver, u, 0.5)
+        table = solver.jacobian(u, 0.5).table
+        assert _rel(table, assemble(*want).table) <= 1e-14
+        # each coefficient field on its own scale too: a_u is small next
+        # to the stencil weights of a_H
+        for field, reference in zip(got, want):
+            assert _rel(np.asarray(field), reference) <= 1e-14
+
+
+def test_solve_path_makes_no_einsum_call(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.einsum called on the solve path")
+
+    monkeypatch.setattr(np, "einsum", forbidden)
+    target = SpaceTiltPower(0.5, 0.1, 2.0)
+    for dim, res, k in ((2, (16, 32), 2), (1, 32, 1)):
+        state = run_homotopy(target, build_grid(dim, res),
+                             SolverConfig(k=k, p=2.0))
+        assert state.t == 1.0
 
 
 def test_newton_at_exact_solution(s1_64):
