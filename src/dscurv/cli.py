@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 config error, 3 structural-audit failure,
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -169,22 +170,192 @@ def parse_config(path, overrides=None):
     return RunConfig(values)
 
 
+# fields.csv is written a block of rows at a time, each value formatted
+# in numpy to the bytes of Python's own '%.17g' (correctly rounded, round
+# half to even): the exponent E = floor(log10|x|) is guessed from log10 and
+# judged on the scaled value s = |x| 10^(16 - E) before it is rounded, s is
+# formed in double-double arithmetic, and the 17-digit integer D = round(s)
+# is laid out on a canvas of fixed-width slots whose zero bytes are
+# dropped.  Zeros, non-finite values, |x| outside the range below and s
+# within _TIE_GUARD of a rounding tie go through '%.17g' itself.  A block's
+# arrays stay under glibc's 128 KB mmap threshold, so the blocks reuse
+# heap memory instead of mapping fresh pages each time.
+_ROWS_PER_BLOCK = 256
+_FAST_RANGE = (1e-280, 1e280)
+_TIE_GUARD = 2.0 ** -30
+_E_MAX = 282               # tables cover |E| <= _E_MAX, row E + _E_MAX
+_SPLIT = 134217729.0       # 2^27 + 1, Veltkamp's splitter
+# one value's slots: sign, '0.000' (the fixed form's 0.000ddd), the 17
+# digits each followed by a '.', the exponent 'e+ddd', the separator
+_CANVAS = np.frombuffer(b"-0.000" + b"0." * 17 + b"e+000,", np.uint8)
+
+
+@dataclasses.dataclass
+class _G17Tables:
+    powers: np.ndarray     # column E: 10^(16 - E) = hi + lo, hi = head + tail
+    quads: np.ndarray      # the four ASCII digits of 0..9999, one uint32 each
+    ends: np.ndarray       # ends[j, c], see _g17_tables
+    exponents: np.ndarray  # row E: E's sign and three digits, one uint32
+    forms: np.ndarray      # row E: 17 * form - 1, see masks
+    masks: np.ndarray      # masks[17 * form + shown - 1], see _g17_tables
+
+
+@functools.cache
+def _g17_tables():
+    """The formatter's tables, built on first use.
+
+    hi + lo is 10^k to about 2^-106 relative, from integer arithmetic,
+    which rounds correctly.  ends[j, c] counts the significant digits of
+    D when c is chunk j of its last 16 digits in 4-digit chunks and the
+    chunks after it are zero (0 for c = 0).  A value's form is E + 4 for
+    the fixed form (-4 <= E < 17), and 21 or 22 for the exponent form
+    with 2 or 3 exponent digits; its mask is 1 on the canvas slots that
+    the form shows with that many significant digits, 0 elsewhere.  The
+    tables come from Python values, slicing and broadcasting: array
+    arithmetic here would page in numpy code that the formatter does not
+    run (64 KB of resident memory for each new loop)."""
+    powers = np.empty((4, 2 * _E_MAX + 1))
+    for i, k in enumerate(range(16 + _E_MAX, 16 - _E_MAX - 1, -1)):
+        if k >= 0:
+            hi = float(10 ** k)
+            powers[:2, i] = hi, float(10 ** k - int(hi))
+        else:
+            hi = 1 / 10 ** -k
+            num, two = hi.as_integer_ratio()
+            powers[:2, i] = hi, (two - num * 10 ** -k) / (two * 10 ** -k)
+    powers[2:] = _split(powers[0])
+
+    # the 10,000-entry tables are broadcasts of 100-entry ones, chunk
+    # 100 h + l by its digit pairs h and l, so building them allocates
+    # nothing beyond the tables themselves
+    pairs = np.frombuffer(b"".join([b"%02d" % i for i in range(100)]),
+                          np.uint8).reshape(100, 2)
+    text = np.empty((100, 100, 4), np.uint8)
+    text[..., :2] = pairs[:, None]
+    text[..., 2:] = pairs
+    quads = text.view(np.uint32).ravel()
+    # a pair's digits up to its last nonzero one
+    pair_length = [0] + [2 if i % 10 else 1 for i in range(1, 100)]
+    ends = np.empty((4, 100, 100), np.uint8)
+    for j, chunk in enumerate(ends):
+        chunk[:, 0] = [4 * j + 1 + n if n else 0 for n in pair_length]
+        chunk[:, 1:] = [4 * j + 3 + n for n in pair_length[1:]]
+    ends = ends.reshape(4, -1)
+
+    exponents = np.frombuffer(b"".join(
+        [b"%+04d" % e for e in range(-_E_MAX, _E_MAX + 1)]), np.uint32)
+    forms = np.array([e + 4 if -4 <= e < 17 else 21 if abs(e) < 100 else 22
+                      for e in range(-_E_MAX, _E_MAX + 1)])
+
+    below = np.array([[i < n for i in range(17)] for n in range(18)])
+    masks = np.zeros((23, 17, len(_CANVAS)), bool)
+    masks[..., [0, -1]] = True
+    for form, mask in enumerate(masks):
+        if form < 4:
+            point = -1              # 0.000ddd: no '.' among the digits
+        elif form <= 20:
+            point = form - 4        # the '.' follows digit E
+        else:
+            point = 0
+        # row n - 1 shows n significant digits, and all of an integer part
+        mask[:, 6:40:2] = below[[max(n, point + 1) for n in range(1, 18)]]
+        if point >= 0:
+            mask[:, 7 + 2 * point] = [n > point + 1 for n in range(1, 18)]
+        if form > 20:
+            mask[:, 40:45] = True
+            mask[:, 42] = form == 22
+        elif form < 4:
+            mask[:, 1:6 - form] = True      # '0.' and -E - 1 zeros
+    return _G17Tables(powers, quads, ends, exponents, 17 * forms - 1,
+                      masks.reshape(-1, len(_CANVAS)).view(np.uint8))
+
+
+def _split(a):
+    """Veltkamp's split a = head + tail, each of at most 26 bits."""
+    c = _SPLIT * a
+    head = c - (c - a)
+    return head, a - head
+
+
+def _scaled(a, row, powers):
+    """a 10^(16 - E) as a double-double (s, r), E = row - _E_MAX."""
+    hi, lo, head, tail = (column[row] for column in powers)
+    a_head, a_tail = _split(a)
+    s = a * hi
+    err = ((a_head * head - s) + a_head * tail + a_tail * head) + a_tail * tail
+    return s, err + a * lo
+
+
+def _format_values(x, ncols):
+    """The bytes of the float64 values x, each as '%.17g' formats it,
+    followed by ',' and, after every ncols-th value, by a newline."""
+    tables = _g17_tables()
+    a = np.abs(x)
+    fast = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1])
+    a[~fast] = 1.0        # keeps the arithmetic finite; '%.17g' formats these
+    row = np.floor(np.log10(a)).astype(np.int64) + _E_MAX
+    s, r = _scaled(a, row, tables.powers)
+    # the guess is one off only next to a power of ten; judge it on the
+    # unrounded s, since a guess one too high can round up to D = 10^16
+    low = (s < 1e16) | ((s == 1e16) & (r < 0.0))
+    high = (s > 1e17) | ((s == 1e17) & (r >= 0.0))
+    off = np.flatnonzero(low | high)
+    if off.size:
+        row[off] += high[off].astype(np.int64) - low[off]
+        s[off], r[off] = _scaled(a[off], row[off], tables.powers)
+    fast &= np.abs(r - np.floor(r) - 0.5) >= _TIE_GUARD
+    r = np.floor(r + 0.5)
+    # D = s + r is in [10^16, 10^17], compared through s - 10^k, which is
+    # exact wherever the comparison is close
+    fast &= ((s - 1e16) + r >= 0.0) & ((s - 1e17) + r <= 0.0)
+    top = (s - 1e17) + r == 0.0     # rounded up into the next decade
+    d = s.astype(np.int64) + r.astype(np.int64)
+    d[top] = 10 ** 16
+    row += top
+
+    lead = d // 10 ** 16
+    rest = d - lead * 10 ** 16
+    digits = np.empty((len(x), 5), np.uint32)
+    shown = np.ones(len(x), np.uint8)
+    for j, scale in enumerate((10 ** 12, 10 ** 8, 10 ** 4, 1)):
+        chunk = rest // scale
+        rest -= chunk * scale
+        digits[:, j + 1] = tables.quads[chunk]
+        np.maximum(shown, tables.ends[j][chunk], out=shown)
+    digits = digits.view(np.uint8)[:, 3:]
+    digits[:, 0] = 48 + lead
+
+    canvas = np.empty((len(x), len(_CANVAS)), np.uint8)
+    canvas[:] = _CANVAS
+    canvas[:, 0] *= np.signbit(x)
+    canvas[:, 6:40:2] = digits
+    canvas[:, 41:45] = tables.exponents[row].view(np.uint8).reshape(-1, 4)
+    canvas[ncols - 1::ncols, -1] = ord("\n")
+    canvas *= tables.masks[tables.forms[row] + shown]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        width = len(_CANVAS) - 1
+        texts = b"".join([(b"%.17g" % v).ljust(width, b"\0")
+                          for v in x[slow].tolist()])
+        canvas[slow, :width] = np.frombuffer(texts, np.uint8).reshape(-1, width)
+    return canvas.tobytes().translate(None, b"\0")
+
+
 def _write_fields_csv(path, grid, geom, residual):
     names = list(grid.coord_names) + ["u", "tau", "eta"]
     names += [f"lambda_{i + 1}" for i in range(grid.dim)]
     names += ["residual"]
     coords = [c.ravel() for c in grid.coords()]
     columns = coords + [geom.u.ravel(), geom.tau.ravel(), geom.eta.ravel()]
-    eigs = geom.shape_eigs
-    columns += [eigs[..., i].ravel() for i in range(grid.dim)]
-    columns += [np.asarray(residual).ravel()]
-    # one template per row and columns converted once keep the per-value
-    # calls out of the loop
-    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(names) + "\n")
-        handle.writelines(row % values for values in zip(*columns))
+    eigs = geom.shape_eigs.reshape(-1, grid.dim)
+    columns += [eigs[:, i] for i in range(grid.dim)]
+    columns += [np.asarray(residual, dtype=float).ravel()]
+    with open(path, "wb") as handle:
+        handle.write((",".join(names) + "\n").encode())
+        for start in range(0, grid.node_count, _ROWS_PER_BLOCK):
+            rows = np.column_stack(
+                [c[start:start + _ROWS_PER_BLOCK] for c in columns])
+            handle.write(_format_values(rows.ravel(), len(columns)))
 
 
 def _write_trace_csv(path, history):
@@ -293,6 +464,10 @@ def run(config, quiet=False):
                        f"audit passed; barriers R1 = {barriers[0]:.6g}, "
                        f"R2 = {barriers[1]:.6g}")
 
+    # fields.csv's tables are built before the solve allocates, so that
+    # they do not hold the heap up above the solve's freed arrays (about
+    # 0.4 MB of peak RSS on a 48x96 solve)
+    _g17_tables()
     solver = ContinuationSolver(grid, config.target, config.solver,
                                 barriers=barriers)
     try:

@@ -64,7 +64,7 @@ class InducedGeometry:
     @property
     def shape_eigs(self):
         """Ascending principal curvatures, (..., n), computed on access."""
-        return shape_eigenvalues(self.A, self.g)
+        return _shape_eigenvalues(self.A_comp, self.g_comp)
 
     @property
     def abs_A(self):
@@ -109,23 +109,33 @@ def shape_eigenvalues(A, g):
     and g of shape (n, n, ...): the eigenvalues of L^{-1} A L^{-T} for
     the Cholesky factor g = L L^T, a symmetric matrix, so the output is
     real (and exact at umbilic points)."""
-    g00 = g[0, 0]
+    return _shape_eigenvalues(_components(A), _components(g))
+
+
+def _components(X):
+    """The component tuple of the symmetric (n, n, ...) array X."""
+    return (X[0, 0],) if len(X) == 1 else (X[0, 0], X[0, 1], X[1, 1])
+
+
+def _shape_eigenvalues(A, g):
+    """shape_eigenvalues of the component tuples A and g."""
+    g00 = g[0]
     bad = g00 <= 0.0
     l00 = np.sqrt(np.where(bad, 1.0, g00))
-    if len(A) == 2:
-        l10 = g[0, 1] / l00
-        rest = g[1, 1] - l10 ** 2
+    if len(A) == 3:
+        l10 = g[1] / l00
+        rest = g[2] - l10 ** 2
         bad |= rest <= 0.0
     if bad.any():
         raise SpacelikeError(np.flatnonzero(bad.ravel()).tolist(),
                              "Cholesky failure: metric not positive definite")
     if len(A) == 1:
-        return (A[0, 0] / l00 ** 2)[..., None]
+        return (A[0] / l00 ** 2)[..., None]
     l11 = np.sqrt(rest)
     i00 = 1.0 / l00
     i10 = -l10 / (l00 * l11)
     i11 = 1.0 / l11
-    a00, a01, a11 = A[0, 0], A[0, 1], A[1, 1]
+    a00, a01, a11 = A
     b00 = i00 * a00
     b01 = i00 * a01
     b10 = i10 * a00 + i11 * a01

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +387,99 @@ def test_fields_csv_matches_per_value_formatting(tmp_path):
     assert lines[0] == "phi,theta,u,tau,eta,lambda_1,lambda_2,residual"
     assert lines[1:] == [",".join(format(float(x), ".17g") for x in row)
                          for row in zip(*columns)]
+
+
+def _g17_cases(rng):
+    """Float64 values for the '%.17g' formatter, about 210k of them."""
+    powers = 10.0 ** np.arange(-320, 309)
+    ints = rng.integers(10 ** 15, 4 * 10 ** 15, 20000)
+    return np.concatenate([
+        # random bit patterns, both signs: every exponent and nan payload
+        rng.integers(0, 2 ** 64, 100000, dtype=np.uint64).view(np.float64),
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+         1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf,
+         np.nan, 1e16, 1e17, 0.1, -2.5, 1e-4, 1e-5, 123456.0, 0.5,
+         # just below a power of ten: log10 guesses E one too high, and
+         # that E's rounded D lands exactly on 10^16
+         9.9999999999999996e-281, 9.9999999999999995e-8,
+         # integer parts that end in zeros
+         6253579554216460.0, 1000000000000000.0, 2.5e15],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        -powers,
+        # exact ties at the 17th digit: k + 1/4 and k + 3/4 above 10^15,
+        # k + odd/8 above 10^14
+        [1234567890123456.75, 1234567890123456.25, 123456789012345.125],
+        ints + 0.25, ints - 0.25,
+        rng.integers(10 ** 14, 10 ** 15, 20000)
+        + (2 * rng.integers(0, 4, 20000) + 1) / 8,
+        rng.integers(10 ** 15, 10 ** 17, 40000).astype(float),
+        # the fields' own range: coordinates, u, curvatures, residuals
+        rng.uniform(-4.0, 4.0, 20000) * 10.0 ** rng.integers(-16, 3, 20000),
+    ])
+
+
+def test_g17_formatter_matches_python_formatting(rng):
+    values = _g17_cases(rng)
+    assert len(values) >= 200000
+    text = cli._format_values(values, 1)
+    assert text.split(b"\n")[:-1] == [b"%.17g" % v for v in values.tolist()]
+    # two per row: ',' between the values, '\n' after the row
+    row = values[:4000]
+    assert cli._format_values(row, 2).decode() == "".join(
+        f"{a:.17g},{b:.17g}\n" for a, b in row.reshape(-1, 2).tolist())
+
+
+@pytest.mark.parametrize("text", [
+    "grid.dim = 1\ngrid.n = 128\nk = 1\nprescription.a1 = 0.4\n",
+    "grid.dim = 2\ngrid.nlat = 48\ngrid.nlon = 96\nk = 2\n"
+    "prescription.a1 = 0.1\n",
+], ids=["S1-128", "S2-48x96"])
+def test_cli_fields_csv_is_the_per_value_template(tmp_path, text):
+    out = tmp_path / "fields"
+    path = write_config(tmp_path, "mode = solve\nprescription.name = "
+                        "space_tilt_power\nprescription.a0 = 0.5\n"
+                        f"prescription.p = 2.0\nout = {out}\n" + text)
+    assert cli.main(["--config", path, "--quiet"]) == cli.EXIT_OK
+    data = (out / "fields.csv").read_bytes()
+    header, *rows = data.decode().split("\n")[:-1]
+    values = [[float(x) for x in row.split(",")] for row in rows]
+    template = ",".join(["%.17g"] * len(values[0])) + "\n"
+    assert data == (header + "\n" + "".join(
+        template % tuple(row) for row in values)).encode()
+
+
+def test_fields_csv_traced_memory():
+    # the peak of the per-value writer, 9.96 MB, less a margin; the
+    # block writer measured 5.8 MB
+    grid = build_grid(2, (128, 256))
+    phi, theta = grid.coords()
+    geom = induced_geometry(0.8 + 0.05 * np.cos(phi)
+                            + 0.02 * np.sin(phi) ** 2 * np.cos(theta), grid)
+    residual = 1e-13 * np.sin(3 * phi) * np.cos(theta)
+    tracemalloc.start()
+    try:
+        cli._write_fields_csv(os.devnull, grid, geom, residual)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.5e6
+
+
+def test_import_cli_loads_no_new_module():
+    # beyond numpy and the standard modules the package imports, importing
+    # dscurv.cli loads only the package's own modules
+    deps = "argparse, dataclasses, functools, itertools, json, math, operator, os"
+    script = (f"import sys, {deps}, numpy\nbefore = set(sys.modules)\n"
+              "import dscurv.cli\nprint(sorted(set(sys.modules) - before))\n")
+    src = Path(dscurv.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    package = sorted(["dscurv"] + [f"dscurv.{p.stem}" for p in
+                                   (src / "dscurv").glob("*.py")
+                                   if p.stem != "__init__"])
+    assert proc.stdout.strip() == str(package)
 
 
 def test_audit_only_mode(tmp_path, monkeypatch):
