@@ -359,7 +359,8 @@ def _write_fields_csv(path, grid, geom, residual):
 
 
 def _write_trace_csv(path, history):
-    with open(path, "w", encoding="utf-8") as handle:
+    # newline="\n": lines end in "\n" on every platform, as in fields.csv
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("t,newton_iters,residual,min_u,max_u,max_tau,max_abs_A,"
                      "level\n")
         handle.writelines(
@@ -383,7 +384,7 @@ def _level_summaries(levels):
 
 def _write_summary(outdir, summary):
     path = os.path.join(outdir, "summary.json")
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 

@@ -148,20 +148,41 @@ def _shape_eigenvalues(A, g):
     return np.stack([mean - disc, mean + disc], axis=-1)
 
 
-def _geometry(u, grid, check_inverse):
-    u = grid.check_field(u)
-    pad = _padded(u)
+def _cone(u, pad, grid, rings):
+    """The light-cone test of the graph on the rings ``rings``, from u and
+    its padding (_padded) cut to those rings: (du, q, |grad u|^2,
+    cosh u, cosh^2 u, margin, bad), bad marking the nodes that are not
+    spacelike."""
     du = grid.partial_gradient(u, pad=pad)
-    two = grid.dim == 2
     p0 = du[0]
-    q = (p0, grid.sigma_inv[1, 1] * du[1]) if two else (p0,)
-    gn2 = p0 * p0 + du[1] * q[1] if two else p0 * p0
+    if grid.dim == 2:
+        q = (p0, grid.sigma_inv[1, 1, rings] * du[1])
+        gn2 = p0 * p0 + du[1] * q[1]
+    else:
+        q = (p0,)
+        gn2 = p0 * p0
     cosh_u = np.cosh(u)
     c2 = cosh_u ** 2
     margin = c2 - gn2
-    bad = margin <= SPACELIKE_GUARD * c2
+    return du, q, gn2, cosh_u, c2, margin, margin <= SPACELIKE_GUARD * c2
+
+
+def _geometry(u, grid, check_inverse, rings=slice(None), pad=None):
+    """The bundle of the graph u on its rings ``rings``, a slice of u's
+    first axis (every node by default): each array covers those rings
+    only.  ``pad`` is u's padding (_padded), when the caller has it."""
+    u = grid.check_field(u)
+    if pad is None:
+        pad = _padded(u)
+    lo, hi, _ = rings.indices(len(u))
+    u, pad = u[lo:hi], pad[lo:hi + 2]
+    du, q, gn2, cosh_u, c2, margin, bad = _cone(u, pad, grid, rings)
     if bad.any():
-        raise SpacelikeError(np.flatnonzero(bad.ravel()).tolist())
+        # ids on the whole grid: ring lo starts at node lo * (its size)
+        raise SpacelikeError(
+            (lo * bad[0].size + np.flatnonzero(bad.ravel())).tolist())
+    two = grid.dim == 2
+    p0 = du[0]
     hess = grid.partial_hessian(u, pad=pad)
     tau = c2 / np.sqrt(margin)
     eta = np.sinh(u)
@@ -176,12 +197,14 @@ def _geometry(u, grid, check_inverse):
     if two:
         # sigma = diag(1, sin^2 phi): Hess_01 = H_01 - Gamma^1_01 p_1 and
         # Hess_11 = H_11 - Gamma^0_11 p_0
-        p1, sin2, gamma = du[1], grid.sigma[1, 1], grid.christoffel
+        p1, sin2 = du[1], grid.sigma[1, 1, rings]
         p01, p11 = p0 * p1, p1 * p1
         g += [-p01, c2 * sin2 - p11]
-        g_inv += [q[0] * q[1] / cm, grid.sigma_inv[1, 1] / c2 + q[1] * q[1] / cm]
-        A += [ratio * (hess[0, 1] - gamma[1, 0, 1] * p1 - two_th * p01),
-              ratio * (hess[1, 1] - gamma[0, 1, 1] * p0 - two_th * p11
+        g_inv += [q[0] * q[1] / cm,
+                  grid.sigma_inv[1, 1, rings] / c2 + q[1] * q[1] / cm]
+        gamma = grid.christoffel
+        A += [ratio * (hess[0, 1] - gamma[1, 0, 1, rings] * p1 - two_th * p01),
+              ratio * (hess[1, 1] - gamma[0, 1, 1, rings] * p0 - two_th * p11
                        + ec * sin2)]
     if check_inverse:
         _check_inverse(g, g_inv)

@@ -253,24 +253,39 @@ class SphereGrid:
         return self._pattern
 
 
-def _padded(f, parity=1.0):
+def _padded(f, parity=1.0, poles=(True, True)):
     """Field f with one ghost node beyond each end of every grid axis, so
     that the node at offset d from node j is padded[j + 1 + d]: theta
     wraps around and, on S^2, the ghost ring beyond a pole is the pole
     ring half a turn away, times parity (the sign a component field with
-    one phi index picks up through a pole)."""
-    pad = np.empty(tuple(n + 2 for n in f.shape), f.dtype)
-    pad[(slice(1, -1),) * f.ndim] = f
-    if f.ndim == 2:
-        # ghost rows 0 and n_lat + 1 from pole rings 0 and n_lat - 1, each
-        # turned by half a turn: its two halves swapped
-        nlat, nlon = f.shape
-        halves = (2, 2, nlon // 2)
-        pad[::nlat + 1, 1:-1].reshape(halves)[:] = (
-            parity * f[::nlat - 1].reshape(halves)[:, ::-1])
+    one phi index picks up through a pole).
+
+    On S^2 f may be a block of consecutive rings: poles says whether its
+    first and its last ring are pole rings.  A ring that is not gets no
+    ghost; it stays the block's border row, so a block holding the
+    rings lo - 1 .. hi pads to what the whole grid's padding holds in
+    rows lo .. hi + 1."""
+    if f.ndim == 1:
+        pad = np.empty(f.size + 2, f.dtype)
+        pad[1:-1] = f
+    else:
+        (top, bottom), (rings, nlon) = poles, f.shape
+        pad = np.empty((rings + top + bottom, nlon + 2), f.dtype)
+        pad[int(top):int(top) + rings, 1:-1] = f
+        if top or bottom:
+            # the ghost rows are the pole rings, first and last, each
+            # turned by half a turn: its two halves swapped
+            halves = (top + bottom, 2, nlon // 2)
+            pad[_ends(len(pad), top, bottom), 1:-1].reshape(halves)[:] = (
+                parity * f[_ends(rings, top, bottom)].reshape(halves)[:, ::-1])
     pad[..., 0] = pad[..., -2]
     pad[..., -1] = pad[..., 1]
     return pad
+
+
+def _ends(n, first, last):
+    """Row 0 of n rows if first, and row n - 1 if last, as one slice."""
+    return slice(0 if first else n - 1, n if last else 1, max(n - 1, 1))
 
 
 class StencilPattern:

@@ -26,19 +26,41 @@ spacing.  The first and third identities are implemented with the -eta
 terms: with +eta they fail the umbilic anchor by 2 sinh(u) cosh^2(u)
 times the metric, which the tests pin down.
 
-Tensors are the component-first arrays the geometry exposes, T[i, j,
-...] with the index axes first and the grid axes last, so each
-contraction here is an einsum over whole grid arrays.  The covariant Hessians come from
-the one grid.covariant_hessian.  Intermediates are freed once their
-sup-norm is taken.
+identity_residuals() works through the grid in slabs of whole rings
+(SLAB_NODES nodes, at least one ring; S^1 is one slab) and keeps a
+running maximum of each residual.  For each slab it computes the checked
+geometry on the slab's rings and one halo ring on each side, pads that
+block's tau, eta, g and A (grid._padded: beyond a pole the ghost ring is
+the pole ring turned half a turn, times the component's parity), and
+forms the Christoffel symbols, the covariant Hessians, grad A and the
+residuals on the slab.  Each node's values are those of a whole-grid
+evaluation, so the residuals are too, bit for bit, and the call holds
+about 7 grid-sized arrays at 128x256 where a whole-grid pass held 44.
+When the grid has several slabs, a first pass runs the light-cone test
+slab by slab, so a SpacelikeError names every violating node before any
+residual is formed.
+
+Tensors are the component-first arrays T[i, j, ...], index axes first
+and grid axes last, so each contraction here is an einsum over slab
+arrays.  The covariant Hessians come from the one
+grid.covariant_hessian.  Intermediates are freed once their sup-norm is
+taken.
 """
 
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import induced_geometry
-from .grid import covariant_hessian
+from .errors import SpacelikeError
+from .geometry import _cone, _geometry, _matrix
+from .grid import _padded, covariant_hessian
+
+# identity_residuals evaluates whole rings, about SLAB_NODES nodes (at
+# least one ring) at a time: 2 slabs at 64x128, 8 at 128x256.  A slab
+# has a fixed cost of about 0.3 ms, so 2**11 was 20-25% slower at
+# 128x256; 2**13 and 2**14 held 1.7 and 3.2 times the memory there and
+# were not reliably faster.
+SLAB_NODES = 2 ** 12
 
 
 @dataclass
@@ -112,88 +134,124 @@ def _component_parity(i, j=None):
     return -1.0 if flips % 2 else 1.0
 
 
-def _tensor_partials(grid, T):
-    """d_l T_ij of a symmetric 2-tensor field given component-first,
-    T[i, j, ...], parity-aware across poles.
+def _ring_slabs(grid):
+    """The ring ranges (lo, hi) identity_residuals evaluates one at a
+    time: whole rings, about SLAB_NODES nodes (at least one ring) each;
+    on S^1 the whole circle."""
+    if grid.dim == 1:
+        return [(0, grid.n_theta)]
+    rows = max(1, SLAB_NODES // grid.n_lon)
+    return [(lo, min(lo + rows, grid.n_lat))
+            for lo in range(0, grid.n_lat, rows)]
 
-    Returns out[l, i, j, ...], the derivative index first.
-    """
+
+def _tensor_partials(grid, comps, poles, shape):
+    """d_l T_ij of a symmetric 2-tensor field from its components on a
+    block of rings, (T_00, T_01, T_11) or (T_00,), each padded
+    (_padded, with poles) with its pole parity.  Returns out[l, i, j,
+    ...], the derivative index first, on the shape nodes inside the
+    padding."""
     n = grid.dim
-    out = np.empty((n, n, n) + grid.shape)
-    for i in range(n):
-        for j in range(i, n):
-            out[:, i, j] = grid.partial_gradient(
-                T[i, j], phi_parity=_component_parity(i, j))
-            if i != j:
-                out[:, j, i] = out[:, i, j]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    out = np.empty((n, n, n) + shape)
+    for (i, j), x in zip(pairs, comps):
+        out[:, i, j] = grid.partial_gradient(
+            None, pad=_padded(x, _component_parity(i, j), poles))
+        if i != j:
+            out[:, j, i] = out[:, i, j]
     return out
-
-
-def induced_christoffel(grid, g, g_inv):
-    """Christoffel symbols of the induced metric, Gamma[m, i, j, ...],
-    assembled by differencing the component-first metric g[i, j, ...]."""
-    dg = _tensor_partials(grid, g)
-    # lowered symbols: 0.5 (d_i g_jk + d_j g_ik - d_k g_ij)
-    low = np.einsum("ijk...->kij...", dg) + np.einsum("jik...->kij...", dg)
-    low -= dg
-    low *= 0.5
-    del dg
-    return np.einsum("mk...,kij...->mij...", g_inv, low)
-
-
-def covariant_derivative_A(grid, A, christoffel):
-    """grad_k A_ij of the component-first A[i, j, ...] in the connection
-    with Christoffel symbols christoffel[m, i, j, ...]
-    (induced_christoffel), index order [k, i, j, ...]."""
-    cov_a = _tensor_partials(grid, A)
-    cov_a -= np.einsum("mki...,mj...->kij...", christoffel, A)
-    cov_a -= np.einsum("mkj...,im...->kij...", christoffel, A)
-    return cov_a
 
 
 def _sup(x):
     return float(np.max(np.abs(x)))
 
 
-def identity_residuals(u, grid):
-    """Sup-norms of the four identity residuals for the graph u.
-
-    Raises SpacelikeError for non-spacelike input.  On S^1 the Codazzi
-    residual is identically zero (a single index has nothing to
-    permute).
-    """
-    geom = induced_geometry(u, grid)
-    tau, eta, g, g_inv, A = geom.tau, geom.eta, geom.g, geom.g_inv, geom.A
+def _slab_residuals(u, pad, grid, lo, hi):
+    """Sup-norms of the four residuals on the rings lo..hi-1 of the graph
+    u (padded as pad), from its geometry on those rings and one halo ring
+    on each side; beyond a pole the padding supplies the ghost ring."""
+    n_rings = len(u)
+    first, last = max(lo - 1, 0), min(hi + 1, n_rings)
+    geom = _geometry(u, grid, check_inverse=True, rings=slice(first, last),
+                     pad=pad)
+    poles = (lo == 0, hi == n_rings)
+    inner = slice(lo - first, hi - first)
+    block_tau, block_eta = geom.tau, geom.eta
+    g_comp, a_comp = geom.g_comp, geom.A_comp
+    tau, eta = block_tau[inner], block_eta[inner]
+    g, g_inv, A = (_matrix(tuple(x[inner] for x in comps)) for comps in
+                   (g_comp, geom.g_inv_comp, a_comp))
     del geom
-    christoffel = induced_christoffel(grid, g, g_inv)
 
-    deta = grid.partial_gradient(eta)
-    res = (covariant_hessian(grid.partial_hessian(eta), deta, christoffel)
+    # Christoffel symbols of g: g^mk 0.5 (d_i g_jk + d_j g_ik - d_k g_ij)
+    dg = _tensor_partials(grid, g_comp, poles, tau.shape)
+    del g_comp
+    low = np.einsum("ijk...->kij...", dg) + np.einsum("jik...->kij...", dg)
+    low -= dg
+    low *= 0.5
+    del dg
+    christoffel = np.einsum("mk...,kij...->mij...", g_inv, low)
+    del low
+
+    eta_pad = _padded(block_eta, 1.0, poles)
+    deta = grid.partial_gradient(None, pad=eta_pad)
+    res = (covariant_hessian(grid.partial_hessian(None, pad=eta_pad), deta,
+                             christoffel)
            - (tau * A - eta * g))
     r_eta = _sup(res)
-    del g, res
+    del g, res, eta_pad
 
-    dtau = grid.partial_gradient(tau)
+    tau_pad = _padded(block_tau, 1.0, poles)
+    dtau = grid.partial_gradient(None, pad=tau_pad)
     shape_mixed = np.einsum("ik...,kj...->ij...", g_inv, A)
     res = dtau - np.einsum("ij...,i...->j...", shape_mixed, deta)
     r_tau1 = _sup(res)
     del shape_mixed, res
 
-    cov_a = covariant_derivative_A(grid, A, christoffel)
+    # grad_k A_ij = d_k A_ij - Gamma^m_ki A_mj - Gamma^m_kj A_im
+    cov_a = _tensor_partials(grid, a_comp, poles, tau.shape)
+    del a_comp
+    cov_a -= np.einsum("mki...,mj...->kij...", christoffel, A)
+    cov_a -= np.einsum("mkj...,im...->kij...", christoffel, A)
     deta_raised = np.einsum("kl...,l...->k...", g_inv, deta)
     res = np.einsum("kij...,k...->ij...", cov_a, deta_raised)
     del deta, deta_raised
+    # grad A is symmetric in (i, j) by construction, so one swap, of k and
+    # i, generates the full permutation group; its only entries that need
+    # not vanish are k, i = 0, 1 and their negatives.  On S^1 there is
+    # nothing to permute.
+    codazzi = 0.0 if grid.dim == 1 else _sup(cov_a[0, 1] - cov_a[1, 0])
+    del cov_a
     res += tau * np.einsum("ik...,kl...,lj...->ij...", A, g_inv, A)
     res -= eta * A
-    res = covariant_hessian(grid.partial_hessian(tau), dtau, christoffel) - res
-    r_tau2 = _sup(res)
-    del christoffel, res
+    res = (covariant_hessian(grid.partial_hessian(None, pad=tau_pad), dtau,
+                             christoffel)
+           - res)
+    return r_eta, r_tau1, _sup(res), codazzi
 
-    if grid.dim == 1:
-        codazzi = 0.0
-    else:
-        # grad A is symmetric in (i, j) by construction, so one swap
-        # generates the full permutation group
-        codazzi = _sup(cov_a - np.swapaxes(cov_a, 0, 1))
 
-    return IdentityResiduals(r_eta, r_tau1, r_tau2, codazzi, grid.h)
+def identity_residuals(u, grid):
+    """Sup-norms of the four identity residuals for the graph u.
+
+    Raises SpacelikeError for non-spacelike input, naming every
+    violating node of the grid before any residual is formed.  On S^1
+    the Codazzi residual is identically zero (a single index has nothing
+    to permute).
+    """
+    u = grid.check_field(u)
+    pad = _padded(u)
+    slabs = _ring_slabs(grid)
+    if len(slabs) > 1:
+        # a slab's geometry would name the violations of its own rings
+        # only, and after earlier slabs formed their residuals
+        bad = np.empty(u.shape, bool)
+        for lo, hi in slabs:
+            bad[lo:hi] = _cone(u[lo:hi], pad[lo:hi + 2], grid,
+                               slice(lo, hi))[-1]
+        if bad.any():
+            raise SpacelikeError(np.flatnonzero(bad.ravel()).tolist())
+        del bad
+    sups = np.zeros(4)
+    for lo, hi in slabs:
+        np.maximum(sups, _slab_residuals(u, pad, grid, lo, hi), out=sups)
+    return IdentityResiduals(*map(float, sups), grid.h)

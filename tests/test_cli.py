@@ -360,6 +360,16 @@ def test_round_trip_from_echoed_config(tmp_path):
             == (replay_out / "trace.csv").read_bytes())
 
 
+def test_artifacts_end_lines_in_newline_only(tmp_path):
+    # every artifact is written with "\n" line ends, whatever the platform
+    out = tmp_path / "run_out"
+    path = write_config(tmp_path, BASE + f"out = {out}\n")
+    assert cli.main(["--config", path, "--quiet"]) == cli.EXIT_OK
+    for name in ("fields.csv", "trace.csv", "summary.json"):
+        data = (out / name).read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, name
+
+
 def test_full_precision_round_trip(tmp_path):
     out = tmp_path / "precision"
     path = write_config(tmp_path, BASE + f"out = {out}\n")

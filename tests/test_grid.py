@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dscurv.grid
 from dscurv import build_grid, covariant_hessian
 
 
@@ -230,6 +231,20 @@ def test_padded_partials_repeat_rolled_arithmetic(rng):
             gradient, hessian = _rolled_partials(g, f, parity)
             assert np.array_equal(g.partial_gradient(f, parity), gradient)
             assert np.array_equal(g.partial_hessian(f, parity), hessian)
+
+
+def test_padded_ring_blocks_match_whole_grid_padding(rng):
+    # a block holding rings lo - 1 .. hi, with ghosts only at the poles,
+    # pads to rows lo .. hi + 1 of the whole grid's padding
+    f = rng.standard_normal((16, 32))
+    n = len(f)
+    for parity in (1.0, -1.0):
+        whole = dscurv.grid._padded(f, parity)
+        for lo in range(n):
+            for hi in range(lo + 1, n + 1):
+                block = f[max(lo - 1, 0):min(hi + 1, n)]
+                pad = dscurv.grid._padded(block, parity, (lo == 0, hi == n))
+                assert np.array_equal(pad, whole[lo:hi + 2])
 
 
 def test_stencil_pattern_retains_bounded_memory():

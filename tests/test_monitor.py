@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dscurv import (AuditBox, SpaceTiltPower, build_grid, check_bounds,
-                    identity_residuals, induced_geometry, scan_barriers)
+import dscurv.monitor
+from dscurv import (AuditBox, SpaceTiltPower, SpacelikeError, build_grid,
+                    check_bounds, identity_residuals, induced_geometry,
+                    scan_barriers)
 
 UMBILIC_TOL = 1e-12
 
@@ -209,3 +211,71 @@ def test_identity_residuals_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak <= 60 * 8 * grid.node_count
+
+
+def _slab_profiles(grid):
+    """The profiles of test_identity_residuals_equal_node_major_reference
+    on grid, and one with sin^3(phi) cos(3 theta)."""
+    phi, theta = grid.coords()
+    p2 = 1.5 * np.cos(phi) ** 2 - 0.5
+    return [np.full(grid.shape, 0.85), 0.8 + 0.1 * p2,
+            0.8 + 0.1 * p2 + 0.05 * np.sin(phi) * np.cos(phi) * np.cos(theta)
+            + 0.04 * np.sin(phi) * np.sin(theta),
+            0.8 + 0.1 * np.sin(phi) ** 3 * np.cos(3.0 * theta)]
+
+
+@pytest.mark.parametrize("resolution, rings", [
+    ((16, 32), 1),          # one ring per slab
+    ((16, 32), 3),          # 5 slabs of 3 rings and a last one of 1
+    ((64, 128), None),      # the default slab size
+])
+def test_identity_residuals_across_slab_boundaries(monkeypatch, resolution,
+                                                   rings):
+    grid = build_grid(2, resolution)
+    if rings is not None:
+        monkeypatch.setattr(dscurv.monitor, "SLAB_NODES", rings * grid.n_lon)
+    slabs = dscurv.monitor._ring_slabs(grid)
+    assert len(slabs) >= 2
+    assert slabs[0][0] == 0 and slabs[-1][1] == grid.n_lat
+    for u in _slab_profiles(grid):
+        assert (identity_residuals(u, grid).as_tuple()
+                == _node_major_residuals(u, grid))
+
+
+@pytest.mark.parametrize("rings", [1, 3, None])
+def test_identity_spacelike_error_names_every_slab(monkeypatch, s2_16x32,
+                                                   rings):
+    # non-spacelike nodes in the first and the last slab: the error names
+    # the whole grid's violations, before any slab's residuals are formed
+    grid = s2_16x32
+    if rings is not None:
+        monkeypatch.setattr(dscurv.monitor, "SLAB_NODES", rings * grid.n_lon)
+    u = _slab_profiles(grid)[2]
+    u[1, 5] = u[-2, 20] = 6.0
+    with pytest.raises(SpacelikeError) as whole:
+        induced_geometry(u, grid)
+
+    def no_residuals(*args):
+        raise AssertionError("residuals formed before the spacelike test")
+
+    monkeypatch.setattr(dscurv.monitor, "_tensor_partials", no_residuals)
+    with pytest.raises(SpacelikeError) as slabbed:
+        identity_residuals(u, grid)
+    assert slabbed.value.nodes == whole.value.nodes
+    rows = {node // grid.n_lon for node in whole.value.nodes}
+    assert min(rows) == 0 and max(rows) == grid.n_lat - 1
+
+
+def test_identity_residuals_slab_memory_bound():
+    # the slabs hold a few grid arrays' worth at most, not the 44 of a
+    # whole-grid evaluation
+    grid = build_grid(2, (128, 256))
+    u = _slab_profiles(grid)[3]
+    identity_residuals(u, grid)         # warm call: caches and imports
+    tracemalloc.start()
+    try:
+        identity_residuals(u, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 8 * grid.node_count
