@@ -35,15 +35,21 @@ One rule accepts every state of a run, the homotopy's start, each of
 its steps and each finer level alike (ContinuationSolver._accept):
 Newton converges at fixed t, the result passes the a priori bound
 monitors, and on the states the cadence picks the Jacobian passes its
-directional check.  A rejected homotopy step halves the step size.
+directional check.  The homotopy only globalizes Newton; its path does
+not change the solution at t = 1.  So its first step tries t = 1 at
+once, and each step t > 0 runs Newton on a budget (STEP_NEWTON_CAP
+iterations, damping no further than STEP_BACKTRACK_MIN): a step too
+long for Newton fails fast and is rejected, which halves the step size.
+The start at t = 0 and the finer levels take the full budget,
+max_newton iterations and BACKTRACK_MIN.
 
 A solve is a nested iteration over the grid's refinement chain
 (SphereGrid.coarsened), down to the smallest valid grid: the homotopy
 runs on the coarsest grid only, and each finer grid accepts one state
 at t = 1 from the prolonged solution of the grid below
-(SphereGrid.prolong).  Every level and every homotopy step runs full
-Newton: a factor costs less than one residual evaluation, so reusing
-one saves nothing.  A failed level, the coarse homotopy included,
+(SphereGrid.prolong).  Every Newton iteration factors the Jacobian at
+its iterate: a factor costs less than one residual evaluation, so
+reusing one saves nothing.  A failed level, the coarse homotopy included,
 fails the solve with a ContinuationError that names the level and
 carries the trace accepted before it, none when the homotopy's start
 fails.  Everything on the solve path is deterministic: same config,
@@ -77,6 +83,15 @@ GROW_FACTOR = 1.5
 BACKTRACK_FACTOR = 0.5
 BACKTRACK_MIN = 1e-4
 
+# Newton budget of a homotopy step (t > 0 on the coarsest grid): at most
+# STEP_NEWTON_CAP iterations (and no more than max_newton), each damped
+# no further than STEP_BACKTRACK_MIN; over budget, the step is rejected.
+STEP_NEWTON_CAP = 6
+STEP_BACKTRACK_MIN = 0.5
+
+# cosh(u)**2 overflows above U_MAX = arccosh(sqrt(finfo.max)), about 355.58.
+U_MAX = float(np.arccosh(np.sqrt(np.finfo(float).max)))
+
 # Difference step and relative error bound of the Jacobian check.
 JACOBIAN_CHECK_EPS = 1e-6
 JACOBIAN_CHECK_TOL = 1e-5
@@ -90,9 +105,9 @@ class SolverConfig:
     p: float = 2.0
     tol_newton: float = 1e-10
     max_newton: int = 30
-    dt_init: float = 0.1
+    dt_init: float = 1.0
     dt_min: float = 1e-3
-    dt_max: float = 0.5
+    dt_max: float = 1.0
     c_tau: float = 50.0
     c_a: float = 50.0
 
@@ -150,6 +165,9 @@ class LevelRecord:
     min_u: float
     max_u: float
     mean_u: float           # area-weighted
+    # the homotopy's rejected attempts, {"t": attempted t, "cause": why};
+    # [] on finer levels
+    rejected: list = field(default_factory=list)
 
 
 @dataclass
@@ -276,6 +294,10 @@ class ContinuationSolver:
             raise AdmissibilityError(
                 np.flatnonzero((u <= 0.0).ravel()).tolist(),
                 "graph value must stay positive")
+        if np.any(u >= U_MAX):
+            raise AdmissibilityError(
+                np.flatnonzero((u >= U_MAX).ravel()).tolist(),
+                f"graph value must stay below {U_MAX:.2f}")
         return induced_geometry_unchecked(u, self.grid)
 
     def residual_with_geometry(self, u, t):
@@ -393,20 +415,23 @@ class ContinuationSolver:
 
     # -- Newton ----------------------------------------------------------
 
-    def newton_solve(self, u0, t):
-        """Damped Newton with backtracking from u0 at fixed t.
+    def newton_solve(self, u0, t, max_iters=None, min_damping=BACKTRACK_MIN):
+        """Damped Newton with backtracking from u0 at fixed t, within a
+        budget of max_iters iterations (default cfg.max_newton) and a
+        line search that damps no further than min_damping.
 
         Each iteration solves with the exact Jacobian at its iterate
         (StencilPattern.solve: the cyclic Thomas factor on S^1, the
         Fourier factor on S^2, and defect correction).  A trial step is
         accepted only if it is spacelike, node-wise admissible, and
         reduces the residual sup-norm.  Raises NewtonError (carrying the
-        best iterate) when the iteration cap or the minimal damping is
-        hit, or when the Jacobian is singular: a zero pivot, a periodic
-        system singular to working precision, or defect corrections that
-        stop contracting.
+        best iterate) when the budget is spent, or when the Jacobian is
+        singular: a zero pivot, a periodic system singular to working
+        precision, or defect corrections that stop contracting.
         """
         cfg = self.config
+        if max_iters is None:
+            max_iters = cfg.max_newton
         u = self.grid.check_field(u0).copy()
         try:
             res, geom, psi = self.residual_with_geometry(u, t)
@@ -416,10 +441,10 @@ class ContinuationSolver:
         history = [rnorm]
         pattern = self.grid.stencil_pattern()
         # iteration counts the accepted steps so far
-        for iteration in range(cfg.max_newton + 1):
+        for iteration in range(max_iters + 1):
             if rnorm <= cfg.tol_newton:
                 return NewtonResult(u, iteration, rnorm, history, geom, psi)
-            if iteration == cfg.max_newton:
+            if iteration == max_iters:
                 break
             try:
                 delta = pattern.solve(self.jacobian(u, t, geom, psi),
@@ -440,16 +465,16 @@ class ContinuationSolver:
                 if trial_norm is not None and trial_norm < rnorm:
                     break
                 alpha *= BACKTRACK_FACTOR
-                if alpha < BACKTRACK_MIN:
+                if alpha < min_damping:
                     raise NewtonError("line search stalled below minimal step",
                                       best_u=u, residual_norm=rnorm,
                                       iterations=iteration)
             u, res, geom, psi, rnorm = (trial, trial_res, trial_geom,
                                         trial_psi, trial_norm)
             history.append(rnorm)
-        raise NewtonError(f"no convergence in {cfg.max_newton} iterations",
+        raise NewtonError(f"no convergence in {max_iters} iterations",
                           best_u=u, residual_norm=rnorm,
-                          iterations=cfg.max_newton)
+                          iterations=max_iters)
 
     # -- homotopy ---------------------------------------------------------
 
@@ -495,14 +520,16 @@ class ContinuationSolver:
                 state.levels + [_level_record(grid, [record], u)])
         return state
 
-    def _accept(self, u_start, t, level=0, check=True):
-        """One accepted state at fixed t: Newton from u_start, then the
-        bound monitors on its result, then, when check is set, the
-        Jacobian directional check: ``(u, monitor, record)``.  Raises
-        NewtonError, or ContinuationError naming the failed monitor flags
-        ("at the homotopy start" for the t = 0 state)."""
+    def _accept(self, u_start, t, level=0, check=True, max_iters=None,
+                min_damping=BACKTRACK_MIN):
+        """One accepted state at fixed t: Newton from u_start within the
+        budget max_iters, min_damping (newton_solve), then the bound
+        monitors on its result, then, when check is set, the Jacobian
+        directional check: ``(u, monitor, record)``.  Raises NewtonError,
+        or ContinuationError naming the failed monitor flags ("at the
+        homotopy start" for the t = 0 state)."""
         cfg = self.config
-        result = self.newton_solve(u_start, t)
+        result = self.newton_solve(u_start, t, max_iters, min_damping)
         monitor = check_bounds(result.geometry, self.barriers, cfg.c_tau,
                                cfg.c_a, cfg.k)
         if not monitor.all_ok:
@@ -522,15 +549,22 @@ class ContinuationSolver:
         """Follow the homotopy on this grid from the exact start at t = 0
         to t = 1, accepting each state with _accept.
 
-        Steps adapt: halve on a rejected state (down to dt_min, then
+        The start takes Newton's full budget; each step t > 0 takes the
+        step budget, STEP_NEWTON_CAP iterations and STEP_BACKTRACK_MIN
+        damping, so that a step too long for Newton fails fast.  The
+        first step tries t = 1 at once (dt_init = 1 by default).  A
+        rejected step halves dt (below dt_min the homotopy raises
         ContinuationError carrying the trace and naming the cause of the
-        last rejected step), grow on fast convergence up to dt_max.  A
-        failed start is raised as it is, with no trace.
+        last rejected step), and a step accepted in at most FAST_ITERS
+        iterations grows it up to dt_max.  Every rejected attempt is
+        kept in the level record as ``{"t", "cause"}``.  A failed start
+        is raised as it is, with no trace.
         """
         cfg = self.config
         u, monitor, record = self._accept(
             np.full(self.grid.shape, self.start_radius), 0.0)
-        history, t, dt = [record], 0.0, cfg.dt_init
+        history, rejected, t, dt = [record], [], 0.0, cfg.dt_init
+        budget = min(cfg.max_newton, STEP_NEWTON_CAP)
         while t < 1.0:
             t_next = t + dt
             # a remainder shorter than dt_min joins this step, so the run
@@ -539,9 +573,11 @@ class ContinuationSolver:
                 t_next = 1.0
             check = (len(history) + 1) % JACOBIAN_CHECK_INTERVAL == 0
             try:
-                trial, trial_monitor, record = self._accept(u, t_next,
-                                                            check=check)
+                trial, trial_monitor, record = self._accept(
+                    u, t_next, check=check, max_iters=budget,
+                    min_damping=STEP_BACKTRACK_MIN)
             except (NewtonError, ContinuationError) as exc:
+                rejected.append({"t": t_next, "cause": _cause(exc)})
                 dt *= 0.5
                 if dt < cfg.dt_min:
                     raise ContinuationError(
@@ -555,17 +591,18 @@ class ContinuationSolver:
             if record.iters <= FAST_ITERS:
                 dt = min(dt * GROW_FACTOR, cfg.dt_max)
         result = HomotopyState(u, monitor, history)
-        result.levels.append(_level_record(self.grid, history, u))
+        result.levels.append(_level_record(self.grid, history, u, rejected))
         return result
 
 
-def _level_record(grid, records, u):
-    """LevelRecord of the accepted records on one grid, ending at u."""
+def _level_record(grid, records, u, rejected=()):
+    """LevelRecord of the accepted records on one grid, ending at u, and
+    the homotopy attempts it rejected."""
     return LevelRecord(
         resolution=_resolution(grid), steps=len(records),
         newton_iters=sum(rec.iters for rec in records),
         residual=records[-1].residual, min_u=float(u.min()),
-        max_u=float(u.max()), mean_u=grid.mean(u))
+        max_u=float(u.max()), mean_u=grid.mean(u), rejected=list(rejected))
 
 
 def _resolution(grid):

@@ -321,6 +321,26 @@ def test_summary_levels_and_trace_level_column(tmp_path):
     assert [row["level"] for row in rows[-3:]] == [1.0, 2.0, 3.0]
 
 
+def test_summary_levels_name_rejected_attempts(tmp_path):
+    # a draw whose homotopy cannot reach t = 1 in one step
+    out = tmp_path / "rejected"
+    path = write_config(tmp_path, BASE.replace(
+        "prescription.a0 = 0.5\nprescription.p = 2.0\n",
+        "prescription.a0 = 0.19789276722589916\n"
+        "prescription.a1 = -0.10865109055667578\n"
+        "prescription.p = 1.911526042173001\n") + f"out = {out}\n")
+    assert cli.main(["--config", path, "--resolution", "32x64",
+                     "--quiet"]) == cli.EXIT_OK
+    levels = json.loads((out / "summary.json").read_text())["levels"]
+    state = run_homotopy(
+        SpaceTiltPower(0.19789276722589916, -0.10865109055667578,
+                       1.911526042173001), build_grid(2, (32, 64)),
+        SolverConfig(k=2, p=2.0))
+    assert levels[0]["rejected"] == state.levels[0].rejected != []
+    assert all(set(r) == {"t", "cause"} for r in levels[0]["rejected"])
+    assert [level["rejected"] for level in levels[1:]] == [[], []]
+
+
 def test_failed_level_exit_code(tmp_path, monkeypatch):
     solved = tmp_path / "solved"
     path = write_config(tmp_path, BASE + f"out = {solved}\n")

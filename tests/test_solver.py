@@ -109,6 +109,12 @@ def test_residual_rejects_infeasible(s1_64):
         solver.residual(0.9 + 0.3 * np.cos(4 * s1_64.theta), 0.0)
     with pytest.raises(AdmissibilityError):
         solver.residual(np.full(s1_64.shape, -0.2), 0.0)
+    # cosh(u)**2 overflows above U_MAX: such a graph is refused by name
+    u = np.full(s1_64.shape, 0.75)
+    u[[3, 9]] = dscurv.solver.U_MAX
+    with pytest.raises(AdmissibilityError, match="must stay below 355.58") as err:
+        solver.residual(u, 1.0)
+    assert err.value.nodes == [3, 9]
 
 
 def test_jacobian_matches_dense_differencing():
@@ -531,6 +537,31 @@ def test_newton_error_counts_accepted_steps(s1_64, monkeypatch):
     assert err.value.iterations == 1
 
 
+def test_newton_budget_caps_iterations_and_damping(s1_64, monkeypatch):
+    solver = _solver(s1_64, 1)
+    u0 = initial_constant(2.0) + 0.05 * np.cos(s1_64.theta)
+    assert solver.newton_solve(u0, 0.0).iterations > 1
+    with pytest.raises(NewtonError, match="no convergence in 1 iterations"):
+        solver.newton_solve(u0, 0.0, max_iters=1)
+    # the first two trials are infeasible: the full budget damps on to a
+    # quarter step, a smallest damping of one half stops after them
+    residual, calls = ContinuationSolver.residual_with_geometry, []
+
+    def two_infeasible_trials(self, u, t):
+        calls.append(t)
+        if len(calls) in (2, 3):
+            raise AdmissibilityError([0], "doctored")
+        return residual(self, u, t)
+
+    monkeypatch.setattr(ContinuationSolver, "residual_with_geometry",
+                        two_infeasible_trials)
+    with pytest.raises(NewtonError, match="line search stalled") as err:
+        solver.newton_solve(u0, 0.0, min_damping=dscurv.solver.STEP_BACKTRACK_MIN)
+    assert len(calls) == 3 and err.value.iterations == 0
+    calls.clear()
+    assert solver.newton_solve(u0, 0.0).residual_norm <= 1e-10
+
+
 def _singular_assembly(pattern):
     """assemble() replaced by a singular matrix on the same pattern: zero
     on S^1, whose first pivot is zero, and the constant-coefficient D_thth
@@ -714,8 +745,10 @@ def test_nested_levels_take_full_newton(monkeypatch):
     monkeypatch.setattr(dscurv.grid.StencilPattern, "solve", counted_solve)
     monkeypatch.setattr(ContinuationSolver, "directional_derivative_check",
                         counted_check)
+    # the schedule the chord counts were taken with
     state = run_homotopy(SpaceTiltPower(0.5, 0.1, 2.0),
-                         build_grid(2, (64, 128)), SolverConfig(k=2, p=2.0))
+                         build_grid(2, (64, 128)),
+                         SolverConfig(k=2, p=2.0, dt_init=0.1, dt_max=0.5))
     assert state.t == 1.0
     assert [level.resolution for level in state.levels] == [
         "8x16", "16x32", "32x64", "64x128"]
@@ -756,9 +789,75 @@ def test_jacobian_check_counts_accepted_states(monkeypatch):
     monkeypatch.setattr(ContinuationSolver, "directional_derivative_check",
                         counted_check)
     monkeypatch.setattr(dscurv.solver, "check_bounds", reject_first_step)
-    history = _solver(build_grid(1, 32), 1)._homotopy().step_history
+    # short steps, so that the homotopy accepts at least six states
+    history = _solver(build_grid(1, 32), 1, dt_init=0.1,
+                      dt_max=0.5)._homotopy().step_history
     assert len(monitored) == len(history) + 1
     assert checked == [history[i].t for i in (0, 1, 3, 5)]
+
+
+def test_easy_homotopy_takes_one_step():
+    # dt_init = 1: the coarse homotopy accepts its start and then t = 1
+    state = run_homotopy(SpaceTiltPower(0.5, 0.1, 2.0),
+                         build_grid(2, (32, 64)), SolverConfig(k=2, p=2.0))
+    coarse = state.levels[0]
+    assert (coarse.resolution, coarse.steps, coarse.rejected) == ("8x16", 2, [])
+    assert coarse.newton_iters <= 5
+    assert [rec.t for rec in state.step_history if rec.level == 0] == [0.0, 1.0]
+
+
+# Draw 8 of _existence_draws: Newton cannot reach t = 1 from the start, so
+# its homotopy rejects steps.
+HARD_DRAW = SpaceTiltPower(0.19789276722589916, -0.10865109055667578,
+                           1.911526042173001)
+
+
+def test_rejected_steps_stay_within_the_step_budget(monkeypatch):
+    attempts = []
+    newton = ContinuationSolver.newton_solve
+
+    def counted(self, u0, t, *args):
+        try:
+            result = newton(self, u0, t, *args)
+        except NewtonError as exc:
+            attempts.append((self.grid.shape, t, exc.iterations, False))
+            raise
+        attempts.append((self.grid.shape, t, result.iterations, True))
+        return result
+
+    monkeypatch.setattr(ContinuationSolver, "newton_solve", counted)
+    state = run_homotopy(HARD_DRAW, build_grid(2, (32, 64)),
+                         SolverConfig(k=2, p=2.0))
+    assert state.t == 1.0
+    steps = [a for a in attempts if a[0] == (8, 16) and a[1] > 0.0]
+    assert all(iters <= dscurv.solver.STEP_NEWTON_CAP
+               for _, _, iters, _ in steps)
+    # each rejected attempt is in the coarse level's record with its
+    # cause; the finer levels reject nothing
+    coarse = state.levels[0]
+    assert len(coarse.rejected) >= 1
+    assert [r["t"] for r in coarse.rejected] == [
+        t for _, t, _, ok in steps if not ok]
+    assert all(r["cause"].startswith("Newton failed: ")
+               for r in coarse.rejected)
+    assert coarse.steps == 1 + sum(ok for *_, ok in steps)
+    assert all(level.rejected == [] for level in state.levels[1:])
+
+
+# A long first step sends a Newton trial of this draw above U_MAX, where
+# cosh(u)**2 overflows.
+FAR_TRIAL_DRAW = SpaceTiltPower(0.16519265800078847, 0.011262142965053689,
+                                2.1287823048921277)
+
+
+@pytest.mark.parametrize("k", [2, 1])
+def test_far_trials_fail_quietly(k):
+    # the geometry refuses the trial before evaluating cosh, so the line
+    # search rejects it without a warning (filterwarnings = error)
+    state = run_homotopy(FAR_TRIAL_DRAW, build_grid(2, (32, 64)),
+                         SolverConfig(k=k, p=2.0))
+    assert state.t == 1.0
+    assert len(state.levels[0].rejected) >= 1
 
 
 def test_nested_level_converges_from_a_nonzonal_start(monkeypatch):
@@ -943,6 +1042,20 @@ def test_existence_oracle_on_zonal_draws(dim, resolution, k):
         solved += 1
     # 8 of the 16 draws have barriers on each rung
     assert solved >= 6
+
+
+@pytest.mark.parametrize("dim, resolution, k", [
+    (2, (32, 64), 2), (1, 128, 1)], ids=["s2-32x64", "s1-128"])
+def test_solution_is_independent_of_the_path(dim, resolution, k):
+    # the homotopy only globalizes Newton: the schedule and the reference
+    # power p change the path to t = 1, not the solution there
+    grid, draws = build_grid(dim, resolution), _existence_draws()
+    for target in (draws[5], HARD_DRAW):
+        solutions = [run_homotopy(target, grid, SolverConfig(
+            k=k, p=p, **schedule)).u for p in (1.5, 2.0, 3.0)
+            for schedule in ({}, {"dt_init": 0.1, "dt_max": 0.5})]
+        assert max(np.max(np.abs(u - solutions[0]))
+                   for u in solutions) <= 1e-12, target
 
 
 def test_solver_config_validation():
