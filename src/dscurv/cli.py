@@ -400,10 +400,15 @@ def _finish(outdir, summary, quiet, code, message):
 def _identity_check(grid):
     """(summary entry, report lines) of the identity residuals of a
     smooth profile on grid and on its refinement."""
+    # the S^2 profile is formed on the ring vector, then repeated along
+    # each ring: numpy's transcendentals run several times slower on the
+    # node mesh's stride-0 view
     if grid.dim == 1:
-        profile = lambda g: 0.8 + 0.1 * np.cos(g.coords()[0])
+        profile = lambda g: 0.8 + 0.1 * np.cos(g.theta)
     else:
-        profile = lambda g: 0.8 + 0.1 * (1.5 * np.cos(g.coords()[0]) ** 2 - 0.5)
+        profile = lambda g: np.repeat(
+            0.8 + 0.1 * (1.5 * np.cos(g.phi[:, None]) ** 2 - 0.5), g.n_lon,
+            axis=1)
     fine_grid = grid.refine()
     coarse = dataclasses.asdict(identity_residuals(profile(grid), grid))
     fine = dataclasses.asdict(identity_residuals(profile(fine_grid), fine_grid))
@@ -479,6 +484,7 @@ def run(config, quiet=False):
         if partial is not None:
             _write_trace_csv(os.path.join(outdir, "trace.csv"),
                              partial.step_history)
+            summary["levels"] = _level_summaries(partial.levels)
         return _finish(outdir, summary, quiet, EXIT_CONTINUATION,
                        f"continuation failed: {exc}")
 

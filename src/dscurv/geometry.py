@@ -13,10 +13,14 @@ checks, through a Cholesky-symmetrized eigenproblem so they stay real
 and exact at umbilic points.
 
 The bundle is 2x2 component arithmetic (sigma = diag(1, sin^2 phi)):
-a symmetric tensor is the tuple (x_00, x_01, x_11), or (x_00,) on S^1;
-the arrays g[i, j, ...], g_inv and A are built on access.  The
-curvature sums and the principal curvatures are tuples per node and
+a symmetric tensor is the component array (x_00, x_01, x_11), or
+(x_00,) on S^1, its first axis; the arrays g[i, j, ...], g_inv and A
+are built on access, and _symmetric views a component array as one.
+The curvature sums and the principal curvatures are tuples per node and
 keep the symmetric functions' trailing axis, sums[..., j - 1] = S_j.
+Every array is written with out= into memory the caller's allocator
+hands out: a fresh array each (FRESH), or a Workspace's, which the
+identity monitor reuses from ring slab to ring slab.
 
 Spacelike means cosh^2(u) - |grad u|^2 > 0 node-wise; a small relative
 guard keeps the tilt finite and the linearized operator well
@@ -24,12 +28,14 @@ conditioned near the light cone.  A graph that is not spacelike raises
 SpacelikeError carrying the violating node ids.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalConsistencyError, SpacelikeError
 from .grid import _padded
+from .workspace import FRESH
 
 # Relative margin below which a node counts as non-spacelike.
 SPACELIKE_GUARD = 1e-8
@@ -51,9 +57,9 @@ class InducedGeometry:
     margin: np.ndarray        # m = cosh^2(u) - |grad u|^2
     tau: np.ndarray
     eta: np.ndarray
-    g_comp: tuple
-    g_inv_comp: tuple
-    A_comp: tuple
+    g_comp: np.ndarray
+    g_inv_comp: np.ndarray
+    A_comp: np.ndarray
     sums: np.ndarray          # S_1..S_n of the principal curvatures, (..., n)
 
     du_raised = property(lambda self: np.array(self.q))
@@ -80,6 +86,16 @@ def _matrix(X):
     return np.array([[X[0], X[1]], [X[1], X[2]]])
 
 
+def _symmetric(X):
+    """The (n, n, ...) view of the contiguous component array X, whose
+    entry (i, j) is X[i + j]: its [0, 1] and [1, 0] are one component's
+    memory.  (np.lib.stride_tricks.as_strided makes the same view, but
+    now and then allocates about 1 MB doing so.)"""
+    n = 1 if len(X) == 1 else 2
+    return np.ndarray((n, n) + X.shape[1:], X.dtype, X, 0,
+                      X.strides[:1] * 2 + X.strides[1:])
+
+
 def _double_dot(X, Y):
     """X:Y = X_ij Y_ij of two component tuples, column by column."""
     if len(X) == 1:
@@ -94,11 +110,21 @@ def _times(X, v):
     return [X[0] * v[0] + X[1] * v[1], X[1] * v[0] + X[2] * v[1]]
 
 
-def _check_inverse(g, g_inv):
-    # column j of g g^-1 is g times column j of g^-1
-    cols = [g_inv[:1]] if len(g) == 1 else [g_inv[:2], g_inv[1:]]
-    err = max(np.max(np.abs(x - float(i == j))) for j, col in enumerate(cols)
-              for i, x in enumerate(_times(g, col)))
+def _check_inverse(g, g_inv, work=FRESH):
+    """Raise unless g g_inv = I to METRIC_INVERSE_TOL, for the component
+    tuples g and g_inv."""
+    # entry (i, j) of g g^-1 is row i of g times column j of g^-1, whose
+    # entry k is component k + j
+    rows = [g] if len(g) == 1 else [g[:2], g[1:]]
+    product, term = work.take(g[0].shape), work.take(g[0].shape)
+    err = 0.0
+    for (i, row), j in itertools.product(enumerate(rows), range(len(rows))):
+        np.multiply(row[0], g_inv[j], out=product)
+        if len(rows) == 2:
+            product += np.multiply(row[1], g_inv[1 + j], out=term)
+        product -= float(i == j)
+        err = max(err, np.max(np.abs(product, out=product)))
+    work.give(product, term)
     if err > METRIC_INVERSE_TOL:
         raise InternalConsistencyError(
             f"metric inverse check failed: |g g_inv - I| = {err:.3e}")
@@ -148,74 +174,127 @@ def _shape_eigenvalues(A, g):
     return np.stack([mean - disc, mean + disc], axis=-1)
 
 
-def _cone(u, pad, grid, rings):
+def _cone(u, pad, grid, rings, work=FRESH, bad=None):
     """The light-cone test of the graph on the rings ``rings``, from u and
     its padding (_padded) cut to those rings: (du, q, |grad u|^2,
     cosh u, cosh^2 u, margin, bad), bad marking the nodes that are not
-    spacelike."""
-    du = grid.partial_gradient(u, pad=pad)
+    spacelike.  The arrays come from ``work`` (a Workspace, or FRESH),
+    q[0] being du[0]; ``bad``, when given, receives the marks."""
+    shape = u.shape
+    du = grid.partial_gradient(u, pad=pad,
+                               out=work.take((grid.dim,) + shape))
     p0 = du[0]
+    gn2 = np.multiply(p0, p0, out=work.take(shape))
     if grid.dim == 2:
-        q = (p0, grid.sigma_inv[1, 1, rings] * du[1])
-        gn2 = p0 * p0 + du[1] * q[1]
+        q = (p0, np.multiply(grid.sigma_inv[1, 1, rings], du[1],
+                             out=work.take(shape)))
+        term = np.multiply(du[1], q[1], out=work.take(shape))
+        gn2 += term
+        work.give(term)
     else:
         q = (p0,)
-        gn2 = p0 * p0
-    cosh_u = np.cosh(u)
-    c2 = cosh_u ** 2
-    margin = c2 - gn2
-    return du, q, gn2, cosh_u, c2, margin, margin <= SPACELIKE_GUARD * c2
+    cosh_u = np.cosh(u, out=work.take(shape))
+    c2 = np.square(cosh_u, out=work.take(shape))
+    margin = np.subtract(c2, gn2, out=work.take(shape))
+    guard = np.multiply(SPACELIKE_GUARD, c2, out=work.take(shape))
+    if bad is None:
+        bad = work.take(shape, bool)
+    np.less_equal(margin, guard, out=bad)
+    work.give(guard)
+    return du, q, gn2, cosh_u, c2, margin, bad
 
 
-def _geometry(u, grid, check_inverse, rings=slice(None), pad=None):
+def _geometry(u, grid, check_inverse, rings=slice(None), pad=None,
+              work=FRESH):
     """The bundle of the graph u on its rings ``rings``, a slice of u's
     first axis (every node by default): each array covers those rings
-    only.  ``pad`` is u's padding (_padded), when the caller has it."""
+    only.  ``pad`` is u's padding (_padded), when the caller has it.
+
+    ``work`` hands out every array.  A Workspace is that of a caller that
+    reads tau, eta and the components of g, g_inv and A alone (the
+    identity monitor): the rest of the bundle goes back to it, and the
+    bundle has no sums."""
     u = grid.check_field(u)
     if pad is None:
         pad = _padded(u)
     lo, hi, _ = rings.indices(len(u))
     u, pad = u[lo:hi], pad[lo:hi + 2]
-    du, q, gn2, cosh_u, c2, margin, bad = _cone(u, pad, grid, rings)
+    shape, two = u.shape, grid.dim == 2
+    # the arrays the bundle keeps come first, so that a workspace holds
+    # them below everything given back on return
+    components = (grid.dim * (grid.dim + 1) // 2,) + shape
+    A, g_inv, g = (work.take(components) for _ in range(3))
+    tau, eta = work.take(shape), work.take(shape)
+    du, q, gn2, cosh_u, c2, margin, bad = _cone(u, pad, grid, rings, work)
     if bad.any():
         # ids on the whole grid: ring lo starts at node lo * (its size)
         raise SpacelikeError(
             (lo * bad[0].size + np.flatnonzero(bad.ravel())).tolist())
-    two = grid.dim == 2
+    work.give(bad)
     p0 = du[0]
-    hess = grid.partial_hessian(u, pad=pad)
-    tau = c2 / np.sqrt(margin)
-    eta = np.sinh(u)
-    ratio = tau / cosh_u
-    two_th = 2.0 * np.tanh(u)
-    ec = eta * cosh_u
-    cm = c2 * margin
-    p00 = p0 * p0
-    g = [c2 - p00]
-    g_inv = [1.0 / c2 + q[0] * q[0] / cm]
-    A = [ratio * (hess[0, 0] - two_th * p00 + ec)]
+    # A is built over the partials d_ij u, component by component
+    grid.partial_hessian(u, pad=pad, out=_symmetric(A))
+    np.sqrt(margin, out=tau)
+    np.divide(c2, tau, out=tau)
+    np.sinh(u, out=eta)
+    ratio = np.divide(tau, cosh_u, out=work.take(shape))
+    two_th = np.tanh(u, out=work.take(shape))
+    two_th *= 2.0
+    ec = np.multiply(eta, cosh_u, out=work.take(shape))
+    cm = np.multiply(c2, margin, out=work.take(shape))
+    pp, term = work.take(shape), work.take(shape)     # p_i p_j, one term
+
+    np.multiply(p0, p0, out=pp)
+    np.subtract(c2, pp, out=g[0])
+    entry = g_inv[0]
+    np.divide(1.0, c2, out=entry)
+    entry += np.divide(np.multiply(q[0], q[0], out=term), cm, out=term)
+    entry = A[0]
+    entry -= np.multiply(two_th, pp, out=term)
+    entry += ec
+    entry *= ratio
     if two:
         # sigma = diag(1, sin^2 phi): Hess_01 = H_01 - Gamma^1_01 p_1 and
         # Hess_11 = H_11 - Gamma^0_11 p_0
-        p1, sin2 = du[1], grid.sigma[1, 1, rings]
-        p01, p11 = p0 * p1, p1 * p1
-        g += [-p01, c2 * sin2 - p11]
-        g_inv += [q[0] * q[1] / cm,
-                  grid.sigma_inv[1, 1, rings] / c2 + q[1] * q[1] / cm]
-        gamma = grid.christoffel
-        A += [ratio * (hess[0, 1] - gamma[1, 0, 1, rings] * p1 - two_th * p01),
-              ratio * (hess[1, 1] - gamma[0, 1, 1, rings] * p0 - two_th * p11
-                       + ec * sin2)]
+        p1, sin2, gamma = du[1], grid.sigma[1, 1, rings], grid.christoffel
+        np.multiply(p0, p1, out=pp)
+        np.negative(pp, out=g[1])
+        entry = g_inv[1]
+        np.multiply(q[0], q[1], out=entry)
+        entry /= cm
+        entry = A[1]
+        entry -= np.multiply(gamma[1, 0, 1, rings], p1, out=term)
+        entry -= np.multiply(two_th, pp, out=term)
+        entry *= ratio
+
+        np.multiply(p1, p1, out=pp)
+        entry = np.multiply(c2, sin2, out=g[2])
+        entry -= pp
+        entry = g_inv[2]
+        np.divide(grid.sigma_inv[1, 1, rings], c2, out=entry)
+        entry += np.divide(np.multiply(q[1], q[1], out=term), cm, out=term)
+        entry = A[2]
+        entry -= np.multiply(gamma[0, 1, 1, rings], p0, out=term)
+        entry -= np.multiply(two_th, pp, out=term)
+        entry += np.multiply(ec, sin2, out=term)
+        entry *= ratio
+    work.give(c2, ratio, two_th, ec, cm, pp, term)
     if check_inverse:
-        _check_inverse(g, g_inv)
+        _check_inverse(g, g_inv, work)
+    if work is not FRESH:
+        work.give(du, *q[1:], gn2, cosh_u, margin)
+        return InducedGeometry(
+            grid=grid, u=u, du=None, q=None, grad_norm2=None, cosh_u=None,
+            margin=None, tau=tau, eta=eta, g_comp=g, g_inv_comp=g_inv,
+            A_comp=A, sums=None)
     # S_1 = g^ij A_ij and, on S^2, S_2 = det A / det g
     sums = [_double_dot(g_inv, A)]
     if two:
         sums.append((A[0] * A[2] - A[1] ** 2) / (g[0] * g[2] - g[1] ** 2))
     return InducedGeometry(
         grid=grid, u=u, du=du, q=q, grad_norm2=gn2, cosh_u=cosh_u,
-        margin=margin, tau=tau, eta=eta, g_comp=tuple(g),
-        g_inv_comp=tuple(g_inv), A_comp=tuple(A), sums=np.stack(sums, axis=-1))
+        margin=margin, tau=tau, eta=eta, g_comp=g, g_inv_comp=g_inv, A_comp=A,
+        sums=np.stack(sums, axis=-1))
 
 
 def induced_geometry_unchecked(u, grid):

@@ -210,39 +210,54 @@ class SphereGrid:
 
     # -- raw coordinate partials ----------------------------------------
 
-    def partial_gradient(self, f, phi_parity=1.0, *, pad=None):
+    def partial_gradient(self, f, phi_parity=1.0, *, pad=None, out=None):
         """Centered-difference partials d_i f, shape ``(dim, *shape)``.
 
         phi_parity is the sign the component field picks up when read
         through a pole (-1 for one phi index, +1 otherwise); it only
         affects S^2 pole rings.  ``pad`` is f's padding with that parity
-        (_padded), when the caller has it.
+        (_padded), when the caller has it; it may pad a block of rings,
+        whose partials come out.  ``out`` receives the partials.
         """
         if pad is None:
             pad = _padded(self.check_field(f), phi_parity)
+        if out is None:
+            out = np.empty((self.dim,) + _unpadded_shape(pad))
         if self.dim == 1:
-            return ((pad[2:] - pad[:-2]) / (2.0 * self.dtheta))[None]
+            _difference(pad[2:], pad[:-2], 2.0 * self.dtheta, out[0])
+            return out
         rows, cols = pad[:, 1:-1], pad[1:-1]
-        dphi = (rows[2:] - rows[:-2]) / (2.0 * self.dphi)
-        dtheta = (cols[:, 2:] - cols[:, :-2]) / (2.0 * self.dtheta)
-        return np.array([dphi, dtheta])
+        _difference(rows[2:], rows[:-2], 2.0 * self.dphi, out[0])
+        _difference(cols[:, 2:], cols[:, :-2], 2.0 * self.dtheta, out[1])
+        return out
 
-    def partial_hessian(self, f, phi_parity=1.0, *, pad=None):
+    def partial_hessian(self, f, phi_parity=1.0, *, pad=None, out=None):
         """Centered second partials d_ij f, shape ``(dim, dim, *shape)``,
         symmetric by construction (one mixed stencil serves both slots);
-        phi_parity and ``pad`` as in partial_gradient."""
+        phi_parity, ``pad`` and ``out`` as in partial_gradient."""
         if pad is None:
             pad = _padded(self.check_field(f), phi_parity)
+        if out is None:
+            out = np.empty((self.dim, self.dim) + _unpadded_shape(pad))
         if self.dim == 1:
-            d2 = (pad[2:] - 2.0 * pad[1:-1] + pad[:-2]) / self.dtheta ** 2
-            return d2[None, None]
+            _second_difference(pad[2:], pad[1:-1], pad[:-2], self.dtheta ** 2,
+                               out[0, 0])
+            return out
+        # the phi difference of the theta partials of the padded rows
+        # j + 2 and j, the second held in the d2theta slot until then.
+        # out may be a symmetric view whose [1, 0] is its [0, 1]
+        mixed, below = out[0, 1], out[1, 1]
+        _difference(pad[2:, 2:], pad[2:, :-2], 2.0 * self.dtheta, mixed)
+        _difference(pad[:-2, 2:], pad[:-2, :-2], 2.0 * self.dtheta, below)
+        _difference(mixed, below, 2.0 * self.dphi, mixed)
+        if not np.may_share_memory(out[1, 0], mixed):
+            out[1, 0] = mixed
         rows, cols = pad[:, 1:-1], pad[1:-1]
         f = cols[:, 1:-1]
-        d2phi = (rows[2:] - 2.0 * f + rows[:-2]) / self.dphi ** 2
-        d2theta = (cols[:, 2:] - 2.0 * f + cols[:, :-2]) / self.dtheta ** 2
-        dtheta = (pad[:, 2:] - pad[:, :-2]) / (2.0 * self.dtheta)
-        mixed = (dtheta[2:] - dtheta[:-2]) / (2.0 * self.dphi)
-        return np.array([[d2phi, mixed], [mixed, d2theta]])
+        _second_difference(rows[2:], f, rows[:-2], self.dphi ** 2, out[0, 0])
+        _second_difference(cols[:, 2:], f, cols[:, :-2], self.dtheta ** 2,
+                           out[1, 1])
+        return out
 
     def stencil_pattern(self):
         """StencilPattern of partial_gradient and partial_hessian (scalar
@@ -253,7 +268,7 @@ class SphereGrid:
         return self._pattern
 
 
-def _padded(f, parity=1.0, poles=(True, True)):
+def _padded(f, parity=1.0, poles=(True, True), out=None):
     """Field f with one ghost node beyond each end of every grid axis, so
     that the node at offset d from node j is padded[j + 1 + d]: theta
     wraps around and, on S^2, the ghost ring beyond a pole is the pole
@@ -264,13 +279,14 @@ def _padded(f, parity=1.0, poles=(True, True)):
     first and its last ring are pole rings.  A ring that is not gets no
     ghost; it stays the block's border row, so a block holding the
     rings lo - 1 .. hi pads to what the whole grid's padding holds in
-    rows lo .. hi + 1."""
+    rows lo .. hi + 1.  ``out``, of shape _padded_shape(f.shape, poles),
+    receives the padding."""
+    pad = (np.empty(_padded_shape(f.shape, poles), f.dtype) if out is None
+           else out)
     if f.ndim == 1:
-        pad = np.empty(f.size + 2, f.dtype)
         pad[1:-1] = f
     else:
         (top, bottom), (rings, nlon) = poles, f.shape
-        pad = np.empty((rings + top + bottom, nlon + 2), f.dtype)
         pad[int(top):int(top) + rings, 1:-1] = f
         if top or bottom:
             # the ghost rows are the pole rings, first and last, each
@@ -281,6 +297,36 @@ def _padded(f, parity=1.0, poles=(True, True)):
     pad[..., 0] = pad[..., -2]
     pad[..., -1] = pad[..., 1]
     return pad
+
+
+def _padded_shape(shape, poles=(True, True)):
+    """The shape of _padded's result for a field or ring block of
+    ``shape``."""
+    if len(shape) == 1:
+        return (shape[0] + 2,)
+    (rings, nlon), (top, bottom) = shape, poles
+    return (rings + int(top) + int(bottom), nlon + 2)
+
+
+def _unpadded_shape(pad):
+    """The shape of the nodes inside the padding ``pad``."""
+    return tuple(n - 2 for n in pad.shape)
+
+
+def _difference(a, b, h, out):
+    """(a - b) / h, written to out."""
+    np.subtract(a, b, out=out)
+    out /= h
+    return out
+
+
+def _second_difference(ahead, centre, behind, h2, out):
+    """(ahead - 2 centre + behind) / h2, written to out."""
+    np.multiply(2.0, centre, out=out)
+    np.subtract(ahead, out, out=out)
+    out += behind
+    out /= h2
+    return out
 
 
 def _ends(n, first, last):
@@ -527,9 +573,11 @@ def build_grid(dim, resolution):
     return SphereGrid(dim, resolution)
 
 
-def covariant_hessian(d2f, df, christoffel):
+def covariant_hessian(d2f, df, christoffel, out=None):
     """Covariant Hessian d_ij f - Gamma^k_ij d_k f of a scalar f from its
     partials d2f = d_ij f, shape (n, n, ...), and df = d_k f, shape
     (n, ...), in the connection with Christoffel symbols
-    christoffel[k, i, j, ...]: grid.christoffel for the round metric."""
-    return d2f - np.einsum("kij...,k...->ij...", christoffel, df)
+    christoffel[k, i, j, ...]: grid.christoffel for the round metric.
+    ``out``, not d2f, receives it."""
+    term = np.einsum("kij...,k...->ij...", christoffel, df, out=out)
+    return np.subtract(d2f, term, out=term)

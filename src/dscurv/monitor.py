@@ -34,26 +34,38 @@ block's tau, eta, g and A (grid._padded: beyond a pole the ghost ring is
 the pole ring turned half a turn, times the component's parity), and
 forms the Christoffel symbols, the covariant Hessians, grad A and the
 residuals on the slab.  Each node's values are those of a whole-grid
-evaluation, so the residuals are too, bit for bit, and the call holds
-about 7 grid-sized arrays at 128x256 where a whole-grid pass held 44.
-When the grid has several slabs, a first pass runs the light-cone test
-slab by slab, so a SpacelikeError names every violating node before any
-residual is formed.
+evaluation, so the residuals are too, bit for bit.  When the grid has
+several slabs, a first pass runs the light-cone test slab by slab, so a
+SpacelikeError names every violating node before any residual is
+formed.
+
+Every array a slab forms, the geometry's included, is written with out=
+into one Workspace that the call allocates once: SLAB_UNITS units, each
+the size of the largest padded ring block.  A slab takes its arrays from
+it and gives each back when its last reader is done, so arrays whose
+lifetimes do not overlap share memory, and the next slab finds the same
+memory in the same places.  The workspace is about 4.4 grid-sized
+arrays at 128x256 (16.7 at 64x128, whose two slabs are half the grid
+each), and no slab faults memory in that an earlier slab freed to the
+system, as slabs that allocated their own arrays did.
 
 Tensors are the component-first arrays T[i, j, ...], index axes first
 and grid axes last, so each contraction here is an einsum over slab
-arrays.  The covariant Hessians come from the one
-grid.covariant_hessian.  Intermediates are freed once their sup-norm is
-taken.
+arrays; a symmetric tensor the geometry gives as components is read
+through geometry._symmetric's (n, n) view of them.  The covariant
+Hessians come from the one grid.covariant_hessian.
 """
 
+import itertools
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import SpacelikeError
-from .geometry import _cone, _geometry, _matrix
-from .grid import _padded, covariant_hessian
+from .geometry import _cone, _geometry, _symmetric
+from .grid import _padded, _padded_shape, covariant_hessian
+from .workspace import Workspace
 
 # identity_residuals evaluates whole rings, about SLAB_NODES nodes (at
 # least one ring) at a time: 2 slabs at 64x128, 8 at 128x256.  A slab
@@ -61,6 +73,13 @@ from .grid import _padded, covariant_hessian
 # 128x256; 2**13 and 2**14 held 1.7 and 3.2 times the memory there and
 # were not reliably faster.
 SLAB_NODES = 2 ** 12
+
+# The Workspace units a slab's arrays need on S^1 and S^2, each unit one
+# padded ring block.  A slab takes and gives its arrays in one order on
+# every grid of a dimension, so the workspace places them alike on each,
+# in this many units: a slab holds at most 16 and 29 units at once, and
+# the rest are the gaps the workspace's lowest-run placement leaves.
+SLAB_UNITS = {1: 16, 2: 31}
 
 
 @dataclass
@@ -145,89 +164,154 @@ def _ring_slabs(grid):
             for lo in range(0, grid.n_lat, rows)]
 
 
-def _tensor_partials(grid, comps, poles, shape):
+def _block(lo, hi, n_rings):
+    """The rings first..last - 1 whose geometry the slab lo..hi - 1 reads,
+    one halo ring on each side inside the grid, and whether the slab
+    holds each pole ring."""
+    return max(lo - 1, 0), min(hi + 1, n_rings), (lo == 0, hi == n_rings)
+
+
+def _workspace(grid, slabs):
+    """The Workspace of identity_residuals' slabs: a unit holds the
+    largest slab's padded ring block, the largest field a slab takes."""
+    n_rings = grid.shape[0]
+    nodes = 0
+    for lo, hi in slabs:
+        first, last, poles = _block(lo, hi, n_rings)
+        shape = (last - first,) + grid.shape[1:]
+        nodes = max(nodes, math.prod(_padded_shape(shape, poles)))
+    return Workspace(nodes, grid.dim, SLAB_UNITS[grid.dim])
+
+
+def _tensor_partials(grid, comps, poles, shape, work):
     """d_l T_ij of a symmetric 2-tensor field from its components on a
     block of rings, (T_00, T_01, T_11) or (T_00,), each padded
     (_padded, with poles) with its pole parity.  Returns out[l, i, j,
     ...], the derivative index first, on the shape nodes inside the
-    padding."""
+    padding, taken from work."""
     n = grid.dim
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    out = np.empty((n, n, n) + shape)
+    out = work.take((n, n, n) + shape)
+    pad = work.take(_padded_shape(comps[0].shape, poles))
     for (i, j), x in zip(pairs, comps):
-        out[:, i, j] = grid.partial_gradient(
-            None, pad=_padded(x, _component_parity(i, j), poles))
+        grid.partial_gradient(
+            None, pad=_padded(x, _component_parity(i, j), poles, out=pad),
+            out=out[:, i, j])
         if i != j:
             out[:, j, i] = out[:, i, j]
+    work.give(pad)
     return out
 
 
 def _sup(x):
-    return float(np.max(np.abs(x)))
+    """max |x|; x is overwritten with |x|."""
+    return float(np.max(np.abs(x, out=x)))
 
 
-def _slab_residuals(u, pad, grid, lo, hi):
+def _slab_residuals(u, pad, grid, lo, hi, work):
     """Sup-norms of the four residuals on the rings lo..hi-1 of the graph
     u (padded as pad), from its geometry on those rings and one halo ring
-    on each side; beyond a pole the padding supplies the ghost ring."""
-    n_rings = len(u)
-    first, last = max(lo - 1, 0), min(hi + 1, n_rings)
+    on each side; beyond a pole the padding supplies the ghost ring.
+    Every array comes from the Workspace work, and goes back to it."""
+    n = grid.dim
+    first, last, poles = _block(lo, hi, len(u))
     geom = _geometry(u, grid, check_inverse=True, rings=slice(first, last),
-                     pad=pad)
-    poles = (lo == 0, hi == n_rings)
+                     pad=pad, work=work)
     inner = slice(lo - first, hi - first)
-    block_tau, block_eta = geom.tau, geom.eta
-    g_comp, a_comp = geom.g_comp, geom.A_comp
-    tau, eta = block_tau[inner], block_eta[inner]
-    g, g_inv, A = (_matrix(tuple(x[inner] for x in comps)) for comps in
-                   (g_comp, geom.g_inv_comp, a_comp))
+    block_tau, block_eta, g_comp = geom.tau, geom.eta, geom.g_comp
+    g_inv_comp, a_comp = geom.g_inv_comp, geom.A_comp
     del geom
+    tau, eta = block_tau[inner], block_eta[inner]
+    g_inv, A = (_symmetric(x)[:, :, inner] for x in (g_inv_comp, a_comp))
+    shape = tau.shape
+    pad_shape = _padded_shape(block_tau.shape, poles)
+    take, give = work.take, work.give
+    entries = list(itertools.product(range(n), repeat=2))
 
     # Christoffel symbols of g: g^mk 0.5 (d_i g_jk + d_j g_ik - d_k g_ij)
-    dg = _tensor_partials(grid, g_comp, poles, tau.shape)
-    del g_comp
-    low = np.einsum("ijk...->kij...", dg) + np.einsum("jik...->kij...", dg)
+    dg = _tensor_partials(grid, g_comp, poles, shape, work)
+    low = np.add(np.einsum("ijk...->kij...", dg),
+                 np.einsum("jik...->kij...", dg), out=take(dg.shape))
     low -= dg
     low *= 0.5
-    del dg
-    christoffel = np.einsum("mk...,kij...->mij...", g_inv, low)
-    del low
+    give(dg)
+    christoffel = np.einsum("mk...,kij...->mij...", g_inv, low,
+                            out=take(low.shape))
+    give(low)
 
-    eta_pad = _padded(block_eta, 1.0, poles)
-    deta = grid.partial_gradient(None, pad=eta_pad)
-    res = (covariant_hessian(grid.partial_hessian(None, pad=eta_pad), deta,
-                             christoffel)
-           - (tau * A - eta * g))
+    eta_pad = _padded(block_eta, 1.0, poles, out=take(pad_shape))
+    deta = grid.partial_gradient(None, pad=eta_pad, out=take((n,) + shape))
+    hess = grid.partial_hessian(None, pad=eta_pad, out=take((n, n) + shape))
+    give(eta_pad)
+    res = covariant_hessian(hess, deta, christoffel, out=take(hess.shape))
+    give(hess)
+    # res -= tau A - eta g, entry by entry (g_ij is component i + j)
+    term, other = take(shape), take(shape)
+    for i, j in entries:
+        np.multiply(tau, A[i, j], out=term)
+        term -= np.multiply(eta, g_comp[i + j][inner], out=other)
+        entry = res[i, j]
+        entry -= term
     r_eta = _sup(res)
-    del g, res, eta_pad
+    give(res, term, other, g_comp)
 
-    tau_pad = _padded(block_tau, 1.0, poles)
-    dtau = grid.partial_gradient(None, pad=tau_pad)
-    shape_mixed = np.einsum("ik...,kj...->ij...", g_inv, A)
-    res = dtau - np.einsum("ij...,i...->j...", shape_mixed, deta)
-    r_tau1 = _sup(res)
-    del shape_mixed, res
+    # d_j tau = A^i_j d_i eta.  d tau is formed again at the end rather
+    # than held through grad A, which keeps the workspace 2 units smaller
+    shape_mixed = np.einsum("ik...,kj...->ij...", g_inv, A,
+                            out=take((n, n) + shape))
+    transported = np.einsum("ij...,i...->j...", shape_mixed, deta,
+                            out=take((n,) + shape))
+    give(shape_mixed)
+    tau_pad = _padded(block_tau, 1.0, poles, out=take(pad_shape))
+    dtau = grid.partial_gradient(None, pad=tau_pad, out=take((n,) + shape))
+    r_tau1 = _sup(np.subtract(dtau, transported, out=transported))
+    give(dtau, transported)
 
-    # grad_k A_ij = d_k A_ij - Gamma^m_ki A_mj - Gamma^m_kj A_im
-    cov_a = _tensor_partials(grid, a_comp, poles, tau.shape)
-    del a_comp
-    cov_a -= np.einsum("mki...,mj...->kij...", christoffel, A)
-    cov_a -= np.einsum("mkj...,im...->kij...", christoffel, A)
-    deta_raised = np.einsum("kl...,l...->k...", g_inv, deta)
-    res = np.einsum("kij...,k...->ij...", cov_a, deta_raised)
-    del deta, deta_raised
+    # the factors of the second tau identity that read g^-1
+    deta_raised = np.einsum("kl...,l...->k...", g_inv, deta,
+                            out=take((n,) + shape))
+    give(deta)
+    res = np.einsum("ik...,kl...,lj...->ij...", A, g_inv, A,
+                    out=take((n, n) + shape))
+    res *= tau
+    give(g_inv_comp, block_tau)
+
+    # grad_k A_ij = d_k A_ij - Gamma^m_ki A_mj - Gamma^m_kj A_im; the
+    # connection terms are formed for one (k, i) at a time, so that they
+    # take one (n, ...) array and not a third (n, n, n, ...) one
+    cov_a = _tensor_partials(grid, a_comp, poles, shape, work)
+    part = take((n,) + shape)
+    for k, i in entries:
+        entry = cov_a[k, i]
+        entry -= np.einsum("m...,mj...->j...", christoffel[:, k, i], A,
+                           out=part)
+        entry -= np.einsum("mj...,m...->j...", christoffel[:, k], A[i],
+                           out=part)
     # grad A is symmetric in (i, j) by construction, so one swap, of k and
     # i, generates the full permutation group; its only entries that need
     # not vanish are k, i = 0, 1 and their negatives.  On S^1 there is
     # nothing to permute.
-    codazzi = 0.0 if grid.dim == 1 else _sup(cov_a[0, 1] - cov_a[1, 0])
-    del cov_a
-    res += tau * np.einsum("ik...,kl...,lj...->ij...", A, g_inv, A)
-    res -= eta * A
-    res = (covariant_hessian(grid.partial_hessian(None, pad=tau_pad), dtau,
-                             christoffel)
-           - res)
-    return r_eta, r_tau1, _sup(res), codazzi
+    codazzi = (0.0 if n == 1 else
+               _sup(np.subtract(cov_a[0, 1], cov_a[1, 0], out=part)))
+    give(part)
+    # res = (grad_k A_ij) g^kl d_l eta + tau A^2_ij - eta A_ij, entry by
+    # entry
+    term = take(shape)
+    for i, j in entries:
+        entry = res[i, j]
+        entry += np.einsum("k...,k...->...", cov_a[:, i, j], deta_raised,
+                           out=term)
+        entry -= np.multiply(eta, A[i, j], out=term)
+    give(cov_a, deta_raised, term, block_eta, a_comp)
+
+    dtau = grid.partial_gradient(None, pad=tau_pad, out=take((n,) + shape))
+    hess = grid.partial_hessian(None, pad=tau_pad, out=take((n, n) + shape))
+    give(tau_pad)
+    cov_hess = covariant_hessian(hess, dtau, christoffel,
+                                 out=take(hess.shape))
+    r_tau2 = _sup(np.subtract(cov_hess, res, out=res))
+    work.reset()
+    return r_eta, r_tau1, r_tau2, codazzi
 
 
 def identity_residuals(u, grid):
@@ -241,17 +325,20 @@ def identity_residuals(u, grid):
     u = grid.check_field(u)
     pad = _padded(u)
     slabs = _ring_slabs(grid)
+    work = _workspace(grid, slabs)
     if len(slabs) > 1:
         # a slab's geometry would name the violations of its own rings
         # only, and after earlier slabs formed their residuals
         bad = np.empty(u.shape, bool)
         for lo, hi in slabs:
-            bad[lo:hi] = _cone(u[lo:hi], pad[lo:hi + 2], grid,
-                               slice(lo, hi))[-1]
+            du, q, *cone = _cone(u[lo:hi], pad[lo:hi + 2], grid,
+                                 slice(lo, hi), work, bad[lo:hi])[:-1]
+            work.give(du, *q[1:], *cone)
         if bad.any():
             raise SpacelikeError(np.flatnonzero(bad.ravel()).tolist())
         del bad
     sups = np.zeros(4)
     for lo, hi in slabs:
-        np.maximum(sups, _slab_residuals(u, pad, grid, lo, hi), out=sups)
+        np.maximum(sups, _slab_residuals(u, pad, grid, lo, hi, work),
+                   out=sups)
     return IdentityResiduals(*map(float, sups), grid.h)

@@ -56,6 +56,7 @@ fails.  Everything on the solve path is deterministic: same config,
 grid, and prescription reproduce bit-identical traces.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,6 +185,7 @@ class HomotopyState:
     residual_norm = property(lambda self: self.step_history[-1].residual)
 
 
+@functools.cache
 def initial_constant(p):
     """The unique lam in (0, 1) with lam * cosh^p(lam) = 1, by bisection.
 
@@ -212,6 +214,7 @@ def initial_constant(p):
     return lam
 
 
+@functools.cache
 def zeroth_coefficient_at_start(p):
     """Zeroth-order coefficient c of the linearization at the t = 0 start.
 
@@ -281,7 +284,11 @@ class ContinuationSolver:
         self.target = target
         self.homotopy = HomotopyPrescription(target, self.config.p)
         self.barriers = barriers
-        self.coords = grid.coords()
+        # the ring and longitude vectors, which broadcast like the node
+        # meshes; transcendentals run several times slower on the meshes'
+        # stride-0 views
+        self.coords = ((grid.theta,) if grid.dim == 1
+                       else (grid.phi[:, None], grid.theta[None, :]))
         # fail fast if the start linearization is unusable
         self.start_radius = initial_constant(self.config.p)
         zeroth_coefficient_at_start(self.config.p)
@@ -488,8 +495,8 @@ class ContinuationSolver:
         A failed level (a NewtonError or a ContinuationError) raises
         ContinuationError("level L (RES) failed: cause"), whose state is
         the trace accepted before the failure: the coarse homotopy's
-        partial trace (None when its start fails), or its trace and every
-        finished level.
+        partial trace and level record (None when its start fails), or
+        its trace and every finished level.
         """
         if self.barriers is None:
             raise ValueError("barriers must be set before running the homotopy")
@@ -554,11 +561,11 @@ class ContinuationSolver:
         damping, so that a step too long for Newton fails fast.  The
         first step tries t = 1 at once (dt_init = 1 by default).  A
         rejected step halves dt (below dt_min the homotopy raises
-        ContinuationError carrying the trace and naming the cause of the
-        last rejected step), and a step accepted in at most FAST_ITERS
-        iterations grows it up to dt_max.  Every rejected attempt is
-        kept in the level record as ``{"t", "cause"}``.  A failed start
-        is raised as it is, with no trace.
+        ContinuationError naming the cause of the last rejected step and
+        carrying the trace with its level record), and a step accepted in
+        at most FAST_ITERS iterations grows it up to dt_max.  Every
+        rejected attempt is kept in the level record as ``{"t",
+        "cause"}``.  A failed start is raised as it is, with no trace.
         """
         cfg = self.config
         u, monitor, record = self._accept(
@@ -584,7 +591,9 @@ class ContinuationSolver:
                         f"stalled at t = {t:.6f}: step size fell below "
                         f"dt_min = {cfg.dt_min}; the last step, to "
                         f"t = {t_next:.6f}, was rejected: {_cause(exc)}",
-                        state=HomotopyState(u, monitor, history)) from exc
+                        state=HomotopyState(u, monitor, history, [
+                            _level_record(self.grid, history, u, rejected)]),
+                    ) from exc
                 continue
             u, t, monitor = trial, t_next, trial_monitor
             history.append(record)

@@ -341,6 +341,26 @@ def test_summary_levels_name_rejected_attempts(tmp_path):
     assert [level["rejected"] for level in levels[1:]] == [[], []]
 
 
+def test_stalled_homotopy_summary_keeps_every_rejected_attempt(tmp_path):
+    # with dt_min = 0.3 this draw's homotopy stalls after three rejected
+    # attempts at t = 1, from 0 and twice from 0.5
+    out = tmp_path / "stalled"
+    path = write_config(tmp_path, BASE.replace(
+        "prescription.a0 = 0.5\nprescription.p = 2.0\n",
+        "prescription.a0 = 0.19789276722589916\n"
+        "prescription.a1 = -0.10865109055667578\n"
+        "prescription.p = 1.911526042173001\n")
+        + f"solver.dt_min = 0.3\nout = {out}\n")
+    assert cli.main(["--config", path, "--resolution", "32x64",
+                     "--quiet"]) == cli.EXIT_CONTINUATION
+    summary = json.loads((out / "summary.json").read_text())
+    (coarse,) = summary["levels"]
+    assert coarse["resolution"] == "8x16" and coarse["steps"] == 2
+    assert [attempt["t"] for attempt in coarse["rejected"]] == [1.0] * 3
+    assert summary["continuation"]["message"].endswith(
+        coarse["rejected"][-1]["cause"])
+
+
 def test_failed_level_exit_code(tmp_path, monkeypatch):
     solved = tmp_path / "solved"
     path = write_config(tmp_path, BASE + f"out = {solved}\n")
@@ -357,6 +377,8 @@ def test_failed_level_exit_code(tmp_path, monkeypatch):
     assert summary["continuation"]["failed"] is True
     assert summary["continuation"]["message"].startswith(
         "level 1 (16x32) failed")
+    # the levels that finished before the failure: the coarse homotopy
+    assert [level["resolution"] for level in summary["levels"]] == ["8x16"]
     # trace.csv holds the coarse homotopy's rows, those of level 0
     lines = (solved / "trace.csv").read_text().splitlines()
     level_0 = [line for line in lines[1:] if line.endswith(",0")]

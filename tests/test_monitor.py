@@ -210,7 +210,10 @@ def test_identity_residuals_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 60 * 8 * grid.node_count
+    # two slabs of half the grid: the workspace holds 16.7 grid arrays,
+    # and the call about 19 at its peak (slabs that allocated their own
+    # arrays peaked at 23.2)
+    assert peak <= 21 * 8 * grid.node_count
 
 
 def _slab_profiles(grid):
@@ -242,6 +245,75 @@ def test_identity_residuals_across_slab_boundaries(monkeypatch, resolution,
                 == _node_major_residuals(u, grid))
 
 
+class _PoisonedWorkspace(dscurv.monitor.Workspace):
+    """A Workspace whose memory is NaN when allocated and again whenever
+    an array is given back or the workspace reset, so that a slab reading
+    a value it did not write, left by an earlier slab or an earlier array,
+    turns its residuals NaN.  ``allocations`` counts its buffers."""
+
+    allocations = 0
+
+    def _allocate(self, size):
+        type(self).allocations += 1
+        return np.full(size, np.nan)
+
+    def give(self, *arrays):
+        for array in arrays:
+            if array.dtype == float:
+                array.fill(np.nan)
+        super().give(*arrays)
+
+    def reset(self):
+        self.buffer.fill(np.nan)
+        super().reset()
+
+
+@pytest.mark.parametrize("resolution, rings", [
+    ((16, 32), 3),          # 5 slabs of 3 rings and a ragged last one
+    ((64, 128), None),      # the default slab size
+])
+def test_identity_slabs_reuse_one_workspace(monkeypatch, resolution, rings):
+    grid = build_grid(2, resolution)
+    if rings is not None:
+        monkeypatch.setattr(dscurv.monitor, "SLAB_NODES", rings * grid.n_lon)
+    monkeypatch.setattr(dscurv.monitor, "Workspace", _PoisonedWorkspace)
+    monkeypatch.setattr(_PoisonedWorkspace, "allocations", 0)
+    works, allocated = [], []
+    slab_residuals = dscurv.monitor._slab_residuals
+
+    def counted(u, pad, grid, lo, hi, work):
+        before = _PoisonedWorkspace.allocations
+        sups = slab_residuals(u, pad, grid, lo, hi, work)
+        works.append(work)
+        allocated.append(_PoisonedWorkspace.allocations - before)
+        return sups
+
+    monkeypatch.setattr(dscurv.monitor, "_slab_residuals", counted)
+    profiles = _slab_profiles(grid)
+    for u in profiles:
+        works.clear()
+        allocated.clear()
+        assert (identity_residuals(u, grid).as_tuple()
+                == _node_major_residuals(u, grid))
+        # one workspace serves every slab, which allocate nothing
+        assert len(works) == len(dscurv.monitor._ring_slabs(grid)) > 1
+        assert all(work is works[0] for work in works)
+        assert allocated == [0] * len(works)
+    assert _PoisonedWorkspace.allocations == len(profiles)
+
+
+@pytest.mark.parametrize("dim, resolution", [(1, 64), (2, (16, 32))])
+def test_slab_units_are_what_a_slab_needs(monkeypatch, dim, resolution):
+    # SLAB_UNITS holds a slab's placements, and no unit more
+    grid = build_grid(dim, resolution)
+    u = np.full(grid.shape, 0.85)
+    identity_residuals(u, grid)
+    monkeypatch.setitem(dscurv.monitor.SLAB_UNITS, dim,
+                        dscurv.monitor.SLAB_UNITS[dim] - 1)
+    with pytest.raises(MemoryError):
+        identity_residuals(u, grid)
+
+
 @pytest.mark.parametrize("rings", [1, 3, None])
 def test_identity_spacelike_error_names_every_slab(monkeypatch, s2_16x32,
                                                    rings):
@@ -268,7 +340,8 @@ def test_identity_spacelike_error_names_every_slab(monkeypatch, s2_16x32,
 
 def test_identity_residuals_slab_memory_bound():
     # the slabs hold a few grid arrays' worth at most, not the 44 of a
-    # whole-grid evaluation
+    # whole-grid evaluation: the workspace is 4.4 and the call's peak
+    # about 5.8 (slabs that allocated their own arrays peaked at 6.6)
     grid = build_grid(2, (128, 256))
     u = _slab_profiles(grid)[3]
     identity_residuals(u, grid)         # warm call: caches and imports
@@ -278,4 +351,4 @@ def test_identity_residuals_slab_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 8 * grid.node_count
+    assert peak <= 6.5 * 8 * grid.node_count
