@@ -491,6 +491,9 @@ def run(config, quiet=False):
     residual, geom, _ = solver.residual_with_geometry(state.u, state.t)
     _write_fields_csv(os.path.join(outdir, "fields.csv"), grid, geom, residual)
     _write_trace_csv(os.path.join(outdir, "trace.csv"), state.step_history)
+    # the largest tilt along the whole path, which the monitors admit up
+    # to c_tau but the audit sampled only up to tau_max
+    max_tau = max(rec.max_tau for rec in state.step_history)
     summary["continuation"] = {
         "failed": False,
         "t": state.t,
@@ -499,12 +502,16 @@ def run(config, quiet=False):
         "recomputed_residual_sup_norm": float(np.max(np.abs(residual))),
         "min_u": float(state.u.min()),
         "max_u": float(state.u.max()),
+        "max_tau": max_tau,
     }
     summary["levels"] = _level_summaries(state.levels)
     summary["monitor"] = state.monitor.to_dict()
-    return _finish(outdir, summary, quiet, EXIT_OK,
-                   f"solved: t = {state.t}, residual = {state.residual_norm:.3e}, "
-                   f"u in [{state.u.min():.8f}, {state.u.max():.8f}]")
+    message = (f"solved: t = {state.t}, residual = {state.residual_norm:.3e}, "
+               f"u in [{state.u.min():.8f}, {state.u.max():.8f}]")
+    if max_tau > config.box.tau_max:
+        message += (f"; the path reached tau = {max_tau:.6g}, beyond the "
+                    f"audited tau_max = {config.box.tau_max:.6g}")
+    return _finish(outdir, summary, quiet, EXIT_OK, message)
 
 
 def _build_parser():

@@ -20,11 +20,15 @@ The curvature sums and the principal curvatures are tuples per node and
 keep the symmetric functions' trailing axis, sums[..., j - 1] = S_j.
 Every array is written with out= into memory the caller's allocator
 hands out: a fresh array each (FRESH), or a Workspace's, which the
-identity monitor reuses from ring slab to ring slab.
+identity monitor reuses from ring slab to ring slab.  _geometry builds
+one bundle, less the sums, for every caller: the public entry points
+add the sums, and the monitor gives the bundle's partials, |grad u|^2,
+cosh u and margin back to its workspace, as it reads none of them.
 
 Spacelike means cosh^2(u) - |grad u|^2 > 0 node-wise; a small relative
 guard keeps the tilt finite and the linearized operator well
-conditioned near the light cone.  A graph that is not spacelike raises
+conditioned near the light cone.  _geometry runs this light-cone test
+once, before anything else, and a graph that is not spacelike raises
 SpacelikeError carrying the violating node ids.
 """
 
@@ -60,7 +64,7 @@ class InducedGeometry:
     g_comp: np.ndarray
     g_inv_comp: np.ndarray
     A_comp: np.ndarray
-    sums: np.ndarray          # S_1..S_n of the principal curvatures, (..., n)
+    sums: np.ndarray = None   # S_1..S_n of the principal curvatures, (..., n)
 
     du_raised = property(lambda self: np.array(self.q))
     g = property(lambda self: _matrix(self.g_comp))
@@ -174,18 +178,32 @@ def _shape_eigenvalues(A, g):
     return np.stack([mean - disc, mean + disc], axis=-1)
 
 
-def _cone(u, pad, grid, rings, work=FRESH, bad=None):
-    """The light-cone test of the graph on the rings ``rings``, from u and
-    its padding (_padded) cut to those rings: (du, q, |grad u|^2,
-    cosh u, cosh^2 u, margin, bad), bad marking the nodes that are not
-    spacelike.  The arrays come from ``work`` (a Workspace, or FRESH),
-    q[0] being du[0]; ``bad``, when given, receives the marks."""
-    shape = u.shape
+def _geometry(u, grid, check_inverse, rings=slice(None), pad=None,
+              work=FRESH):
+    """The bundle of the graph u on its rings ``rings``, a slice of u's
+    first axis (every node by default), with no curvature sums (_with_sums
+    adds them): each array covers those rings only.  ``pad`` is u's
+    padding (_padded), when the caller has it.  ``work`` hands out every
+    array; the bundle's arrays stay taken, the others go back to it.
+
+    The light-cone test comes first and is the only one: SpacelikeError
+    names the violating nodes of these rings, by their ids on the grid."""
+    u = grid.check_field(u)
+    if pad is None:
+        pad = _padded(u)
+    lo, hi, _ = rings.indices(len(u))
+    u, pad = u[lo:hi], pad[lo:hi + 2]
+    shape, two = u.shape, grid.dim == 2
+    # the arrays a workspace caller keeps come first, so that a workspace
+    # holds them below everything given back
+    components = (grid.dim * (grid.dim + 1) // 2,) + shape
+    A, g_inv, g = (work.take(components) for _ in range(3))
+    tau, eta = work.take(shape), work.take(shape)
     du = grid.partial_gradient(u, pad=pad,
                                out=work.take((grid.dim,) + shape))
     p0 = du[0]
     gn2 = np.multiply(p0, p0, out=work.take(shape))
-    if grid.dim == 2:
+    if two:
         q = (p0, np.multiply(grid.sigma_inv[1, 1, rings], du[1],
                              out=work.take(shape)))
         term = np.multiply(du[1], q[1], out=work.take(shape))
@@ -197,41 +215,13 @@ def _cone(u, pad, grid, rings, work=FRESH, bad=None):
     c2 = np.square(cosh_u, out=work.take(shape))
     margin = np.subtract(c2, gn2, out=work.take(shape))
     guard = np.multiply(SPACELIKE_GUARD, c2, out=work.take(shape))
-    if bad is None:
-        bad = work.take(shape, bool)
-    np.less_equal(margin, guard, out=bad)
+    bad = np.less_equal(margin, guard, out=work.take(shape, bool))
     work.give(guard)
-    return du, q, gn2, cosh_u, c2, margin, bad
-
-
-def _geometry(u, grid, check_inverse, rings=slice(None), pad=None,
-              work=FRESH):
-    """The bundle of the graph u on its rings ``rings``, a slice of u's
-    first axis (every node by default): each array covers those rings
-    only.  ``pad`` is u's padding (_padded), when the caller has it.
-
-    ``work`` hands out every array.  A Workspace is that of a caller that
-    reads tau, eta and the components of g, g_inv and A alone (the
-    identity monitor): the rest of the bundle goes back to it, and the
-    bundle has no sums."""
-    u = grid.check_field(u)
-    if pad is None:
-        pad = _padded(u)
-    lo, hi, _ = rings.indices(len(u))
-    u, pad = u[lo:hi], pad[lo:hi + 2]
-    shape, two = u.shape, grid.dim == 2
-    # the arrays the bundle keeps come first, so that a workspace holds
-    # them below everything given back on return
-    components = (grid.dim * (grid.dim + 1) // 2,) + shape
-    A, g_inv, g = (work.take(components) for _ in range(3))
-    tau, eta = work.take(shape), work.take(shape)
-    du, q, gn2, cosh_u, c2, margin, bad = _cone(u, pad, grid, rings, work)
     if bad.any():
         # ids on the whole grid: ring lo starts at node lo * (its size)
         raise SpacelikeError(
             (lo * bad[0].size + np.flatnonzero(bad.ravel())).tolist())
     work.give(bad)
-    p0 = du[0]
     # A is built over the partials d_ij u, component by component
     grid.partial_hessian(u, pad=pad, out=_symmetric(A))
     np.sqrt(margin, out=tau)
@@ -281,26 +271,26 @@ def _geometry(u, grid, check_inverse, rings=slice(None), pad=None,
     work.give(c2, ratio, two_th, ec, cm, pp, term)
     if check_inverse:
         _check_inverse(g, g_inv, work)
-    if work is not FRESH:
-        work.give(du, *q[1:], gn2, cosh_u, margin)
-        return InducedGeometry(
-            grid=grid, u=u, du=None, q=None, grad_norm2=None, cosh_u=None,
-            margin=None, tau=tau, eta=eta, g_comp=g, g_inv_comp=g_inv,
-            A_comp=A, sums=None)
-    # S_1 = g^ij A_ij and, on S^2, S_2 = det A / det g
-    sums = [_double_dot(g_inv, A)]
-    if two:
-        sums.append((A[0] * A[2] - A[1] ** 2) / (g[0] * g[2] - g[1] ** 2))
     return InducedGeometry(
         grid=grid, u=u, du=du, q=q, grad_norm2=gn2, cosh_u=cosh_u,
-        margin=margin, tau=tau, eta=eta, g_comp=g, g_inv_comp=g_inv, A_comp=A,
-        sums=np.stack(sums, axis=-1))
+        margin=margin, tau=tau, eta=eta, g_comp=g, g_inv_comp=g_inv, A_comp=A)
+
+
+def _with_sums(geom):
+    """geom with its curvature sums: S_1 = g^ij A_ij and, on S^2,
+    S_2 = det A / det g."""
+    g, g_inv, A = geom.g_comp, geom.g_inv_comp, geom.A_comp
+    sums = [_double_dot(g_inv, A)]
+    if len(g) == 3:
+        sums.append((A[0] * A[2] - A[1] ** 2) / (g[0] * g[2] - g[1] ** 2))
+    geom.sums = np.stack(sums, axis=-1)
+    return geom
 
 
 def induced_geometry_unchecked(u, grid):
     """induced_geometry without the metric inverse check: the solver's
     per-iterate evaluation."""
-    return _geometry(u, grid, check_inverse=False)
+    return _with_sums(_geometry(u, grid, check_inverse=False))
 
 
 def induced_geometry(u, grid):
@@ -309,4 +299,4 @@ def induced_geometry(u, grid):
 
     Raises SpacelikeError carrying the violating node ids otherwise.
     """
-    return _geometry(u, grid, check_inverse=True)
+    return _with_sums(_geometry(u, grid, check_inverse=True))

@@ -34,10 +34,11 @@ block's tau, eta, g and A (grid._padded: beyond a pole the ghost ring is
 the pole ring turned half a turn, times the component's parity), and
 forms the Christoffel symbols, the covariant Hessians, grad A and the
 residuals on the slab.  Each node's values are those of a whole-grid
-evaluation, so the residuals are too, bit for bit.  When the grid has
-several slabs, a first pass runs the light-cone test slab by slab, so a
-SpacelikeError names every violating node before any residual is
-formed.
+evaluation, so the residuals are too, bit for bit.  The slab's geometry
+runs the only light-cone test on its rings.  Once a slab's geometry
+fails it, the slabs after it compute their geometry alone, which names
+their violating nodes, and form no residual; the SpacelikeError then
+names every violating node of the grid.
 
 Every array a slab forms, the geometry's included, is written with out=
 into one Workspace that the call allocates once: SLAB_UNITS units, each
@@ -63,7 +64,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import SpacelikeError
-from .geometry import _cone, _geometry, _symmetric
+from .geometry import _geometry, _symmetric
 from .grid import _padded, _padded_shape, covariant_hessian
 from .workspace import Workspace
 
@@ -212,11 +213,12 @@ def _slab_residuals(u, pad, grid, lo, hi, work):
     """Sup-norms of the four residuals on the rings lo..hi-1 of the graph
     u (padded as pad), from its geometry on those rings and one halo ring
     on each side; beyond a pole the padding supplies the ghost ring.
-    Every array comes from the Workspace work, and goes back to it."""
+    Every array comes from the Workspace work, which the caller resets."""
     n = grid.dim
     first, last, poles = _block(lo, hi, len(u))
     geom = _geometry(u, grid, check_inverse=True, rings=slice(first, last),
                      pad=pad, work=work)
+    work.give(geom.du, *geom.q[1:], geom.grad_norm2, geom.cosh_u, geom.margin)
     inner = slice(lo - first, hi - first)
     block_tau, block_eta, g_comp = geom.tau, geom.eta, geom.g_comp
     g_inv_comp, a_comp = geom.g_inv_comp, geom.A_comp
@@ -310,7 +312,6 @@ def _slab_residuals(u, pad, grid, lo, hi, work):
     cov_hess = covariant_hessian(hess, dtau, christoffel,
                                  out=take(hess.shape))
     r_tau2 = _sup(np.subtract(cov_hess, res, out=res))
-    work.reset()
     return r_eta, r_tau1, r_tau2, codazzi
 
 
@@ -318,27 +319,29 @@ def identity_residuals(u, grid):
     """Sup-norms of the four identity residuals for the graph u.
 
     Raises SpacelikeError for non-spacelike input, naming every
-    violating node of the grid before any residual is formed.  On S^1
-    the Codazzi residual is identically zero (a single index has nothing
-    to permute).
+    violating node of the grid, as induced_geometry does; no slab forms
+    residuals after the first slab whose geometry fails the light-cone
+    test.  On S^1 the Codazzi residual is identically zero (a single
+    index has nothing to permute).
     """
     u = grid.check_field(u)
     pad = _padded(u)
     slabs = _ring_slabs(grid)
     work = _workspace(grid, slabs)
-    if len(slabs) > 1:
-        # a slab's geometry would name the violations of its own rings
-        # only, and after earlier slabs formed their residuals
-        bad = np.empty(u.shape, bool)
-        for lo, hi in slabs:
-            du, q, *cone = _cone(u[lo:hi], pad[lo:hi + 2], grid,
-                                 slice(lo, hi), work, bad[lo:hi])[:-1]
-            work.give(du, *q[1:], *cone)
-        if bad.any():
-            raise SpacelikeError(np.flatnonzero(bad.ravel()).tolist())
-        del bad
-    sups = np.zeros(4)
+    sups, bad = np.zeros(4), set()
     for lo, hi in slabs:
-        np.maximum(sups, _slab_residuals(u, pad, grid, lo, hi, work),
-                   out=sups)
+        try:
+            if not bad:
+                np.maximum(sups, _slab_residuals(u, pad, grid, lo, hi, work),
+                           out=sups)
+            else:
+                first, last, _ = _block(lo, hi, len(u))
+                _geometry(u, grid, check_inverse=False,
+                          rings=slice(first, last), pad=pad, work=work)
+        except SpacelikeError as error:
+            # the halo rings name some nodes twice
+            bad.update(error.nodes)
+        work.reset()
+    if bad:
+        raise SpacelikeError(sorted(bad))
     return IdentityResiduals(*map(float, sups), grid.h)

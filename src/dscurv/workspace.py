@@ -35,8 +35,6 @@ class Workspace:
         self.nodes, self.field_ndim, self.units = nodes, field_ndim, units
         self.buffer = self._allocate(units * nodes)
         self._free = (1 << units) - 1     # bit i set: unit i is free
-        self._sizes = {}        # (shape, dtype) -> units
-        self._views = {}        # (first unit, shape, dtype) -> array
         self._taken = {}        # id(array) -> (array, first unit, units)
 
     def _allocate(self, size):
@@ -45,8 +43,11 @@ class Workspace:
     def take(self, shape, dtype=float):
         """An array of ``shape`` and ``dtype`` in free units; its values
         are whatever the units last held."""
-        key = (shape, dtype)
-        units = self._sizes.get(key) or self._size(shape, dtype)
+        split = len(shape) - self.field_ndim
+        if math.prod(shape[split:]) > self.nodes:
+            raise ValueError(f"a field of shape {shape[split:]} exceeds the "
+                             f"workspace's {self.nodes} nodes")
+        units = -(-math.prod(shape[:split]) * np.dtype(dtype).itemsize // 8)
         fits = self._free           # bit i set: units i .. i + units - 1 free
         for i in range(1, units):
             fits &= self._free >> i
@@ -55,10 +56,7 @@ class Workspace:
                               f"workspace of {self.units}")
         first = (fits & -fits).bit_length() - 1
         self._free &= ~(((1 << units) - 1) << first)
-        array = self._views.get((first,) + key)
-        if array is None:
-            array = self._views[(first,) + key] = np.ndarray(
-                shape, dtype, self.buffer, first * self.nodes * 8)
+        array = np.ndarray(shape, dtype, self.buffer, first * self.nodes * 8)
         self._taken[id(array)] = (array, first, units)
         return array
 
@@ -73,16 +71,6 @@ class Workspace:
         """Free every unit."""
         self._taken.clear()
         self._free = (1 << self.units) - 1
-
-    def _size(self, shape, dtype):
-        """The units an array of ``shape`` and ``dtype`` takes."""
-        split = len(shape) - self.field_ndim
-        if math.prod(shape[split:]) > self.nodes:
-            raise ValueError(f"a field of shape {shape[split:]} exceeds the "
-                             f"workspace's {self.nodes} nodes")
-        units = -(-math.prod(shape[:split]) * np.dtype(dtype).itemsize // 8)
-        self._sizes[shape, dtype] = units
-        return units
 
 
 class _Fresh:

@@ -297,6 +297,43 @@ def test_summary_residual_matches_artifact_recomputation(tmp_path):
     assert abs(recomputed - summary["continuation"]["residual_sup_norm"]) <= 1e-12
 
 
+S1_TILT = """\
+mode = solve
+grid.dim = 1
+grid.n = 128
+k = 1
+prescription.name = space_tilt_power
+prescription.a0 = 0.5
+prescription.a1 = 0.4
+prescription.p = 2.0
+"""
+
+
+@pytest.mark.parametrize("box, beyond", [("audit.tau_max = 2.0\n", True),
+                                         ("", False)],
+                         ids=["tau_max-2", "default-box"])
+def test_summary_names_the_path_tilt_beyond_the_audited_box(
+        tmp_path, capsys, box, beyond):
+    # the path's largest tilt (2.897) lies above the final state's and,
+    # with tau_max = 2, beyond the tilts the audit sampled
+    out = tmp_path / "tilt"
+    path = write_config(tmp_path, S1_TILT + box + f"out = {out}\n")
+    assert cli.main(["--config", path]) == cli.EXIT_OK
+    message = capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    lines = (out / "trace.csv").read_text().splitlines()
+    column = lines[0].split(",").index("max_tau")
+    max_tau = summary["continuation"]["max_tau"]
+    assert max_tau == max(float(line.split(",")[column]) for line in lines[1:])
+    assert max_tau > summary["monitor"]["max_tau"] > 2.0
+    assert summary["audit"]["passed"] is True
+    if beyond:
+        assert (f"the path reached tau = {max_tau:.6g}, beyond the audited "
+                "tau_max = 2" in message)
+    else:
+        assert "tau_max" not in message and "beyond" not in message
+
+
 def test_summary_levels_and_trace_level_column(tmp_path):
     out = tmp_path / "levels"
     path = write_config(tmp_path, BASE + f"prescription.a1 = 0.1\nout = {out}\n")

@@ -338,6 +338,41 @@ def test_identity_spacelike_error_names_every_slab(monkeypatch, s2_16x32,
     assert min(rows) == 0 and max(rows) == grid.n_lat - 1
 
 
+def test_identity_spacelike_error_from_a_middle_slab(monkeypatch, s2_16x32):
+    # the first violation is in the second 3-ring slab (the halo of ring
+    # 6), the next in the fourth: the first slab forms its residuals, the
+    # slabs after the second name their nodes and form none
+    grid = s2_16x32
+    monkeypatch.setattr(dscurv.monitor, "SLAB_NODES", 3 * grid.n_lon)
+    u = _slab_profiles(grid)[2]
+    u[7, 5] = u[13, 20] = 6.0
+    with pytest.raises(SpacelikeError) as whole:
+        induced_geometry(u, grid)
+    rows = sorted({node // grid.n_lon for node in whole.value.nodes})
+    assert rows == [6, 7, 8, 12, 13, 14]
+    calls, starts = [], []
+    tensor_partials = dscurv.monitor._tensor_partials
+    slab_residuals = dscurv.monitor._slab_residuals
+
+    def counted(*args):
+        calls.append(args)
+        return tensor_partials(*args)
+
+    def recorded(u, pad, grid, lo, hi, work):
+        starts.append(lo)
+        return slab_residuals(u, pad, grid, lo, hi, work)
+
+    monkeypatch.setattr(dscurv.monitor, "_tensor_partials", counted)
+    monkeypatch.setattr(dscurv.monitor, "_slab_residuals", recorded)
+    with pytest.raises(SpacelikeError) as slabbed:
+        identity_residuals(u, grid)
+    assert slabbed.value.nodes == whole.value.nodes
+    # g and A of the one slab before the first violating slab, and no
+    # slab after that one sets out to form residuals
+    assert len(calls) == 2
+    assert starts == [0, 3]
+
+
 def test_identity_residuals_slab_memory_bound():
     # the slabs hold a few grid arrays' worth at most, not the 44 of a
     # whole-grid evaluation: the workspace is 4.4 and the call's peak
