@@ -80,8 +80,10 @@ def _check_numbers(obj):
 @dataclass
 class PsiEval:
     """Value and partial derivatives of a prescription at sample points,
-    psi_xi holding one array per intrinsic sphere coordinate; all of one
-    shape.  The homotopy leaves psi_tautau and psi_xi unset (None): the
+    each a float array at its closed form's own shape (a scalar for a
+    term that vanishes); all broadcast together to the common shape of
+    r, xi and tau.  psi_xi holds d psi/d xi_i, one array per coordinate
+    of xi.  The homotopy leaves psi_tautau and psi_xi unset (None): the
     solver reads only psi, psi_r and psi_tau."""
 
     psi: np.ndarray
@@ -91,11 +93,6 @@ class PsiEval:
     psi_xi: tuple = None
 
 
-def _common_shape(r, xi, tau):
-    return np.broadcast_shapes(np.shape(r), np.shape(tau),
-                               *(np.shape(c) for c in xi))
-
-
 @dataclass
 class Prescription:
     """Base class: a named family whose dataclass fields are its float
@@ -103,8 +100,9 @@ class Prescription:
 
     A family implements _check() (validate the fields) and
     _closed_form(r, xi, tau), which returns psi, psi_r, psi_tau,
-    psi_tautau and d psi/d xi_1 in any shapes that broadcast together
-    (scalars for the terms that vanish).
+    psi_tautau and the tuple of d psi/d xi_i, one entry per coordinate
+    of xi, in any shapes that broadcast together (scalars for the terms
+    that vanish).  evaluate() is its one reader.
     """
 
     name = "prescription"
@@ -118,22 +116,15 @@ class Prescription:
     def _check(self):
         pass
 
-    def _fields(self, r, xi, tau):
-        """psi, psi_r, psi_tau, psi_tautau and d psi/d xi_1 at the sample
-        points, each a float array at its closed form's own shape."""
-        return tuple(np.asarray(a, dtype=float) for a in self._closed_form(
+    def evaluate(self, r, xi, tau):
+        """PsiEval at the sample points, each field at its closed form's
+        own shape."""
+        *parts, psi_xi = self._closed_form(
             np.asarray(r, dtype=float),
             tuple(np.asarray(c, dtype=float) for c in xi),
-            np.asarray(tau, dtype=float)))
-
-    def evaluate(self, r, xi, tau):
-        """PsiEval at the sample points, every field a read-only view at
-        the common shape of r, xi and tau."""
-        shape = _common_shape(r, xi, tau)
-        *parts, dxi1 = (np.broadcast_to(a, shape)
-                        for a in self._fields(r, xi, tau))
-        zero = np.broadcast_to(0.0, shape)
-        return PsiEval(*parts, (dxi1,) + (zero,) * (len(xi) - 1))
+            np.asarray(tau, dtype=float))
+        return PsiEval(*(np.asarray(a, dtype=float) for a in parts),
+                       tuple(np.asarray(a, dtype=float) for a in psi_xi))
 
     def describe(self):
         return {"name": self.name, "params": asdict(self)}
@@ -168,7 +159,8 @@ class SpaceTiltPower(Prescription):
                 amp * tau_p / np.cosh(r) ** 2,
                 amp * tanh_r * p * tau ** (p - 1.0),
                 amp * tanh_r * p * (p - 1.0) * tau ** (p - 2.0),
-                -self.a1 * np.sin(xi[0]) * tanh_r * tau_p)
+                (-self.a1 * np.sin(xi[0]) * tanh_r * tau_p,)
+                + (0.0,) * (len(xi) - 1))
 
 
 @dataclass
@@ -187,7 +179,7 @@ class TiltPower(Prescription):
         q = self.q
         return (self.coef * tau ** q, 0.0,
                 self.coef * q * tau ** (q - 1.0),
-                self.coef * q * (q - 1.0) * tau ** (q - 2.0), 0.0)
+                self.coef * q * (q - 1.0) * tau ** (q - 2.0), (0.0,) * len(xi))
 
 
 @dataclass
@@ -202,7 +194,7 @@ class ConstantPrescription(Prescription):
             raise ValueError("value must be positive")
 
     def _closed_form(self, r, xi, tau):
-        return self.value, 0.0, 0.0, 0.0, 0.0
+        return self.value, 0.0, 0.0, 0.0, (0.0,) * len(xi)
 
 
 @dataclass
@@ -214,7 +206,8 @@ class TiltConcave(Prescription):
 
     def _closed_form(self, r, xi, tau):
         e = np.exp(-tau)
-        return tau * (2.0 - e), 0.0, 2.0 - e + tau * e, (2.0 - tau) * e, 0.0
+        return (tau * (2.0 - e), 0.0, 2.0 - e + tau * e, (2.0 - tau) * e,
+                (0.0,) * len(xi))
 
 
 @dataclass
@@ -239,7 +232,8 @@ class ReferencePrescription(Prescription):
         return (tau_p * u * tanh_u,
                 tau_p * (tanh_u + u / np.cosh(u) ** 2),
                 p * tau ** (p - 1.0) * u * tanh_u,
-                p * (p - 1.0) * tau ** (p - 2.0) * u * tanh_u, 0.0)
+                p * (p - 1.0) * tau ** (p - 2.0) * u * tanh_u,
+                (0.0,) * len(xi))
 
 
 PRESCRIPTIONS = {
@@ -274,18 +268,17 @@ class HomotopyPrescription:
 
     def evaluate(self, t, r, xi, tau):
         """PsiEval of the deformation at homotopy parameter t in [0, 1]:
-        psi, psi_r and psi_tau at the common shape of r, xi and tau."""
+        psi, psi_r and psi_tau, which broadcast together."""
         if not 0.0 <= t <= 1.0:
             raise ValueError("homotopy parameter t must lie in [0, 1]")
         u = np.asarray(r, dtype=float)
         if np.any(u <= 0.0):
             raise ValueError("graph value must be positive for an admissible graph")
-        shape = _common_shape(u, xi, tau)
+        a = self.target.evaluate(u, xi, tau)
+        b = self.reference.evaluate(u, xi, tau)
         s = 1.0 - t
-        return PsiEval(*(
-            np.broadcast_to(t * a + s * b, shape) for a, b in zip(
-                self.target._fields(u, xi, tau)[:3],
-                self.reference._fields(u, xi, tau)[:3])))
+        return PsiEval(t * a.psi + s * b.psi, t * a.psi_r + s * b.psi_r,
+                       t * a.psi_tau + s * b.psi_tau)
 
 
 # -- sampling lattices -------------------------------------------------
@@ -365,7 +358,9 @@ class BarrierScan:
     found = property(lambda self: self.R1 is not None)
 
     def sign_pattern(self):
-        """String per lattice point: '<' below, '>' above, '0' mixed."""
+        """One mark per scanned radius: '<' where tanh(r) exceeds psi at
+        every sampled xi (lo_margin > 0), '>' where psi exceeds tanh(r)
+        at every sampled xi (hi_margin > 0), '0' where neither holds."""
         marks = []
         for lo, hi in zip(self.lo_margin, self.hi_margin):
             marks.append("<" if lo > 0 else (">" if hi > 0 else "0"))
@@ -410,7 +405,7 @@ def scan_barriers(psi, box):
     psi_max = np.full_like(r, -np.inf)
     psi_min = np.full_like(r, np.inf)
     for rows, _, _, rr, xi_cols in _lattice_slabs(box, r, 1):
-        vals = psi._fields(rr, xi_cols, np.cosh(rr))[0]
+        vals = psi.evaluate(rr, xi_cols, np.cosh(rr)).psi
         vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, rr.shape))
         axes = tuple(range(1, vals.ndim))
         psi_max[rows] = np.maximum(psi_max[rows], vals.max(axis=axes))
@@ -547,7 +542,8 @@ def audit_structural(psi, box):
         TAU = tau.reshape((1,) * (rr.ndim - 1) + (-1,))
         slab = (rr.shape[0],) + block + (box.n_tau,)
         first = (rows.start, offset, 0)
-        vals, psi_r, psi_tau, psi_tautau, dxi1 = psi._fields(rr, xi_cols, TAU)
+        ev = psi.evaluate(rr, xi_cols, TAU)
+        vals = ev.psi
         ratio = vals / TAU
         diffs = np.diff(ratio, axis=-1)
         scale = 1.0 + np.abs(ratio[..., :-1])
@@ -556,8 +552,8 @@ def audit_structural(psi, box):
         # each margin at its natural shape, with the slab shape it stands for
         margins = {
             "positive": (vals, slab),
-            "B": (psi_tau * TAU - vals, slab),
-            "E": (psi_tautau, slab),
+            "B": (ev.psi_tau * TAU - vals, slab),
+            "E": (ev.psi_tautau, slab),
             # per-(r, xi) margin: negative iff psi/tau dips, zero-or-negative
             # iff it also fails to keep growing at tau_max; its witnesses
             # sit at tau = 1
@@ -576,9 +572,8 @@ def audit_structural(psi, box):
                 worst[key] = sorted(kept + _slab_witnesses(
                     np.broadcast_to(margin, shape), first,
                     _THRESHOLDS[key]))[:WITNESS_COUNT]
-        # S^2's zero d psi/d xi_2 adds |0| / psi = 0, max_d's starting value
         if lows["positive"] > 0.0:
-            for c in (psi_r, dxi1):
+            for c in (ev.psi_r, *ev.psi_xi):
                 max_d = np.maximum(max_d, np.max(np.abs(c) / vals))
     xi = sphere_lattice(box.dim, box.n_xi)
 

@@ -39,11 +39,13 @@ def _fd_consistency(psi, dim, rng, rel=1e-6):
                - psi.evaluate(r, xi, tau - h).psi_tau) / (2 * h)
     assert np.max(np.abs(fd_tau2 - ev.psi_tautau) / scale) < rel
 
-    xi_hi = (xi[0] + h,) + xi[1:]
-    xi_lo = (xi[0] - h,) + xi[1:]
-    fd_xi = (psi.evaluate(r, xi_hi, tau).psi
-             - psi.evaluate(r, xi_lo, tau).psi) / (2 * h)
-    assert np.max(np.abs(fd_xi - ev.psi_xi[0]) / scale) < rel
+    assert len(ev.psi_xi) == dim
+    for i, psi_xi in enumerate(ev.psi_xi):
+        xi_hi = xi[:i] + (xi[i] + h,) + xi[i + 1:]
+        xi_lo = xi[:i] + (xi[i] - h,) + xi[i + 1:]
+        fd_xi = (psi.evaluate(r, xi_hi, tau).psi
+                 - psi.evaluate(r, xi_lo, tau).psi) / (2 * h)
+        assert np.max(np.abs(fd_xi - psi_xi) / scale) < rel
 
 
 FAMILIES = (SpaceTiltPower(a0=0.5, a1=0.1, p=2.0), TiltPower(),
@@ -65,18 +67,19 @@ class _RotatedTiltPower(Prescription):
         a1, sa, ca = self.a1, np.sin(self.alpha), np.cos(self.alpha)
         if len(xi) == 1:
             amp = self.a0 + a1 * np.cos(xi[0] - self.alpha)
-            amp_xi1 = -a1 * np.sin(xi[0] - self.alpha)
+            amp_xi = (-a1 * np.sin(xi[0] - self.alpha),)
         else:
             phi, theta = xi
             amp = self.a0 + a1 * (sa * np.sin(phi) * np.cos(theta)
                                   + ca * np.cos(phi))
-            amp_xi1 = a1 * (sa * np.cos(phi) * np.cos(theta)
-                            - ca * np.sin(phi))
+            amp_xi = (a1 * (sa * np.cos(phi) * np.cos(theta)
+                            - ca * np.sin(phi)),
+                      -a1 * sa * np.sin(phi) * np.sin(theta))
         p, tanh_r, tau_p = self.p, np.tanh(r), tau ** self.p
         return (amp * tanh_r * tau_p, amp * tau_p / np.cosh(r) ** 2,
                 amp * tanh_r * p * tau ** (p - 1.0),
                 amp * tanh_r * p * (p - 1.0) * tau ** (p - 2.0),
-                amp_xi1 * tanh_r * tau_p)
+                tuple(a * tanh_r * tau_p for a in amp_xi))
 
 
 @dataclass
@@ -95,7 +98,8 @@ class _PoleCap(Prescription):
         root = np.sqrt(tau)
         return (c * root, np.where(free, 10.0, 0.0) * root, 0.5 * c / root,
                 -0.25 * c / (root * tau),
-                np.where(free, -np.sin(2.0 * xi[0]), 0.0) * root)
+                (np.where(free, -np.sin(2.0 * xi[0]), 0.0) * root,)
+                + (0.0,) * (len(xi) - 1))
 
 
 BLOCK_PROBES = (SpaceTiltPower(a0=0.5, a1=0.1, p=2.0), _RotatedTiltPower(),
@@ -106,7 +110,17 @@ def _psi_fields(ev):
     return [ev.psi, ev.psi_r, ev.psi_tau, ev.psi_tautau, *ev.psi_xi]
 
 
-@pytest.mark.parametrize("psi", FAMILIES, ids=lambda psi: psi.name)
+def _assert_common_shape(ev, shape, dim):
+    # each field is a float array at its closed form's own shape, and
+    # every one broadcasts to the common shape of r, xi and tau
+    assert len(ev.psi_xi) == dim
+    for arr in _psi_fields(ev):
+        assert isinstance(arr, np.ndarray) and arr.dtype == float
+        assert np.broadcast_shapes(arr.shape, shape) == shape
+
+
+@pytest.mark.parametrize("psi", FAMILIES + BLOCK_PROBES[1:],
+                         ids=lambda psi: psi.name)
 def test_every_psi_field_has_the_common_shape(psi):
     # the audit box: r, xi and tau on their own axes
     box = AuditBox(dim=2)
@@ -114,16 +128,12 @@ def test_every_psi_field_has_the_common_shape(psi):
     r = np.linspace(box.r_lo, box.r_hi, box.n_r)[:, None, None]
     tau = np.linspace(1.0, box.tau_max, box.n_tau)[None, None, :]
     ev = psi.evaluate(r, tuple(c[None, :, None] for c in xi), tau)
-    assert len(ev.psi_xi) == 2
-    for arr in _psi_fields(ev):
-        assert arr.shape == (box.n_r, xi[0].size, box.n_tau)
-        assert not arr.flags.writeable
-    # the nodes of an S^2 grid
-    grid = build_grid(2, (16, 32))
-    u = np.full(grid.shape, 0.8)
-    ev = psi.evaluate(u, grid.coords(), np.cosh(u))
-    assert len(ev.psi_xi) == 2
-    assert all(arr.shape == grid.shape for arr in _psi_fields(ev))
+    _assert_common_shape(ev, (box.n_r, xi[0].size, box.n_tau), 2)
+    # the nodes of an S^1 and an S^2 grid
+    for grid in (build_grid(1, 64), build_grid(2, (16, 32))):
+        u = np.full(grid.shape, 0.8)
+        ev = psi.evaluate(u, grid.coords(), np.cosh(u))
+        _assert_common_shape(ev, grid.shape, grid.dim)
 
 
 def test_derivative_self_consistency(rng):
@@ -132,6 +142,9 @@ def test_derivative_self_consistency(rng):
     _fd_consistency(TiltPower(coef=1.0, q=0.5), 2, rng)
     _fd_consistency(TiltConcave(), 2, rng)
     _fd_consistency(ReferencePrescription(p=2.0), 2, rng)
+    # a field that depends on theta: d psi/d xi_2 is not zero
+    _fd_consistency(_RotatedTiltPower(), 1, rng)
+    _fd_consistency(_RotatedTiltPower(), 2, rng)
 
 
 def test_model_family_audit_passes():
@@ -386,7 +399,7 @@ class _TiltShift(Prescription):
     name = "tilt_shift"
 
     def _closed_form(self, r, xi, tau):
-        return tau - 2.0, 0.0, 1.0, 0.0, 0.0
+        return tau - 2.0, 0.0, 1.0, 0.0, (0.0,) * len(xi)
 
 
 class _FullBox(Prescription):
@@ -398,8 +411,12 @@ class _FullBox(Prescription):
 
     def _closed_form(self, r, xi, tau):
         shape = np.broadcast_shapes(r.shape, tau.shape, *(c.shape for c in xi))
-        return tuple(np.broadcast_to(a, shape).copy()
-                     for a in self.inner._closed_form(r, xi, tau))
+
+        def full(a):
+            return np.broadcast_to(a, shape).copy()
+
+        *parts, psi_xi = self.inner._closed_form(r, xi, tau)
+        return (*map(full, parts), tuple(map(full, psi_xi)))
 
 
 def test_audit_at_natural_shape_matches_the_full_box():
