@@ -14,16 +14,18 @@ and exact at umbilic points.
 
 The bundle is 2x2 component arithmetic (sigma = diag(1, sin^2 phi)):
 a symmetric tensor is the component array (x_00, x_01, x_11), or
-(x_00,) on S^1, its first axis; the arrays g[i, j, ...], g_inv and A
-are built on access, and _symmetric views a component array as one.
+(x_00,) on S^1, its first axis, and no other form of it is stored:
+the (n, n, ...) arrays g[i, j, ...], g_inv and A are _symmetric's
+zero-copy views of the component arrays.
 The curvature sums and the principal curvatures are tuples per node and
 keep the symmetric functions' trailing axis, sums[..., j - 1] = S_j.
 Every array is written with out= into memory the caller's allocator
 hands out: a fresh array each (FRESH), or a Workspace's, which the
 identity monitor reuses from ring slab to ring slab.  _geometry builds
 one bundle, less the sums, for every caller: the public entry points
-add the sums, and the monitor gives the bundle's partials, |grad u|^2,
-cosh u and margin back to its workspace, as it reads none of them.
+add the sums, and the monitor gives the bundle's partials, cosh u and
+margin back to its workspace, as it reads none of them.  |grad u|^2 is
+given back as soon as the margin is formed.
 
 Spacelike means cosh^2(u) - |grad u|^2 > 0 node-wise; a small relative
 guard keeps the tilt finite and the linearized operator well
@@ -56,7 +58,6 @@ class InducedGeometry:
     u: np.ndarray
     du: np.ndarray            # round-metric partials p_i = u_i
     q: tuple                  # q_i = sigma^{ij} u_j
-    grad_norm2: np.ndarray    # |grad u|^2 = p.q
     cosh_u: np.ndarray
     margin: np.ndarray        # m = cosh^2(u) - |grad u|^2
     tau: np.ndarray
@@ -67,9 +68,9 @@ class InducedGeometry:
     sums: np.ndarray = None   # S_1..S_n of the principal curvatures, (..., n)
 
     du_raised = property(lambda self: np.array(self.q))
-    g = property(lambda self: _matrix(self.g_comp))
-    g_inv = property(lambda self: _matrix(self.g_inv_comp))
-    A = property(lambda self: _matrix(self.A_comp))
+    g = property(lambda self: _symmetric(self.g_comp))
+    g_inv = property(lambda self: _symmetric(self.g_inv_comp))
+    A = property(lambda self: _symmetric(self.A_comp))
 
     @property
     def shape_eigs(self):
@@ -81,13 +82,6 @@ class InducedGeometry:
         """Norm of the shape operator, sqrt(sum lam_i^2) = sqrt(S1^2 - 2 S2)."""
         s2 = self.sums[..., 1] if self.grid.dim == 2 else 0.0
         return np.sqrt(self.sums[..., 0] ** 2 - 2.0 * s2)
-
-
-def _matrix(X):
-    """The (n, n, ...) array of the symmetric component tuple X."""
-    if len(X) == 1:
-        return X[0][None, None]
-    return np.array([[X[0], X[1]], [X[1], X[2]]])
 
 
 def _symmetric(X):
@@ -214,6 +208,7 @@ def _geometry(u, grid, check_inverse, rings=slice(None), pad=None,
     cosh_u = np.cosh(u, out=work.take(shape))
     c2 = np.square(cosh_u, out=work.take(shape))
     margin = np.subtract(c2, gn2, out=work.take(shape))
+    work.give(gn2)
     guard = np.multiply(SPACELIKE_GUARD, c2, out=work.take(shape))
     bad = np.less_equal(margin, guard, out=work.take(shape, bool))
     work.give(guard)
@@ -272,8 +267,8 @@ def _geometry(u, grid, check_inverse, rings=slice(None), pad=None,
     if check_inverse:
         _check_inverse(g, g_inv, work)
     return InducedGeometry(
-        grid=grid, u=u, du=du, q=q, grad_norm2=gn2, cosh_u=cosh_u,
-        margin=margin, tau=tau, eta=eta, g_comp=g, g_inv_comp=g_inv, A_comp=A)
+        grid=grid, u=u, du=du, q=q, cosh_u=cosh_u, margin=margin, tau=tau,
+        eta=eta, g_comp=g, g_inv_comp=g_inv, A_comp=A)
 
 
 def _with_sums(geom):

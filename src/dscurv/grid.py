@@ -386,12 +386,13 @@ class StencilPattern:
     def assemble(self, a_u, a_p, a_H):
         """StencilMatrix diag(a_u) + sum_i diag(a_p_i) D_i + sum_ij
         diag(a_H_ij) D_ij on the fixed pattern, from coefficient fields
-        a_u (n values), a_p (dim, ...) and a_H (dim, dim, ...); the mixed
-        partial D_01 = D_10 takes a_H_01 + a_H_10.  Each entry sums its
-        terms in that order."""
-        coefs = [a_u, *a_p, *(a_H[i, i] for i in range(self.dim))]
+        a_u (n values), a_p (dim, ...) and the symmetric a_H as its
+        components (a_H00,) or (a_H00, a_H01, a_H11); the mixed partial
+        D_01 = D_10 takes a_H01 + a_H01.  Each entry sums its terms in
+        that order."""
+        coefs = [a_u, *a_p, *(a_H[2 * i] for i in range(self.dim))]
         if self.dim == 2:
-            coefs.append(a_H[0, 1] + a_H[1, 0])
+            coefs.append(a_H[1] + a_H[1])
         table = np.zeros((self.width, self.shape[0]))
         for coef, term in zip(coefs, self._terms):
             coef = np.ravel(coef)

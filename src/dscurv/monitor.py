@@ -36,9 +36,9 @@ forms the Christoffel symbols, the covariant Hessians, grad A and the
 residuals on the slab.  Each node's values are those of a whole-grid
 evaluation, so the residuals are too, bit for bit.  The slab's geometry
 runs the only light-cone test on its rings.  Once a slab's geometry
-fails it, the slabs after it compute their geometry alone, which names
-their violating nodes, and form no residual; the SpacelikeError then
-names every violating node of the grid.
+fails it, no slab forms residuals: one whole-grid geometry names every
+violating node of the grid in the SpacelikeError raised, at the memory
+of a whole-grid evaluation on this error path only.
 
 Every array a slab forms, the geometry's included, is written with out=
 into one Workspace that the call allocates once: SLAB_UNITS units, each
@@ -78,9 +78,9 @@ SLAB_NODES = 2 ** 12
 # The Workspace units a slab's arrays need on S^1 and S^2, each unit one
 # padded ring block.  A slab takes and gives its arrays in one order on
 # every grid of a dimension, so the workspace places them alike on each,
-# in this many units: a slab holds at most 16 and 29 units at once, and
+# in this many units: a slab holds at most 15 and 29 units at once, and
 # the rest are the gaps the workspace's lowest-run placement leaves.
-SLAB_UNITS = {1: 16, 2: 31}
+SLAB_UNITS = {1: 15, 2: 31}
 
 
 @dataclass
@@ -218,7 +218,7 @@ def _slab_residuals(u, pad, grid, lo, hi, work):
     first, last, poles = _block(lo, hi, len(u))
     geom = _geometry(u, grid, check_inverse=True, rings=slice(first, last),
                      pad=pad, work=work)
-    work.give(geom.du, *geom.q[1:], geom.grad_norm2, geom.cosh_u, geom.margin)
+    work.give(geom.du, *geom.q[1:], geom.cosh_u, geom.margin)
     inner = slice(lo - first, hi - first)
     block_tau, block_eta, g_comp = geom.tau, geom.eta, geom.g_comp
     g_inv_comp, a_comp = geom.g_inv_comp, geom.A_comp
@@ -328,20 +328,14 @@ def identity_residuals(u, grid):
     pad = _padded(u)
     slabs = _ring_slabs(grid)
     work = _workspace(grid, slabs)
-    sups, bad = np.zeros(4), set()
+    sups = np.zeros(4)
     for lo, hi in slabs:
         try:
-            if not bad:
-                np.maximum(sups, _slab_residuals(u, pad, grid, lo, hi, work),
-                           out=sups)
-            else:
-                first, last, _ = _block(lo, hi, len(u))
-                _geometry(u, grid, check_inverse=False,
-                          rings=slice(first, last), pad=pad, work=work)
-        except SpacelikeError as error:
-            # the halo rings name some nodes twice
-            bad.update(error.nodes)
+            np.maximum(sups, _slab_residuals(u, pad, grid, lo, hi, work),
+                       out=sups)
+        except SpacelikeError:
+            # the whole grid's geometry names every violating node
+            _geometry(u, grid, check_inverse=False, pad=pad)
+            raise
         work.reset()
-    if bad:
-        raise SpacelikeError(sorted(bad))
     return IdentityResiduals(*map(float, sups), grid.h)

@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import (AdmissibilityError, ContinuationError,
                      InternalConsistencyError, NewtonError, SpacelikeError)
-from .geometry import _double_dot, _matrix, _times, induced_geometry_unchecked
+from .geometry import _double_dot, _times, induced_geometry_unchecked
 from .monitor import check_bounds
 from .prescription import (AuditBox, HomotopyPrescription,
                            ReferencePrescription, _check_numbers,
@@ -234,29 +234,30 @@ def zeroth_coefficient_at_start(p):
 
 
 def curvature_derivative_matrix(geom, k):
-    """Newton tensor F = df/dA per node, (n, n, ...), in closed form:
-    g^-1/n for k = 1 and, for k = 2 (where n = 2), cof(A)/(2 f det g),
-    which is (S1 g^-1 - g^-1 A g^-1)/(2f) by Cayley-Hamilton.  It is the
-    second-order coefficient of the linearized operator up to the positive
-    factor tau/cosh(u), symmetric, and positive definite on Gamma_k.  It
-    reads f = sqrt(S2) from geom.sums and makes no cone test of its own:
-    the caller passes a geometry inside Gamma_k."""
+    """Newton tensor F = df/dA per node in closed form, as its components
+    (F00,) or (F00, F01, F11): g^-1/n for k = 1 and, for k = 2 (where
+    n = 2), cof(A)/(2 f det g), which is (S1 g^-1 - g^-1 A g^-1)/(2f) by
+    Cayley-Hamilton.  It is the second-order coefficient of the
+    linearized operator up to the positive factor tau/cosh(u), symmetric,
+    and positive definite on Gamma_k.  It reads f = sqrt(S2) from
+    geom.sums and makes no cone test of its own: the caller passes a
+    geometry inside Gamma_k."""
     if k == 1:
-        return _matrix([x / geom.grid.dim for x in geom.g_inv_comp])
+        return tuple(x / geom.grid.dim for x in geom.g_inv_comp)
     (a00, a01, a11), (g00, g01, g11) = geom.A_comp, geom.g_comp
     scale = 2.0 * np.sqrt(geom.sums[..., 1]) * (g00 * g11 - g01 ** 2)
-    return _matrix([a11 / scale, -a01 / scale, a00 / scale])
+    return a11 / scale, -a01 / scale, a00 / scale
 
 
 def _smallest_eigenvalue(F):
     """Smallest eigenvalue over all nodes of the symmetric 1x1 or 2x2
-    blocks F, in closed form: the least value of zeta.F.zeta over unit
-    covectors zeta."""
+    blocks of the components F, in closed form: the least value of
+    zeta.F.zeta over unit covectors zeta."""
     if len(F) == 1:
-        return float(F.min())
-    half_trace = 0.5 * (F[0, 0] + F[1, 1])
-    half_gap = 0.5 * (F[0, 0] - F[1, 1])
-    return float(np.min(half_trace - np.hypot(half_gap, F[0, 1])))
+        return float(F[0].min())
+    half_trace = 0.5 * (F[0] + F[2])
+    half_gap = 0.5 * (F[0] - F[2])
+    return float(np.min(half_trace - np.hypot(half_gap, F[1])))
 
 
 def ellipticity_margin(geom, k):
@@ -340,7 +341,7 @@ class ContinuationSolver:
         + (2 - 3 sech^2 u) p p^T, F = df/dA (curvature_derivative_matrix)
         and w = F A q:
 
-            a_H = tau/c F
+            a_H = tau/c F, component by component
             a_p = ((F:A - psi_tau tau) q + 2 w)/m
                   - tau/c (F:Gamma + 4 tanh(u) F p)
             a_u = (tanh(u) - c s/m) F:A - psi_r + tau/c F:dK
@@ -349,9 +350,10 @@ class ContinuationSolver:
         The w terms are those of G = df/dg = -F A g^-1 (f depends on A and
         g only through g^-1 A): G p = -w/m and G:sigma = -(F:A + p.w/m)/c^2,
         as g^-1 p = q/m and g^-1 sigma = (I + q p^T/m)/c^2; for k = 2,
-        F A = (f/2) I and G = -(f/2) g^-1.  Each contraction is a sum of
-        components, and Gamma^0_11 and Gamma^1_01 are the round metric's
-        non-zero symbols.
+        F A = (f/2) I and G = -(f/2) g^-1.  F, A, g and a_H are held as
+        their components, the geometry's form, which assemble() reads as
+        it is; each contraction is a sum of components, and Gamma^0_11
+        and Gamma^1_01 are the round metric's non-zero symbols.
 
         Also runs the ellipticity diagnostic: F must be positive definite
         at every admissible node, otherwise the geometry pipeline is
@@ -369,14 +371,11 @@ class ContinuationSolver:
         c, s, m, tau, p, q = (geom.cosh_u, geom.eta, geom.margin, geom.tau,
                               geom.du, geom.q)
         ratio, th, gamma = tau / c, s / c, grid.christoffel
-        if grid.dim == 1:
-            Fc, F_gamma = (F[0, 0],), [0.0]
-        else:
-            Fc = (F[0, 0], F[0, 1], F[1, 1])
-            F_gamma = [F[1, 1] * gamma[0, 1, 1], 2.0 * F[0, 1] * gamma[1, 0, 1]]
-        FA, Fp = _double_dot(Fc, geom.A_comp), _times(Fc, p)
-        w = _times(Fc, _times(geom.A_comp, q))
-        F_dK = ((1.0 + th ** 2) * _double_dot(Fc, geom.g_comp)
+        F_gamma = ([0.0] if grid.dim == 1 else
+                   [F[2] * gamma[0, 1, 1], 2.0 * F[1] * gamma[1, 0, 1]])
+        FA, Fp = _double_dot(F, geom.A_comp), _times(F, p)
+        w = _times(F, _times(geom.A_comp, q))
+        F_dK = ((1.0 + th ** 2) * _double_dot(F, geom.g_comp)
                 + (2.0 - 3.0 / c ** 2) * sum(pi * Fpi for pi, Fpi in zip(p, Fp)))
         a_p = [((FA - psi.psi_tau * tau) * qi + 2.0 * wi) / m
                - ratio * (F_gamma_i + 4.0 * th * Fpi)
@@ -384,7 +383,7 @@ class ContinuationSolver:
         a_u = ((th - c * s / m) * FA - psi.psi_r + ratio * F_dK
                - 2.0 * th * (FA + sum(pi * wi for pi, wi in zip(p, w)) / m)
                - psi.psi_tau * s * (2.0 * ratio - c * tau / m))
-        a_H = ratio * F
+        a_H = [ratio * x for x in F]
         return grid.stencil_pattern().assemble(a_u, a_p, a_H)
 
     def directional_derivative_check(self, u, t, geom=None, psi=None):
@@ -471,6 +470,8 @@ class ContinuationSolver:
                     trial_norm = None
                 if trial_norm is not None and trial_norm < rnorm:
                     break
+                # a rejected trial is freed before the next one is built
+                trial_res = trial_geom = trial_psi = None
                 alpha *= BACKTRACK_FACTOR
                 if alpha < min_damping:
                     raise NewtonError("line search stalled below minimal step",

@@ -671,7 +671,7 @@ def test_singular_jacobian_exit_code(tmp_path, monkeypatch):
 
     def theta_laplacian(self, a_u, a_p, a_H):
         a_H = np.zeros_like(a_H)
-        a_H[1, 1] = 1.0
+        a_H[2] = 1.0
         return assemble(self, np.zeros_like(a_u), np.zeros_like(a_p), a_H)
 
     monkeypatch.setattr(dscurv.grid.StencilPattern, "assemble",

@@ -151,7 +151,7 @@ def _node_major_geometry(u, grid):
         det_a = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] ** 2
         det_g = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
         sums = np.stack([s1, det_a / det_g], axis=-1)
-    return {"du": du, "du_raised": du_raised, "grad_norm2": gn2, "g": g,
+    return {"du": du, "du_raised": du_raised, "margin": margin, "g": g,
             "g_inv": g_inv, "tau": tau, "eta": eta, "A": A, "sums": sums}
 
 
@@ -176,6 +176,24 @@ def test_geometry_equals_node_major_reference(s1_64, s2_16x32):
         for name, want in _node_major_geometry(u, grid).items():
             got = _node_major(getattr(geom, name), index_axes.get(name, 0))
             assert np.array_equal(got, want), name
+
+
+def test_tensor_arrays_are_views_of_components(s1_64, s2_16x32):
+    # g, g_inv and A are the component arrays seen as (n, n, ...), with
+    # no copy: entry (i, j) is component i + j
+    phi, theta = s2_16x32.coords()
+    cases = [(s1_64, 0.8 + 0.1 * np.cos(s1_64.theta)),
+             (s2_16x32, 0.8 + 0.05 * np.sin(phi) * np.cos(phi) * np.cos(theta)
+              + 0.04 * np.sin(phi) * np.sin(theta))]
+    for grid, u in cases:
+        geom = induced_geometry(u, grid)
+        for name in ("g", "g_inv", "A"):
+            X, view = getattr(geom, name + "_comp"), getattr(geom, name)
+            want = (X[0][None, None] if grid.dim == 1
+                    else np.array([[X[0], X[1]], [X[1], X[2]]]))
+            assert np.shares_memory(view, X), name
+            assert view.shape == want.shape, name
+            assert np.ascontiguousarray(view).tobytes() == want.tobytes(), name
 
 
 def test_shape_eigenvalues_against_dense_oracle(rng):

@@ -181,12 +181,14 @@ def test_stencil_terms_match_array_stencils(rng):
         pattern = g.stencil_pattern()
 
         def term(a_u=0.0, p=None, H=None):
+            # a_H as its components, entry (i, j) at i + j: the mixed
+            # entry is a_H01 and a_H10 at once, so each takes one half
             a_p = np.zeros((dim,) + g.shape)
-            a_H = np.zeros((dim, dim) + g.shape)
+            a_H = np.zeros((dim * (dim + 1) // 2,) + g.shape)
             if p is not None:
                 a_p[p] = 1.0
             if H is not None:
-                a_H[H] = 1.0
+                a_H[sum(H)] = 1.0 if H[0] == H[1] else 0.5
             mat = pattern.assemble(np.full(g.shape, a_u), a_p, a_H)
             return (mat @ f.ravel()).reshape(g.shape)
 

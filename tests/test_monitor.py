@@ -340,8 +340,9 @@ def test_identity_spacelike_error_names_every_slab(monkeypatch, s2_16x32,
 
 def test_identity_spacelike_error_from_a_middle_slab(monkeypatch, s2_16x32):
     # the first violation is in the second 3-ring slab (the halo of ring
-    # 6), the next in the fourth: the first slab forms its residuals, the
-    # slabs after the second name their nodes and form none
+    # 6), the next in the fourth: the first slab forms its residuals, and
+    # once the second fails, no slab forms any and the error still names
+    # the fourth slab's nodes
     grid = s2_16x32
     monkeypatch.setattr(dscurv.monitor, "SLAB_NODES", 3 * grid.n_lon)
     u = _slab_profiles(grid)[2]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dscurv import (AdmissibilityError, AuditBox, ContinuationError,
                     audit_structural, build_grid, combined_barriers,
                     ellipticity_margin, induced_geometry, initial_constant,
                     run_homotopy, scan_barriers, zeroth_coefficient_at_start)
+from dscurv.geometry import _components, _symmetric
 from dscurv.symmetric import root_of_sums
 
 R_STAR = np.log(1.0 + np.sqrt(2.0))
@@ -329,9 +331,8 @@ def test_jacobian_check_sees_theta_columns(monkeypatch):
     assemble = pattern.assemble
 
     def scaled(a_u, a_p, a_H):
-        a_H = a_H.copy()
-        a_H[1, 1] *= 1.1
-        return assemble(a_u, a_p, a_H)
+        a00, a01, a11 = a_H
+        return assemble(a_u, a_p, (a00, a01, a11 * 1.1))
 
     monkeypatch.setattr(pattern, "assemble", scaled)
     with pytest.raises(InternalConsistencyError):
@@ -358,7 +359,7 @@ def test_ellipticity_margin_positive(s2_16x32):
 def test_ellipticity_margin_is_exact(s2_16x32, monkeypatch):
     geom = induced_geometry(np.full(s2_16x32.shape, 0.8), s2_16x32)
     for k in (1, 2):
-        F = dscurv.solver.curvature_derivative_matrix(geom, k)
+        F = _square(dscurv.solver.curvature_derivative_matrix(geom, k))
         F = np.moveaxis(F, (0, 1), (-2, -1))
         least = np.linalg.eigvalsh(0.5 * (F + np.swapaxes(F, -1, -2))).min()
         assert ellipticity_margin(geom, k) == pytest.approx(least, rel=1e-13)
@@ -368,7 +369,8 @@ def test_ellipticity_margin_is_exact(s2_16x32, monkeypatch):
     c, s = np.cos(np.radians(18.0)), np.sin(np.radians(18.0))
     rot = np.array([[c, -s], [s, c]])
     block = rot @ np.diag([-0.01, 1.0]) @ rot.T
-    doctored = np.broadcast_to(block[..., None, None], (2, 2) + s2_16x32.shape)
+    doctored = tuple(np.full(s2_16x32.shape, x)
+                     for x in (block[0, 0], block[0, 1], block[1, 1]))
     monkeypatch.setattr(dscurv.solver, "curvature_derivative_matrix",
                         lambda geom, k: doctored)
     assert ellipticity_margin(geom, 2) == pytest.approx(-0.01, rel=1e-12)
@@ -381,6 +383,11 @@ def _rel(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+def _square(X):
+    """The (n, n, ...) array of the symmetric components X."""
+    return _symmetric(np.asarray(X))
+
+
 def test_newton_tensor_closed_forms(s1_64, s2_16x32):
     # F = df/dA against (S1 g^-1 - g^-1 A g^-1)/(2f) for k = 2 and g^-1/n
     # for k = 1, Euler's identity F:A = f of the degree-one f, and, for
@@ -391,7 +398,7 @@ def test_newton_tensor_closed_forms(s1_64, s2_16x32):
         g_inv, A, s1 = geom.g_inv, geom.A, geom.sums[..., 0]
         g_inv_A_g_inv = np.einsum("ik...,kl...,lj...->ij...", g_inv, A, g_inv)
         for k in ks:
-            F = dscurv.solver.curvature_derivative_matrix(geom, k)
+            F = _square(dscurv.solver.curvature_derivative_matrix(geom, k))
             f = root_of_sums(geom.sums, k, grid.dim)
             want = (g_inv / grid.dim if k == 1
                     else (s1 * g_inv - g_inv_A_g_inv) / (2.0 * f))
@@ -424,7 +431,7 @@ def _einsum_coefficients(solver, u, t):
         F = ((geom.sums[..., 0] * g_inv - product(product(g_inv, A), g_inv))
              / (2.0 * np.sqrt(geom.sums[..., 1])))
     c, s, th = np.cosh(geom.u), np.sinh(geom.u), np.tanh(geom.u)
-    m = c ** 2 - geom.grad_norm2
+    m = c ** 2 - np.einsum("i...,i...->...", p, q)
     rm, m32 = np.sqrt(m), m ** 1.5
     ratio = c / rm
     FK = contract(F, A) / ratio
@@ -438,7 +445,7 @@ def _einsum_coefficients(solver, u, t):
     a_u = ((s / rm - c ** 2 * s / m32) * FK + ratio * contract(F, dK)
            + 2.0 * c * s * contract(G, sigma) - psi.psi_r
            - psi.psi_tau * (2.0 * c * s / rm - c ** 3 * s / m32))
-    return a_u, a_p, ratio * F
+    return a_u, a_p, _components(ratio * F)
 
 
 def test_jacobian_matches_einsum_oracle(monkeypatch):
@@ -462,7 +469,7 @@ def test_jacobian_matches_einsum_oracle(monkeypatch):
         # each coefficient field on its own scale too: a_u is small next
         # to the stencil weights of a_H
         for field, reference in zip(got, want):
-            assert _rel(np.asarray(field), reference) <= 1e-14
+            assert _rel(np.asarray(field), np.asarray(reference)) <= 1e-14
 
 
 def test_solve_path_makes_no_einsum_call(monkeypatch):
@@ -562,6 +569,27 @@ def test_newton_budget_caps_iterations_and_damping(s1_64, monkeypatch):
     assert solver.newton_solve(u0, 0.0).residual_norm <= 1e-10
 
 
+def test_line_search_frees_a_rejected_trial(s1_64, monkeypatch):
+    # the first trial's residual is raised by one, so the line search
+    # rejects it: its geometry and psi must be dead when the next trial
+    # starts, while the current iterate's stay alive
+    solver = _solver(s1_64, 1)
+    u0 = initial_constant(2.0) + 0.05 * np.cos(s1_64.theta)
+    residual = ContinuationSolver.residual_with_geometry
+    refs, alive = [], []
+
+    def weakly_held(self, u, t):
+        alive.append([ref() is not None for ref in refs])
+        res, geom, psi = residual(self, u, t)
+        refs.extend((weakref.ref(geom), weakref.ref(psi)))
+        return (res + 1.0 if len(refs) == 4 else res), geom, psi
+
+    monkeypatch.setattr(ContinuationSolver, "residual_with_geometry",
+                        weakly_held)
+    assert solver.newton_solve(u0, 0.0).residual_norm <= 1e-10
+    assert alive[2] == [True, True, False, False]
+
+
 def _singular_assembly(pattern):
     """assemble() replaced by a singular matrix on the same pattern: zero
     on S^1, whose first pivot is zero, and the constant-coefficient D_thth
@@ -571,7 +599,7 @@ def _singular_assembly(pattern):
     def singular(a_u, a_p, a_H):
         a_H = np.zeros_like(a_H)
         if pattern.dim == 2:
-            a_H[1, 1] = 1.0
+            a_H[2] = 1.0
         return assemble(np.zeros_like(a_u), np.zeros_like(a_p), a_H)
     return singular
 
