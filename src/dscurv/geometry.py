@@ -67,7 +67,6 @@ class InducedGeometry:
     A_comp: np.ndarray
     sums: np.ndarray = None   # S_1..S_n of the principal curvatures, (..., n)
 
-    du_raised = property(lambda self: np.array(self.q))
     g = property(lambda self: _symmetric(self.g_comp))
     g_inv = property(lambda self: _symmetric(self.g_inv_comp))
     A = property(lambda self: _symmetric(self.A_comp))

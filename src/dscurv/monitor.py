@@ -1,11 +1,12 @@
 """Runtime bound monitors and discrete geometric-identity validators.
 
 check_bounds() reports whether a graph sits between its barrier radii,
-keeps its tilt under the configured cap, stays node-wise admissible,
-and keeps |A| bounded: the discrete analogue of membership in the
-bounded solution set the continuation argument relies on.  The report
-lists, per check, the ids of the nodes that fail it; a flag fails
-exactly when its list names nodes.
+keeps its tilt under the cap c_tau (the solver's is the audited box's
+tau_max), stays node-wise admissible, and keeps |A| bounded: the
+discrete analogue of membership in the bounded solution set the
+continuation argument relies on.  The report lists, per check, the ids
+of the nodes that fail it; a flag fails exactly when its list names
+nodes.
 
 identity_residuals() validates the discretization against identities
 that couple the height eta = sinh(u) and tilt tau to the second

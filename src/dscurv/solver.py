@@ -100,7 +100,8 @@ JACOBIAN_CHECK_TOL = 1e-5
 
 @dataclass
 class SolverConfig:
-    """Tolerances and step controls for the continuation solver."""
+    """Tolerances and step controls for the continuation solver; c_a caps
+    |A| in the bound monitors, whose tilt cap is the solver's tau_max."""
 
     k: int = 2
     p: float = 2.0
@@ -109,7 +110,6 @@ class SolverConfig:
     dt_init: float = 1.0
     dt_min: float = 1e-3
     dt_max: float = 1.0
-    c_tau: float = 50.0
     c_a: float = 50.0
 
     def __post_init__(self):
@@ -118,9 +118,6 @@ class SolverConfig:
             raise ValueError("tol_newton must be positive")
         if self.max_newton < 1:
             raise ValueError("max_newton must be >= 1")
-        # tau >= cosh(u) >= 1, so a cap at or below 1 rejects every state
-        if self.c_tau <= 1.0:
-            raise ValueError("c_tau must exceed 1")
         if self.c_a <= 0.0:
             raise ValueError("c_a must be positive")
         if not 0.0 < self.dt_min <= self.dt_init <= self.dt_max <= 1.0:
@@ -271,14 +268,17 @@ class ContinuationSolver:
     """Driver for Newton solves and homotopy continuation on one grid,
     whose run() also solves on the grid's coarsenings.
 
-    Immutable problem data (grid, target prescription, config) are bound
-    at construction; per-call state lives on the stack, so instances can
+    Immutable problem data (grid, target prescription, config, barriers
+    and the tilt cap tau_max, both from one AuditBox) are bound at
+    construction; per-call state lives on the stack, so instances can
     be shared by concurrent read-only callers.
     """
 
-    def __init__(self, grid, target, config=None, barriers=None):
+    def __init__(self, grid, target, config=None, barriers=None,
+                 tau_max=AuditBox.tau_max):
         self.grid = grid
         self.config = config or SolverConfig()
+        self.tau_max = tau_max
         if self.config.k > grid.dim:
             raise ValueError(
                 f"curvature order k={self.config.k} needs k <= n={grid.dim}")
@@ -409,9 +409,11 @@ class ContinuationSolver:
         jac = self.jacobian(u, t, geom, psi)
         vflat = v.ravel()
         jv = jac.dot(vflat)
+        row_scale = abs(jac) @ np.abs(vflat)
+        # the table is freed before the two residuals build their geometries
+        del jac
         fd = (self.residual(u + eps * v, t) - self.residual(u - eps * v, t)).ravel()
         fd /= 2.0 * eps
-        row_scale = abs(jac) @ np.abs(vflat)
         row_scale = np.maximum(row_scale, max(np.max(np.abs(jv)), 1e-30))
         err = float(np.max(np.abs(jv - fd) / row_scale))
         if err > JACOBIAN_CHECK_TOL:
@@ -511,7 +513,7 @@ class ContinuationSolver:
         state = None
         for level, grid in enumerate(chain):
             solver = self if grid is self.grid else ContinuationSolver(
-                grid, self.target, self.config, self.barriers)
+                grid, self.target, self.config, self.barriers, self.tau_max)
             try:
                 if level == 0:
                     state = solver._homotopy()
@@ -538,7 +540,7 @@ class ContinuationSolver:
         homotopy start" for the t = 0 state)."""
         cfg = self.config
         result = self.newton_solve(u_start, t, max_iters, min_damping)
-        monitor = check_bounds(result.geometry, self.barriers, cfg.c_tau,
+        monitor = check_bounds(result.geometry, self.barriers, self.tau_max,
                                cfg.c_a, cfg.k)
         if not monitor.all_ok:
             where = " at the homotopy start" if t == 0.0 else ""
@@ -648,18 +650,18 @@ def combined_barriers(scan_t, p, box):
 
 
 def run_homotopy(target, grid, config=None, barriers=None):
-    """One-call continuation: unless barriers are given, find them with
-    combined_barriers on AuditBox(dim=grid.dim), the scan the CLI makes
-    with default audit keys; then solve at t = 1 with
-    ContinuationSolver.run.  The caller is responsible for auditing the
-    target's structural conditions beforehand."""
+    """One-call continuation on AuditBox(dim=grid.dim), the box the CLI
+    builds with default audit keys: barriers, unless given, from
+    combined_barriers on it, and its tau_max as the tilt cap; then
+    ContinuationSolver.run solves at t = 1.  The caller is responsible
+    for auditing the target's structural conditions beforehand."""
     config = config or SolverConfig()
+    box = AuditBox(dim=grid.dim)
     if barriers is None:
-        box = AuditBox(dim=grid.dim)
         barriers, _ = combined_barriers(scan_barriers(target, box), config.p,
                                         box)
         if barriers is None:
             raise ValueError("no barrier radii found on the scan range; "
                              "run scan_barriers for the sign pattern")
-    solver = ContinuationSolver(grid, target, config, barriers=barriers)
+    solver = ContinuationSolver(grid, target, config, barriers, box.tau_max)
     return solver.run()

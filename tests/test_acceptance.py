@@ -201,12 +201,15 @@ def test_criterion_7_monitor_enforcement():
     state = run_homotopy(target, grid, SolverConfig(k=2, p=2.0))
     elapsed = time.perf_counter() - start
     r1, r2 = state.monitor.R1, state.monitor.R2
+    # the tilt is capped at the audited box's tau_max
+    tau_max = AuditBox().tau_max
     per_step = all(
         rec.min_u >= r1 and rec.max_u <= r2
-        and rec.max_tau <= 50.0 and rec.max_abs_A <= 50.0
+        and rec.max_tau <= tau_max and rec.max_abs_A <= 50.0
         and rec.residual <= 1e-10
         for rec in state.step_history)
     ok = (state.t == 1.0 and per_step and state.monitor.all_ok
+          and state.monitor.C_tau == tau_max
           and state.monitor.min_sigma_margin > 0.0 and elapsed < 120.0)
     _report(7, "every accepted state stays inside the bound set", ok,
             f"{len(state.step_history)} steps, u in "

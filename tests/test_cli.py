@@ -126,7 +126,7 @@ def test_solver_and_audit_keys_reach_their_fields(tmp_path):
     values = {"solver.p": 3.0, "solver.tol_newton": 1e-9,
               "solver.max_newton": 31, "solver.dt_init": 0.2,
               "solver.dt_min": 0.002, "solver.dt_max": 0.6,
-              "solver.c_tau": 60.0, "solver.c_a": 70.0,
+              "solver.c_a": 70.0,
               "audit.r_lo": 0.06, "audit.r_hi": 2.5, "audit.tau_max": 21.0,
               "audit.n_r": 41, "audit.n_xi": 25, "audit.n_tau": 42,
               "audit.scan_resolution": 401}
@@ -314,24 +314,31 @@ prescription.p = 2.0
                          ids=["tau_max-2", "default-box"])
 def test_summary_names_the_path_tilt_beyond_the_audited_box(
         tmp_path, capsys, box, beyond):
-    # the path's largest tilt (2.897) lies above the final state's and,
-    # with tau_max = 2, beyond the tilts the audit sampled
+    # the path's largest tilt (2.897) lies above the final state's; with
+    # tau_max = 2 it lies beyond the tilts the audit sampled, where the
+    # monitors, which cap the tilt at tau_max, fail the run
     out = tmp_path / "tilt"
     path = write_config(tmp_path, S1_TILT + box + f"out = {out}\n")
-    assert cli.main(["--config", path]) == cli.EXIT_OK
+    code = cli.main(["--config", path])
     message = capsys.readouterr().out
     summary = json.loads((out / "summary.json").read_text())
     lines = (out / "trace.csv").read_text().splitlines()
     column = lines[0].split(",").index("max_tau")
-    max_tau = summary["continuation"]["max_tau"]
-    assert max_tau == max(float(line.split(",")[column]) for line in lines[1:])
-    assert max_tau > summary["monitor"]["max_tau"] > 2.0
+    tilts = [float(line.split(",")[column]) for line in lines[1:]]
     assert summary["audit"]["passed"] is True
     if beyond:
-        assert (f"the path reached tau = {max_tau:.6g}, beyond the audited "
-                "tau_max = 2" in message)
-    else:
-        assert "tau_max" not in message and "beyond" not in message
+        assert code == cli.EXIT_CONTINUATION
+        assert summary["continuation"]["failed"] is True
+        assert "bound monitors failed: tilt at" in summary["continuation"]["message"]
+        assert "bound monitors failed: tilt at" in message
+        # every accepted state lies inside the audited tilt range
+        assert max(tilts) <= 2.0
+        return
+    assert code == cli.EXIT_OK
+    max_tau = summary["continuation"]["max_tau"]
+    assert max_tau == max(tilts)
+    assert max_tau > summary["monitor"]["max_tau"] > 2.0
+    assert "tau_max" not in message and "beyond" not in message
 
 
 def test_summary_levels_and_trace_level_column(tmp_path):
@@ -637,10 +644,10 @@ def test_continuation_failure_exit_code(tmp_path):
 
 
 def test_start_failure_writes_no_trace(tmp_path):
-    # tau = cosh(0.663) = 1.228 at the start exceeds c_tau = 1.1: no state
+    # |A| = tanh(0.663) = 0.58 at the start exceeds c_a = 0.5: no state
     # is accepted, so there is no trace row to write
     out = tmp_path / "start"
-    path = write_config(tmp_path, S1 + f"out = {out}\nsolver.c_tau = 1.1\n")
+    path = write_config(tmp_path, S1 + f"out = {out}\nsolver.c_a = 0.5\n")
     assert cli.main(["--config", path, "--resolution", "64",
                      "--quiet"]) == cli.EXIT_CONTINUATION
     summary = json.loads((out / "summary.json").read_text())
